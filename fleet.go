@@ -27,13 +27,16 @@ import (
 // replanning).
 //
 // Each managed model is served by an elastic pool of replica engines
-// (internal/replica): N pipeline engines, each with its own preload
-// buffer carved from the model's grant (Budget/N), dispatched
-// least-loaded. All replicas of a model stream shard payloads through
-// one single-flight cache (store.SharedCache), so concurrent replicas
-// executing the same plan cost ~1× flash IO. SetReplicas provisions
-// the pool; Pressure lets a scheduler's queue-pressure signal scale it
-// up under congestion and drain it when idle.
+// (internal/replica): up to a ceiling of N pipeline engines, each with
+// its own preload buffer carved from the model's grant, dispatched
+// least-loaded. Every tier is planned against the ceiling's slice
+// (Budget/N) and warmed under the live one (Budget/live ≥ Budget/N), so
+// a request's output never depends on how many replicas are live. All
+// replicas of a model stream shard payloads through one single-flight
+// cache (store.SharedCache), so concurrent replicas executing the same
+// plan cost ~1× flash IO. SetReplicas provisions the pool; Pressure
+// lets a scheduler's queue-pressure signal scale it up under
+// congestion and drain it when idle.
 //
 // A Fleet is safe for concurrent use: Serve calls run in parallel
 // (including on the same model), while Add, Remove, SetBudget and
@@ -85,9 +88,10 @@ type FleetEntry struct {
 	// by every replan plus an LRU-bounded set of on-demand tiers.
 	cache *planner.PlanCache
 
-	// pool is the model's elastic replica set: N pipeline engines, each
-	// holding a per-replica slice (Budget/N) of the model grant, with
-	// least-loaded dispatch. Replica 0 is System.Engine.
+	// pool is the model's elastic replica set: up to its ceiling of
+	// pipeline engines, each holding a per-replica slice (Budget/live)
+	// of the model grant, with least-loaded dispatch. Replica 0 is
+	// System.Engine.
 	pool *replica.Pool
 	// shared is the model's single-flight payload cache — every replica
 	// streams shards through it, so K replicas executing the same plan
@@ -156,12 +160,13 @@ func (f *Fleet) Add(name string, sys *System, target time.Duration, weight float
 }
 
 // SetReplicas provisions a model's replica pool: n engines serve the
-// model immediately (each granted Budget/n preload bytes once planned)
-// and n becomes the pool's elastic ceiling — queue pressure can regrow
-// a drained pool up to it, idleness can shrink it back toward the
-// pool's Min floor (1 unless raised via ConfigureReplicas).
-// Call before Replan for a fresh model, or any time after: the model's
-// plan ladder is restaged under the new per-replica grant.
+// model immediately and n becomes the pool's elastic ceiling — queue
+// pressure can regrow a drained pool up to it, idleness can shrink it
+// back toward the pool's Min floor (1 unless raised via
+// ConfigureReplicas; a floor above n is lowered to n). Every tier is
+// planned against the ceiling's slice, Budget/n, whatever the live
+// count. Call before Replan for a fresh model, or any time after: a
+// new ceiling on a planned model replans the fleet.
 func (f *Fleet) SetReplicas(name string, n int) error {
 	if n < 1 {
 		return fmt.Errorf("sti: SetReplicas(%q, %d): need at least one replica", name, n)
@@ -172,22 +177,16 @@ func (f *Fleet) SetReplicas(name string, n int) error {
 	if !ok {
 		return fmt.Errorf("sti: fleet has no model %q", name)
 	}
-	// Raise the ceiling without stomping a Min floor the operator set
-	// via ConfigureReplicas (clamped to n — a floor above the ceiling
-	// is meaningless).
-	min, _ := e.pool.Limits()
-	if min > n {
-		min = n
-	}
-	e.pool.SetLimits(min, n)
-	//sti:lockok quiesce-and-swap: provisioning holds the write lock across replica teardown/warm so no reader sees a half-scaled pool
-	return f.scaleEntryLocked(name, e, n)
+	return f.scaleEntryLocked(name, e, replica.Options{Max: n}, n)
 }
 
 // ConfigureReplicas overrides a model's replica-pool tuning (bounds,
 // drain wait, pressure thresholds). Zero-valued fields keep their
 // current setting, so tuning one knob never resets the others — in
-// particular, it never collapses a SetReplicas ceiling.
+// particular, it never collapses a SetReplicas ceiling. New bounds
+// clamp the live count (a Max below the Min floor lowers the floor),
+// and a new Max on a planned model replans the fleet, exactly as
+// SetReplicas does.
 func (f *Fleet) ConfigureReplicas(name string, opts ReplicaOptions) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -195,8 +194,7 @@ func (f *Fleet) ConfigureReplicas(name string, opts ReplicaOptions) error {
 	if !ok {
 		return fmt.Errorf("sti: fleet has no model %q", name)
 	}
-	e.pool.Configure(opts)
-	return nil
+	return f.scaleEntryLocked(name, e, opts, e.pool.Size())
 }
 
 // SetSharedCacheRetain bounds a model's single-flight payload cache:
@@ -284,11 +282,13 @@ func (f *Fleet) SharedCacheStats(name string) (store.CacheStats, bool) {
 // Past the pool's high-water mark an extra replica is brought up (to
 // the SetReplicas ceiling); after a sustained idle stretch one is
 // drained — its in-flight work finishes, then its preload bytes are
-// reclaimed and re-granted to the survivors. Scaling runs on a
-// background goroutine behind the fleet's write lock, and the entry
-// lookup itself only try-locks, so Pressure never blocks the serving
-// path — an observation arriving while a replan or scale holds the
-// fleet is simply dropped (the signal is advisory and periodic).
+// reclaimed and re-granted to the survivors. A step never replans: the
+// committed plans were made against the ceiling, so only the pool's
+// members change and every buffer re-warms the same plan set. Scaling
+// runs on a background goroutine behind the fleet's write lock, and
+// the entry lookup itself only try-locks, so Pressure never blocks the
+// serving path — an observation arriving while a replan or scale holds
+// the fleet is simply dropped (the signal is advisory and periodic).
 func (f *Fleet) Pressure(name string, depth, capacity int) {
 	if !f.mu.TryRLock() {
 		return
@@ -313,101 +313,42 @@ func (f *Fleet) Pressure(name string, depth, capacity int) {
 		// previous size, and re-arms the cooldown so sustained pressure
 		// retries at Cooldown pace — not on every observation, each of
 		// which would stall serving behind this write lock.
-		//sti:lockok quiesce-and-swap: elastic scaling runs on its own goroutine and holds the write lock across the resize deliberately; Cooldown bounds how often serving pays this
-		if err := f.scaleEntryLocked(name, e, e.pool.Size()+delta); err != nil {
+		if err := f.scaleEntryLocked(name, e, replica.Options{}, e.pool.Size()+delta); err != nil {
 			e.pool.NoteScaleFailure()
 		}
 	}()
 }
 
-// scaleEntryLocked resizes one model's pool and restages its plan
-// ladder under the new per-replica grant (§3.2's budget arbitration,
-// extended per-replica). The ladder is staged against the target size
-// BEFORE the pool is touched — a planning failure must leave both the
-// pool and the committed ladder exactly as they were, never a resized
-// pool whose cached plans assume the old buffer slices. f.mu must be
+// scaleEntryLocked is the one path that reshapes a model's replica
+// pool: opts retunes it (zero fields keep their setting; a Max below
+// the current Min floor lowers the floor to it), then the pool scales
+// to n live replicas, clamped to its bounds. Every tier is planned
+// against the ceiling's slice, PerReplica(Budget, max), and warmed
+// under the live one, PerReplica(Budget, live), which is never smaller
+// — so an elastic step only changes the pool's members and re-warms
+// the committed plans. Only a ceiling that moved on a planned model
+// replans, through the fleet's one replanLocked, before the pool is
+// resized; a failed replan restores the previous bounds. f.mu must be
 // held for writing — no new work can be admitted, so a scale-down's
 // drain only has to wait out already-running generate streams (their
 // acquisitions are held to the terminal token; classify work never
 // outlives the read lock), bounded by the pool's DrainWait.
-func (f *Fleet) scaleEntryLocked(name string, e *FleetEntry, n int) error {
-	n = e.pool.Clamp(n)
-	if e.Plan == nil {
-		// Not planned yet; just provision — the first Replan arbitrates.
-		if err := e.pool.ScaleTo(n); err != nil {
-			return fmt.Errorf("sti: scaling %q: %w", name, err)
+func (f *Fleet) scaleEntryLocked(name string, e *FleetEntry, opts replica.Options, n int) error {
+	floor, ceiling := e.pool.Limits()
+	if opts.Min <= 0 && opts.Max > 0 && opts.Max < floor {
+		opts.Min = opts.Max
+	}
+	e.pool.Configure(opts)
+	if _, newCeiling := e.pool.Limits(); newCeiling != ceiling && e.Plan != nil {
+		//sti:lockok quiesce-and-swap: a new ceiling re-slices every tier's grant; the fleet replans under the write lock exactly as SetBudget does
+		if err := f.replanLocked(); err != nil {
+			e.pool.Configure(replica.Options{Min: floor, Max: ceiling})
+			return err
 		}
-		return nil
 	}
-	targets, ladder, err := f.stageLadderLocked(name, e, replica.PerReplica(e.Budget, n))
-	if err != nil {
-		return err
-	}
-	// Resize (membership only — the single warm happens in the commit's
-	// Apply, never twice), then commit the staged ladder. If the warm
-	// fails, undo the resize too: pool size and committed ladder must
-	// agree, whichever way the scale ends, and the rollback warm runs
-	// once, at the restored size.
-	prev := e.pool.Size()
-	if _, err := e.pool.Resize(n); err != nil {
+	//sti:lockok quiesce-and-swap: scaling holds the write lock across replica teardown and warm so no reader sees a half-scaled pool; Cooldown bounds how often elastic steps pay this
+	if err := e.pool.ScaleTo(n); err != nil {
 		return fmt.Errorf("sti: scaling %q: %w", name, err)
-	}
-	if err := f.commitLadderLocked(name, e, targets, ladder); err != nil {
-		if _, backErr := e.pool.Resize(prev); backErr == nil {
-			_ = e.pool.Apply(e.Budget, e.cache.Plans()) // restore the committed ladder's warm set
-		}
-		return err
-	}
-	return nil
-}
-
-// replanEntryLocked restages one model's plan ladder under its current
-// grant and replica count; a warming failure rolls the pool back onto
-// the committed ladder.
-func (f *Fleet) replanEntryLocked(name string, e *FleetEntry) error {
-	targets, ladder, err := f.stageLadderLocked(name, e, replica.PerReplica(e.Budget, e.pool.Size()))
-	if err != nil {
-		return err
-	}
-	if err := f.commitLadderLocked(name, e, targets, ladder); err != nil {
-		_ = e.pool.Apply(e.Budget, e.cache.Plans()) // best-effort rollback
-		return err
-	}
-	return nil
-}
-
-// stageLadderLocked plans one model's graduated tier ladder against a
-// per-replica buffer slice, without side effects.
-func (f *Fleet) stageLadderLocked(name string, e *FleetEntry, per int64) ([]time.Duration, []*Plan, error) {
-	targets := planner.Ladder(e.Target)
-	ladder := make([]*Plan, 0, len(targets))
-	for _, target := range targets {
-		plan, err := e.System.Plan(target, per)
-		if err != nil {
-			return nil, nil, fmt.Errorf("sti: replanning %q tier %v: %w", name, target, err)
-		}
-		ladder = append(ladder, plan)
-	}
-	return targets, ladder, nil
-}
-
-// commitLadderLocked warms the pool with a staged ladder and, on
-// success, commits it as the model's pinned tiers. It does NOT roll
-// back on failure — each caller restores the consistent prior state
-// itself (replanEntry re-applies the committed ladder; scaleEntry
-// additionally undoes the resize first, so the rollback warm runs once
-// at the right pool size).
-func (f *Fleet) commitLadderLocked(name string, e *FleetEntry, targets []time.Duration, ladder []*Plan) error {
-	if err := e.pool.Apply(e.Budget, ladder); err != nil {
-		return fmt.Errorf("sti: warming %q: %w", name, err)
-	}
-	e.cache.Clear()
-	def := planner.TierKey(e.Target)
-	for i, target := range targets {
-		e.cache.Pin(target, ladder[i])
-		if target == def {
-			e.Plan = ladder[i]
-		}
 	}
 	return nil
 }
@@ -484,13 +425,19 @@ func (f *Fleet) namesLocked() []string {
 }
 
 // SetBudget changes the fleet-wide preload budget (e.g. on OS memory
-// pressure) and replans every pipeline.
+// pressure) and replans every pipeline. A failed replan keeps the
+// previous budget, which every entry's grant still sums within.
 func (f *Fleet) SetBudget(budget int64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	prev := f.budget
 	f.budget = budget
 	//sti:lockok quiesce-and-swap: a budget change must not race admission; the warm IO runs under the write lock so no request decodes against a half-evicted buffer
-	return f.replanLocked()
+	if err := f.replanLocked(); err != nil {
+		f.budget = prev
+		return err
+	}
+	return nil
 }
 
 // Budget returns the fleet-wide preload budget.
@@ -528,16 +475,18 @@ func (f *Fleet) replanLocked() error {
 	names := f.namesLocked()
 
 	// Stage: compute all grants and tier ladders without side effects.
-	// Each model's plans are built against its *per-replica* buffer
-	// slice — the grant arbitration of §3.2 extended one level down, so
-	// every replica's preload set fits the buffer it actually owns.
+	// Each model's plans are built against its pool ceiling's
+	// *per-replica* slice — the grant arbitration of §3.2 extended one
+	// level down, sized for the fullest pool so every replica's preload
+	// set fits its buffer at any live count.
 	grants := make([]int64, len(names))
 	targets := make([][]time.Duration, len(names))
 	ladders := make([][]*Plan, len(names))
 	for i, name := range names {
 		e := f.entries[name]
 		grants[i] = int64(float64(f.budget) * e.Weight / totalWeight)
-		per := replica.PerReplica(grants[i], e.pool.Size())
+		_, ceiling := e.pool.Limits()
+		per := replica.PerReplica(grants[i], ceiling)
 		targets[i] = planner.Ladder(e.Target)
 		for _, target := range targets[i] {
 			plan, err := e.System.Plan(target, per)
@@ -592,7 +541,8 @@ func (f *Fleet) planTierLocked(name string, want time.Duration) error {
 	if _, _, ok := e.cache.Resolve(want); ok {
 		return nil // another miss raced us here and already planned it
 	}
-	plan, err := e.System.Plan(want, replica.PerReplica(e.Budget, e.pool.Size()))
+	_, ceiling := e.pool.Limits()
+	plan, err := e.System.Plan(want, replica.PerReplica(e.Budget, ceiling))
 	if err != nil {
 		return fmt.Errorf("sti: planning tier %v for %q: %w", want, name, err)
 	}

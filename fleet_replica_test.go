@@ -262,6 +262,127 @@ func TestFleetPressureScalesUpAndDrains(t *testing.T) {
 	}
 }
 
+// TestFleetScaleKeepsPlan: every tier is planned against the ceiling's
+// per-replica slice, so an elastic step changes only the pool's
+// members — the committed ladder, and with it every output, is the same
+// at any live replica count. At this budget the one-replica grant plans
+// a larger ladder than the two-replica ceiling grant, so a step that
+// replanned would show.
+func TestFleetScaleKeepsPlan(t *testing.T) {
+	const budget = 96 << 10
+	sys := fleetSystem(t, 9)
+	f := sti.NewFleet(budget)
+	if err := f.Add("m", sys, 200*time.Millisecond, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SetReplicas("m", 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ConfigureReplicas("m", sti.ReplicaOptions{
+		HighWater: 0.5,
+		IdleAfter: 5 * time.Millisecond,
+		Cooldown:  time.Nanosecond,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Replan(); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := f.Entry("m")
+	cfg := sys.Store.Man.Config
+	whole, err := sys.Plan(before.Target, before.Budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if whole.Fidelity(cfg.Layers, cfg.Heads) == before.Plan.Fidelity(cfg.Layers, cfg.Heads) {
+		t.Fatal("the one- and two-replica grants plan the same ladder; the test cannot tell a replan")
+	}
+
+	inputs := [][]int{{2, 7, 1, 8}, {1, 9, 8, 7, 2}, {3, 1, 4}}
+	serveAll := func() []*sti.Response {
+		resps := make([]*sti.Response, len(inputs))
+		for i, tokens := range inputs {
+			resp, err := f.Serve(context.Background(), "m", sti.Request{Task: sti.TaskClassify, Tokens: tokens})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resps[i] = resp
+		}
+		return resps
+	}
+	want := serveAll()
+
+	for _, step := range []struct {
+		replicas, depth int
+	}{{1, 0}, {2, 32}} {
+		f.Pressure("m", step.depth, 64) // arms the idle clock on the way down
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			f.Pressure("m", step.depth, 64)
+			if n, _ := f.Replicas("m"); n == step.replicas {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("pool never reached %d replicas under pressure %d/64", step.replicas, step.depth)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+
+		e, _ := f.Entry("m")
+		if e.Plan != before.Plan {
+			t.Fatalf("at %d replicas: the step swapped the default plan", step.replicas)
+		}
+		for i, got := range serveAll() {
+			if got.Tier.Fidelity != want[i].Tier.Fidelity {
+				t.Fatalf("at %d replicas, input %d: fidelity %v, want %v",
+					step.replicas, i, got.Tier.Fidelity, want[i].Tier.Fidelity)
+			}
+			for j := range got.Logits {
+				if math.Float32bits(got.Logits[j]) != math.Float32bits(want[i].Logits[j]) {
+					t.Fatalf("at %d replicas, input %d logit %d: %v, want %v",
+						step.replicas, i, j, got.Logits[j], want[i].Logits[j])
+				}
+			}
+		}
+		if got := f.PreloadBytes(); got > budget {
+			t.Fatalf("at %d replicas: fleet holds %d preload bytes over budget %d", step.replicas, got, budget)
+		}
+	}
+}
+
+// TestFleetCeilingChangeReplans: raising a planned model's ceiling
+// replans it against the thinner slice, so every pinned tier's preload
+// set fits the buffer each replica owns at the new ceiling.
+func TestFleetCeilingChangeReplans(t *testing.T) {
+	f := sti.NewFleet(96 << 10)
+	if err := f.Add("m", fleetSystem(t, 12), 200*time.Millisecond, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SetReplicas("m", 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Replan(); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := f.Entry("m")
+	if err := f.ConfigureReplicas("m", sti.ReplicaOptions{Max: 3}); err != nil {
+		t.Fatal(err)
+	}
+	after, _ := f.Entry("m")
+	if after.Plan == before.Plan {
+		t.Fatal("a new ceiling on a planned model kept the old ladder")
+	}
+	if after.Replicas != 2 {
+		t.Fatalf("raising the ceiling changed the live count to %d, want 2", after.Replicas)
+	}
+	per := after.Budget / 3
+	for _, tier := range after.Tiers {
+		if tier.Plan.PreloadUsed > per {
+			t.Fatalf("tier %v preloads %d bytes, over the ceiling slice %d", tier.Target, tier.Plan.PreloadUsed, per)
+		}
+	}
+}
+
 // TestFleetRemoveRetiresReplicas: removing a replicated model releases
 // every replica's preload bytes, not just replica zero's.
 func TestFleetRemoveRetiresReplicas(t *testing.T) {

@@ -217,6 +217,14 @@ func TestFleetReplanFailureIsAtomic(t *testing.T) {
 	if err := f.Replan(); err == nil {
 		t.Fatal("replanning an unplannable model must fail")
 	}
+	// A budget change whose replan fails keeps the previous budget, so
+	// Budget() still agrees with the grants the entries kept.
+	if err := f.SetBudget(100 << 10); err == nil {
+		t.Fatal("SetBudget replanning an unplannable model must fail")
+	}
+	if got := f.Budget(); got != 200<<10 {
+		t.Fatalf("failed SetBudget left Budget() at %d, want %d", got, 200<<10)
+	}
 	after, _ := f.Entry("alpha")
 	if after.Budget != before.Budget {
 		t.Fatalf("failed replan changed alpha's budget: %d -> %d", before.Budget, after.Budget)

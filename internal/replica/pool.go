@@ -2,21 +2,25 @@
 // engines — the scaling layer between the fleet's budget arbitration
 // and the paper's single-engagement execution machinery.
 //
-// STI plans one IO/compute pipeline per model (§3.2); a Pool runs N of
-// them as replicas of one model, each with its own preload buffer
-// carved from the model's byte grant (the §3.2 budget arbitration
-// extended from per-tier to per-replica: a grant of B over n replicas
-// gives each ⌊B/n⌋). Requests dispatch to the least-loaded live
-// replica; all replicas of a model stream shard payloads through one
-// store.SharedCache, so n replicas executing the same plan cost ~1×
-// flash IO, not n×.
+// STI plans one IO/compute pipeline per model (§3.2); a Pool runs up to
+// Max of them as replicas of one model, each with its own preload
+// buffer carved from the model's byte grant (the §3.2 budget
+// arbitration extended from per-tier to per-replica: a grant of B over
+// n live replicas gives each ⌊B/n⌋). Callers plan against the ceiling's
+// slice, ⌊B/Max⌋, which no live replica's buffer is ever smaller than,
+// so the pool's plan set never depends on its live count. Requests
+// dispatch to the least-loaded live replica; all replicas of a model
+// stream shard payloads through one store.SharedCache, so n replicas
+// executing the same plan cost ~1× flash IO, not n×.
 //
 // The pool is elastic: Advise consumes the scheduler's queue-pressure
 // signal and recommends scaling up past the high-water mark or
-// draining down when the queue has been idle. Scale-down retires a
-// replica gracefully — it stops receiving new work, its in-flight
-// requests finish (bounded wait, never shed), and only then are its
-// preload bytes reclaimed and re-granted to the survivors.
+// draining down when the queue has been idle. A scale changes only the
+// pool's members and re-warms every live buffer with the same plan set
+// under the new split. Scale-down retires a replica gracefully — it
+// stops receiving new work, its in-flight requests finish (bounded
+// wait, never shed), and only then are its preload bytes reclaimed and
+// re-granted to the survivors.
 //
 // Concurrency contract: Acquire/Release/CacheBytes/Stats/Advise are
 // safe for concurrent use at any time. The mutating operations —
@@ -271,9 +275,9 @@ func (p *Pool) liveReplicasLocked() []*Replica {
 
 // PerReplica is the §3.2 grant arbitration extended one level down: a
 // model grant of budget over n replicas gives each ⌊budget/n⌋ (0 for
-// an empty pool — no replicas, no bytes). The fleet stages plan
-// ladders against this same split, so the two layers can never
-// disagree about a replica's buffer slice.
+// an empty pool — no replicas, no bytes). The pool splits over its
+// live count; the fleet plans against the same split at the pool's
+// ceiling, the smallest slice any live replica can hold.
 func PerReplica(budget int64, n int) int64 {
 	if n <= 0 {
 		return 0
@@ -298,63 +302,27 @@ func (p *Pool) Budget() int64 {
 	return p.budget
 }
 
-// Clamp returns n bounded to the pool's [Min, Max] — the size ScaleTo
-// would actually land on, so callers can stage plans against the real
-// target before committing a resize.
-func (p *Pool) Clamp(n int) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n < p.opts.Min {
-		return p.opts.Min
-	}
-	if n > p.opts.Max {
-		return p.opts.Max
-	}
-	return n
-}
-
 // ScaleTo grows or shrinks the pool to n live replicas (clamped to
-// [Min, Max]) and re-arbitrates the grant across the new count. Growth
-// warms the new replicas; shrinkage retires the youngest replicas
-// gracefully — each stops receiving new work, its in-flight requests
-// finish (bounded by DrainWait; on timeout the retirement aborts and
-// the replica returns to service), and only then are its preload bytes
-// reclaimed. Part of the mutating API.
+// [Min, Max]) and re-warms every live replica with the current plan
+// set under the grant split across the new count. Growth spawns the
+// new replicas (a failed spawn unwinds the ones already spawned);
+// shrinkage retires the youngest replicas gracefully — each stops
+// receiving new work, its in-flight requests finish (bounded by
+// DrainWait; on timeout the retirement aborts and the replica returns
+// to service), and only then are its preload bytes reclaimed. Part of
+// the mutating API.
 func (p *Pool) ScaleTo(n int) error {
-	resized, err := p.Resize(n)
-	if err != nil || !resized {
-		return err
-	}
 	p.mu.Lock()
-	budget, plans := p.budget, p.plans
-	p.mu.Unlock()
-	return p.Apply(budget, plans)
-}
-
-// Resize changes the live replica count WITHOUT re-warming buffers —
-// the membership half of ScaleTo, for callers that immediately Apply a
-// freshly staged plan set and must not pay (or observe) an interim
-// warm against the old one. Shrinkage drains and reclaims retirees
-// exactly as ScaleTo; growth leaves newcomers budget-less until the
-// following Apply, and survivors keep their old slices meanwhile (the
-// sum stays within the model grant either way). It reports whether the
-// count actually changed. Part of the mutating API.
-func (p *Pool) Resize(n int) (bool, error) {
-	if n < p.opts.Min {
-		n = p.opts.Min
-	}
-	if n > p.opts.Max {
-		n = p.opts.Max
-	}
-	p.mu.Lock()
+	n = max(p.opts.Min, min(n, p.opts.Max))
 	cur := p.liveLocked()
+	var victims []*Replica
 	switch {
 	case n == cur:
 		p.mu.Unlock()
-		return false, nil
+		return nil
 	case n > cur:
 		before := len(p.replicas)
-		for cur < n {
+		for ; cur < n; cur++ {
 			if err := p.spawnLocked(); err != nil {
 				// Unwind the replicas this call already spawned: a
 				// failed growth must leave the pool exactly as it was,
@@ -366,35 +334,31 @@ func (p *Pool) Resize(n int) (bool, error) {
 				for _, r := range spawned {
 					r.Batcher.Close()
 				}
-				return false, err
+				return err
 			}
-			cur++
 		}
-		p.lastScale = time.Now()
 		p.scaleUps++
-		p.mu.Unlock()
-		return true, nil
 	default:
-		victims := p.markDrainingLocked(cur - n)
+		victims = p.markDrainingLocked(cur - n)
 		if err := p.awaitDrainLocked(victims); err != nil {
 			p.mu.Unlock()
-			return false, err
+			return err
 		}
 		p.removeLocked(victims)
-		p.lastScale = time.Now()
 		p.scaleDowns++
-		p.mu.Unlock()
-		// Reclaim the retirees' bytes; survivors regrow on the next
-		// Apply/Warm. The drain above waited out every in-flight
-		// acquisition — generate streams hold theirs until their
-		// terminal result — so each victim's step loop is idle and
-		// Close is immediate.
-		for _, v := range victims {
-			v.Batcher.Close()
-			v.Engine.SetCacheBudget(0)
-		}
-		return true, nil
 	}
+	p.lastScale = time.Now()
+	budget, plans := p.budget, p.plans
+	p.mu.Unlock()
+	// Reclaim the retirees' bytes before the survivors regrow. The drain
+	// above waited out every in-flight acquisition — generate streams
+	// hold theirs until their terminal result — so each victim's step
+	// loop is idle and Close is immediate.
+	for _, v := range victims {
+		v.Batcher.Close()
+		v.Engine.SetCacheBudget(0)
+	}
+	return p.Apply(budget, plans)
 }
 
 // markDrainingLocked excludes the k youngest live replicas from
@@ -487,7 +451,7 @@ func (p *Pool) removeLocked(victims []*Replica) {
 // pressure thresholds). Zero-valued fields keep their current setting,
 // so callers can adjust one knob without re-stating — or accidentally
 // resetting — the rest (e.g. tuning DrainWait must not collapse a
-// SetLimits ceiling back to 1). It does not scale by itself.
+// raised Max back to 1). It does not scale by itself.
 func (p *Pool) Configure(opts Options) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -526,20 +490,6 @@ func (p *Pool) Limits() (min, max int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.opts.Min, p.opts.Max
-}
-
-// SetLimits changes the pool's replica-count bounds (e.g. the
-// -replicas flag raising Max). It does not scale by itself.
-func (p *Pool) SetLimits(min, max int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if min <= 0 {
-		min = 1
-	}
-	if max < min {
-		max = min
-	}
-	p.opts.Min, p.opts.Max = min, max
 }
 
 // Retire zeroes every replica's budget, releasing all preload bytes —

@@ -317,10 +317,10 @@ func TestPoolAdviseElasticity(t *testing.T) {
 	}
 }
 
-// TestPoolResizeUnwindsFailedGrowth: a factory error mid-growth must
+// TestPoolScaleToUnwindsFailedGrowth: a factory error mid-growth must
 // leave the pool exactly as it was — no live, never-warmed replicas
 // for Acquire to dispatch to.
-func TestPoolResizeUnwindsFailedGrowth(t *testing.T) {
+func TestPoolScaleToUnwindsFailedGrowth(t *testing.T) {
 	fx := newFixture(t, 8<<10)
 	inner := fx.factory(t)
 	calls := 0
@@ -337,8 +337,8 @@ func TestPoolResizeUnwindsFailedGrowth(t *testing.T) {
 	if err := p.Apply(16<<10, []*planner.Plan{fx.plan}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Resize(3); err == nil {
-		t.Fatal("Resize(3) succeeded despite the factory failing")
+	if err := p.ScaleTo(3); err == nil {
+		t.Fatal("ScaleTo(3) succeeded despite the factory failing")
 	}
 	if got := p.Size(); got != 1 {
 		t.Fatalf("pool size %d after failed growth, want 1 (partial spawns unwound)", got)
@@ -386,7 +386,7 @@ func TestPoolScaleToClampsAndMax(t *testing.T) {
 	if got := p.Size(); got != 2 {
 		t.Fatalf("size %d after ScaleTo(10) with Max 2, want 2", got)
 	}
-	p.SetLimits(1, 4)
+	p.Configure(Options{Max: 4})
 	if err := p.ScaleTo(10); err != nil {
 		t.Fatal(err)
 	}
