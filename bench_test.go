@@ -141,10 +141,10 @@ func BenchmarkEngineExecute(b *testing.B) {
 	if err := sys.Warm(p); err != nil {
 		b.Fatal(err)
 	}
-	tokens := []int{1, 9, 8, 7, 2}
+	req := sti.Request{Task: sti.TaskClassify, Tokens: []int{1, 9, 8, 7, 2}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sys.Infer(p, tokens, nil); err != nil {
+		if _, err := sys.Run(context.Background(), p, req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -179,11 +179,13 @@ func BenchmarkBatchedServe(b *testing.B) {
 		var bytes int64
 		for i := 0; i < b.N; i++ {
 			for _, in := range inputs {
-				_, stats, err := sys.Infer(p, in.Tokens, in.Mask)
+				resp, err := sys.Run(context.Background(), p, sti.Request{
+					Task: sti.TaskClassify, Tokens: in.Tokens, Mask: in.Mask,
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				bytes += stats.BytesRead
+				bytes += resp.Stats.BytesRead
 			}
 		}
 		b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "req/s")
@@ -192,7 +194,7 @@ func BenchmarkBatchedServe(b *testing.B) {
 	b.Run("batched", func(b *testing.B) {
 		var bytes int64
 		for i := 0; i < b.N; i++ {
-			_, stats, err := sys.InferBatch(p, inputs)
+			_, stats, err := sys.Engine.ExecuteBatch(context.Background(), p, inputs)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -660,6 +660,8 @@ const statusClientClosedRequest = 499
 
 // statusFor maps the scheduler's typed errors onto HTTP statuses: shed
 // load is 503 (retryable), blown deadlines 504, unknown models 404.
+// A generate the KV budget cannot hold is 507; one cut off by a
+// retired or closing replica's step loop is 503 (retryable).
 // Context errors are the caller's own timeout or disconnect, not a
 // server fault — they must not read as 500s.
 func statusFor(err error) int {
@@ -670,8 +672,10 @@ func statusFor(err error) int {
 		return http.StatusGatewayTimeout
 	case errors.Is(err, sti.ErrUnknownModel):
 		return http.StatusNotFound
-	case errors.Is(err, sti.ErrServerClosed):
+	case errors.Is(err, sti.ErrServerClosed), errors.Is(err, sti.ErrBatcherClosed):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, sti.ErrKVBudget):
+		return http.StatusInsufficientStorage
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):

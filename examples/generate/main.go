@@ -3,9 +3,11 @@
 // task of the v2 API. A task-typed Request drives the very same planned
 // pipeline that serves classification: the planner picks a submodel,
 // preload set and per-shard bitwidths for the latency target, the
-// engine streams and decompresses the plan's shards exactly once, and a
-// KV-cached decoder amortizes that one elastic IO pass across every
-// generated token, streaming each one through Request.OnToken.
+// engine streams and decompresses the plan's shards exactly once, and
+// paged-KV decode steps amortize that one elastic IO pass across every
+// generated token, streaming each one through Request.OnToken. The
+// decode runs on the same continuous-batching step loop a served fleet
+// uses, so its KV pages are charged to the 1 MiB preload grant below.
 //
 //	go run ./examples/generate
 package main

@@ -449,12 +449,12 @@ func (f *Fleet) Budget() int64 {
 
 // Replan splits the budget across models proportionally to their
 // weights, plans each model's pipeline, resizes each engine's buffer,
-// and warms it. In-flight Infer calls finish first; inference admitted
-// afterwards sees the new plans.
+// and warms it. In-flight requests finish first; requests admitted
+// afterwards see the new plans.
 func (f *Fleet) Replan() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	//sti:lockok quiesce-and-swap: Replan's contract is that in-flight Infer calls finish first and new admissions see the new plans; the write lock held across the warm IS that barrier
+	//sti:lockok quiesce-and-swap: Replan's contract is that in-flight requests finish first and new admissions see the new plans; the write lock held across the warm IS that barrier
 	return f.replanLocked()
 }
 
@@ -832,44 +832,6 @@ func (f *Fleet) ServeBatch(ctx context.Context, name string, reqs []Request) ([]
 		resps[i] = &Response{Logits: logits[i], Stats: &bs.ExecStats, Tier: info}
 	}
 	return resps, bs, nil
-}
-
-// Infer runs one pipelined classification on the named model using its
-// current plan.
-//
-// Deprecated: Infer is the positional classify-only API; use Serve
-// with a task-typed Request.
-//
-//sti:ctxok deprecated compatibility shim; Serve(ctx, ...) is the context-threading API
-func (f *Fleet) Infer(name string, tokens []int, mask []bool) ([]float32, *ExecStats, error) {
-	resp, err := f.Serve(context.Background(), name, Request{Task: TaskClassify, Tokens: tokens, Mask: mask})
-	if err != nil {
-		return nil, nil, err
-	}
-	return resp.Logits, resp.Stats, nil
-}
-
-// InferBatch runs one batched pipelined classification on the named
-// model.
-//
-// Deprecated: InferBatch is the positional classify-only API; use
-// ServeBatch with task-typed Requests.
-//
-//sti:ctxok deprecated compatibility shim; ServeBatch(ctx, ...) is the context-threading API
-func (f *Fleet) InferBatch(name string, inputs []BatchInput) ([][]float32, *BatchStats, error) {
-	reqs := make([]Request, len(inputs))
-	for i, in := range inputs {
-		reqs[i] = Request{Task: TaskClassify, Tokens: in.Tokens, Mask: in.Mask}
-	}
-	resps, bs, err := f.ServeBatch(context.Background(), name, reqs)
-	if err != nil {
-		return nil, nil, err
-	}
-	logits := make([][]float32, len(resps))
-	for i, r := range resps {
-		logits[i] = r.Logits
-	}
-	return logits, bs, nil
 }
 
 // PreloadBytes reports the total preload memory currently held across

@@ -23,6 +23,11 @@ func fleetSystem(t *testing.T, seed int64) *sti.System {
 	return sys
 }
 
+// classify serves one classify request on the named model.
+func classify(f *sti.Fleet, name string, tokens []int) (*sti.Response, error) {
+	return f.Serve(context.Background(), name, sti.Request{Task: sti.TaskClassify, Tokens: tokens})
+}
+
 func TestFleetSplitsBudgetByWeight(t *testing.T) {
 	f := sti.NewFleet(300 << 10)
 	if err := f.Add("sentiment", fleetSystem(t, 1), 200*time.Millisecond, 2); err != nil {
@@ -59,15 +64,15 @@ func TestFleetInferBothModels(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range f.Names() {
-		logits, stats, err := f.Infer(name, []int{1, 5, 6, 2}, nil)
+		resp, err := classify(f, name, []int{1, 5, 6, 2})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(logits) != sti.TinyConfig().Classes || stats == nil {
+		if len(resp.Logits) != sti.TinyConfig().Classes || resp.Stats == nil {
 			t.Fatalf("%s: bad inference result", name)
 		}
 	}
-	if _, _, err := f.Infer("absent", []int{1}, nil); err == nil {
+	if _, err := classify(f, "absent", []int{1}); err == nil {
 		t.Fatal("unknown model must error")
 	}
 }
@@ -94,7 +99,7 @@ func TestFleetMemoryPressureShrink(t *testing.T) {
 		t.Fatalf("fleet holds %d bytes over the reduced budget %d", f.PreloadBytes(), newBudget)
 	}
 	// Inference still works with the smaller plan.
-	if _, _, err := f.Infer("m", []int{1, 2, 3}, nil); err != nil {
+	if _, err := classify(f, "m", []int{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -111,7 +116,7 @@ func TestFleetValidation(t *testing.T) {
 	if err := f.Add("bad", sys, time.Second, 0); err == nil {
 		t.Fatal("zero weight must error")
 	}
-	if _, _, err := f.Infer("dup", []int{1}, nil); err == nil {
+	if _, err := classify(f, "dup", []int{1}); err == nil {
 		t.Fatal("inference before Replan must error")
 	}
 	f.Remove("dup")
@@ -143,10 +148,10 @@ func TestFleetRemoveThenReplanRedistributes(t *testing.T) {
 	if after.Budget != 200<<10 {
 		t.Fatalf("keep granted %d after Remove, want the whole 200KB", after.Budget)
 	}
-	if _, _, err := f.Infer("drop", []int{1}, nil); err == nil {
+	if _, err := classify(f, "drop", []int{1}); err == nil {
 		t.Fatal("removed model must not serve")
 	}
-	if _, _, err := f.Infer("keep", []int{1, 2}, nil); err != nil {
+	if _, err := classify(f, "keep", []int{1, 2}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -187,7 +192,7 @@ func TestFleetShrinkThenGrowRewarm(t *testing.T) {
 	if regrown := f.PreloadBytes(); regrown <= shrunk {
 		t.Fatalf("budget growth did not re-warm: %d <= %d", regrown, shrunk)
 	}
-	if _, _, err := f.Infer("m", []int{3, 2, 1}, nil); err != nil {
+	if _, err := classify(f, "m", []int{3, 2, 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -233,7 +238,7 @@ func TestFleetReplanFailureIsAtomic(t *testing.T) {
 		t.Fatalf("failed replan swapped alpha's plan: %p -> %p", before.Plan, after.Plan)
 	}
 	// The fleet still serves on the committed plan.
-	if _, _, err := f.Infer("alpha", []int{1, 2, 3}, nil); err != nil {
+	if _, err := classify(f, "alpha", []int{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	// Dropping the bad model makes replanning whole again.
@@ -244,7 +249,7 @@ func TestFleetReplanFailureIsAtomic(t *testing.T) {
 }
 
 // TestFleetInferBatchMatchesInfer drives the batched path through the
-// fleet: per-input logits must be byte-identical to sequential Infers
+// fleet: per-input logits must be byte-identical to sequential Serves
 // and the shared stream's per-request IO must shrink with batch size.
 func TestFleetInferBatchMatchesInfer(t *testing.T) {
 	f := sti.NewFleet(0) // zero preload: every execution streams all IO
@@ -254,23 +259,23 @@ func TestFleetInferBatchMatchesInfer(t *testing.T) {
 	if err := f.Replan(); err != nil {
 		t.Fatal(err)
 	}
-	inputs := []sti.BatchInput{
-		{Tokens: []int{1, 9, 8, 7, 2}},
-		{Tokens: []int{1, 5, 2}},
-		{Tokens: []int{1, 2}},
-		{Tokens: []int{1, 3, 3, 3, 2}},
+	inputs := []sti.Request{
+		{Task: sti.TaskClassify, Tokens: []int{1, 9, 8, 7, 2}},
+		{Task: sti.TaskClassify, Tokens: []int{1, 5, 2}},
+		{Task: sti.TaskClassify, Tokens: []int{1, 2}},
+		{Task: sti.TaskClassify, Tokens: []int{1, 3, 3, 3, 2}},
 	}
 	var singleBytes int64
 	single := make([][]float32, len(inputs))
 	for i, in := range inputs {
-		logits, stats, err := f.Infer("m", in.Tokens, in.Mask)
+		resp, err := classify(f, "m", in.Tokens)
 		if err != nil {
 			t.Fatal(err)
 		}
-		single[i] = logits
-		singleBytes += stats.BytesRead
+		single[i] = resp.Logits
+		singleBytes += resp.Stats.BytesRead
 	}
-	batched, bs, err := f.InferBatch("m", inputs)
+	batched, bs, err := f.ServeBatch(context.Background(), "m", inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,8 +284,8 @@ func TestFleetInferBatchMatchesInfer(t *testing.T) {
 	}
 	for i := range inputs {
 		for c := range single[i] {
-			if batched[i][c] != single[i][c] {
-				t.Fatalf("input %d logit %d: batched %v != single %v", i, c, batched[i][c], single[i][c])
+			if batched[i].Logits[c] != single[i][c] {
+				t.Fatalf("input %d logit %d: batched %v != single %v", i, c, batched[i].Logits[c], single[i][c])
 			}
 		}
 	}
@@ -288,7 +293,7 @@ func TestFleetInferBatchMatchesInfer(t *testing.T) {
 		t.Fatalf("batch read %d bytes for %d inputs; sequential read %d — the stream must run once",
 			bs.BytesRead, len(inputs), singleBytes)
 	}
-	if _, _, err := f.InferBatch("absent", inputs); err == nil {
+	if _, _, err := f.ServeBatch(context.Background(), "absent", inputs); err == nil {
 		t.Fatal("unknown model must error")
 	}
 }
@@ -350,8 +355,9 @@ func TestFleetRemoveReleasesPreloadAndReplans(t *testing.T) {
 }
 
 // TestFleetServeTasks drives both tasks through the fleet's unified
-// Serve entry point: classify matches the deprecated Infer adapter
-// byte for byte, and generate decodes deterministically.
+// Serve entry point: classify matches the engine's Execute on the
+// model's committed plan byte for byte, and generate decodes
+// deterministically.
 func TestFleetServeTasks(t *testing.T) {
 	f := sti.NewFleet(100 << 10)
 	if err := f.Add("m", fleetSystem(t, 32), 200*time.Millisecond, 1); err != nil {
@@ -365,13 +371,14 @@ func TestFleetServeTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, _, err := f.Infer("m", tokens, nil)
+	e, _ := f.Entry("m")
+	want, _, err := e.System.Engine.Execute(context.Background(), e.Plan, tokens, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range legacy {
-		if resp.Logits[i] != legacy[i] {
-			t.Fatalf("Serve logits %v != Infer logits %v", resp.Logits, legacy)
+	for i := range want {
+		if resp.Logits[i] != want[i] {
+			t.Fatalf("Serve logits %v != Execute logits %v", resp.Logits, want)
 		}
 	}
 
@@ -426,7 +433,7 @@ func TestFleetConcurrentInferAndReplan(t *testing.T) {
 				name = "b"
 			}
 			for i := 0; i < 5; i++ {
-				if _, _, err := f.Infer(name, []int{1, 2, 3}, nil); err != nil {
+				if _, err := classify(f, name, []int{1, 2, 3}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -84,9 +84,8 @@ type BatcherOptions struct {
 }
 
 // StreamResult is the single terminal outcome of one submitted stream,
-// delivered on the channel Submit returns. Mirrors the
-// (Response, error) contract of ExecuteGenerate: a cancelled stream
-// carries its partial Response alongside ctx.Err().
+// delivered on the channel Submit returns: a cancelled stream carries
+// its partial Response alongside ctx.Err().
 type StreamResult struct {
 	Resp *Response
 	Err  error
@@ -132,11 +131,11 @@ type emitEvent struct {
 // stream is one in-flight generate request's decode state. seq is the
 // full decoded sequence (prompt + generated); consumed counts tokens
 // fed through the decoder, so consumed == len(seq) is the emission
-// point — exactly the loop head of DecodeGenerate. A preempted stream
-// keeps seq and NewTokens but resets consumed to 0 over a fresh
-// decoder: greedy decode is deterministic, so the replay regenerates
-// identical KV bytes, and emission never repeats because it only
-// happens at consumed == len(seq).
+// point — the head of model.Submodel.GenerateCached's greedy loop. A
+// preempted stream keeps seq and NewTokens but resets consumed to 0
+// over a fresh decoder: greedy decode is deterministic, so the replay
+// regenerates identical KV bytes, and emission never repeats because
+// it only happens at consumed == len(seq).
 //
 // emit, when non-nil (OnToken set), is the stream's bounded delivery
 // queue, drained by its own emitter goroutine; the loop is its only
@@ -342,8 +341,7 @@ func (b *Batcher) SetMaxStreams(n int) {
 // fires from the stream's own emitter goroutine as tokens decode, and
 // every token event is delivered before the terminal result.
 // Cancelling ctx retires the stream within one step, freeing its KV
-// blocks, and delivers the partial Response with ctx.Err() — the
-// ExecuteGenerate contract.
+// blocks, and delivers the partial Response with ctx.Err().
 func (b *Batcher) Submit(ctx context.Context, p *planner.Plan, req Request) (<-chan StreamResult, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -712,7 +710,7 @@ func (t byTier) Swap(i, j int)      { t[i], t[j] = t[j], t[i] }
 func (t byTier) Less(i, j int) bool { return t[i].req.Priority >= 0 && t[j].req.Priority < 0 }
 
 // stepOnce runs one iteration of the step loop: per plan group, retire
-// cancelled streams, advance each live stream's DecodeGenerate state
+// cancelled streams, advance each live stream's greedy-decode state
 // machine by one token (emit at the loop head, then feed), reserve KV
 // for every participant — preempting best-effort KV (or, when the
 // loop has been starved long enough, same-class KV) before letting a
@@ -733,9 +731,9 @@ func (b *Batcher) stepOnce(desperate bool) (bool, []starvedStream) {
 			// Flush span state stashed at admission before anything can
 			// retire the stream — outside b.mu, on this goroutine only.
 			s.recordAdmitted()
-			// Mirrors DecodeGenerate's per-iteration ctx check: a
-			// cancelled stream retires with its partial Response and
-			// frees its KV blocks before the next forward.
+			// Per-step ctx check: a cancelled stream retires with its
+			// partial Response and frees its KV blocks before the next
+			// forward.
 			if err := s.ctx.Err(); err != nil {
 				b.retire(g, s, s.resp, err, true)
 				progress = true
@@ -749,7 +747,7 @@ func (b *Batcher) stepOnce(desperate bool) (bool, []starvedStream) {
 				continue
 			}
 			if s.consumed == len(s.seq) {
-				// Emission point — the head of DecodeGenerate's decode
+				// Emission point — the head of GenerateCached's decode
 				// loop, byte for byte.
 				if s.gen.NewTokens >= s.req.MaxNewTokens || len(s.seq) >= maxSeq {
 					s.resp.Logits = s.logits
@@ -788,8 +786,8 @@ func (b *Batcher) stepOnce(desperate bool) (bool, []starvedStream) {
 				}
 			}
 			if s.dec.Len() >= maxSeq {
-				// Prompt longer than the model window; DecodeGenerate
-				// surfaces the decoder's error the same way.
+				// Prompt longer than the model window: fail with the
+				// error the decoder itself would raise.
 				b.retire(g, s, nil, fmt.Errorf("model: decoder exceeded MaxSeq %d", maxSeq), false)
 				progress = true
 				continue

@@ -13,21 +13,26 @@ import (
 	"sti/internal/store"
 )
 
-// refGenerate runs one request through the single-stream path on a
-// fresh cold engine and returns its response. Model weights are
+// refGenerate decodes each request with model.Submodel.GenerateCached
+// over one cold materialization of the plan on a fresh engine; every
+// reference carries that single stream's stats. Model weights are
 // seeded, so every engine over the same store decodes identically —
 // the batcher must be byte-for-byte equal to these references.
 func refGenerate(t *testing.T, reqs []Request) []*Response {
 	t.Helper()
 	eng, _, st := buildTinyEngine(t, 0)
 	p, _ := tinyPlan(t, st, 100*time.Millisecond, 0)
+	sm, stream, err := eng.Materialize(ctxbg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := make([]*Response, len(reqs))
 	for i, req := range reqs {
-		resp, err := eng.ExecuteGenerate(ctxbg, p, req)
+		seq, err := sm.GenerateCached(req.Tokens, req.MaxNewTokens)
 		if err != nil {
 			t.Fatalf("reference %d: %v", i, err)
 		}
-		out[i] = resp
+		out[i] = &Response{GeneratedTokens: seq, Stats: stream}
 	}
 	return out
 }
@@ -49,7 +54,7 @@ func sameTokens(t *testing.T, label string, got, want []int) {
 // concurrent generate requests pushed through the continuous batcher —
 // including two admitted only after the first streams have started
 // decoding — produce byte-identical token sequences to singly-run
-// ExecuteGenerate, and the whole cohort pays for exactly one shard
+// GenerateCached, and the whole cohort pays for exactly one shard
 // materialization (flash bytes do not scale with stream count).
 func TestBatcherMatchesSingleStream(t *testing.T) {
 	prompts := [][]int{

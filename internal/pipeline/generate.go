@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -11,8 +12,14 @@ import (
 
 // Run executes one task-typed request against a plan — the engine's
 // unified entry point. TaskClassify runs the layer-pipelined encoder
-// pass; TaskGenerate materializes a causal submodel from the plan's
-// shard stream and decodes through a KV cache.
+// pass. TaskGenerate runs on a one-stream Batcher — the same step loop
+// every fleet stream decodes on — so its paged KV is charged to the
+// engine's grant (evicting top-layer preload shards first, failing
+// with ErrKVBudget when no page fits), OnToken fires from the stream's
+// emitter goroutine, and every token is delivered before Run returns.
+// Cancelling ctx closes the batcher, aborting a cold shard stream
+// between layers and the decode within one step; the partial Response
+// comes back alongside ctx.Err().
 func (e *Engine) Run(ctx context.Context, p *planner.Plan, req Request) (*Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -28,7 +35,20 @@ func (e *Engine) Run(ctx context.Context, p *planner.Plan, req Request) (*Respon
 		}
 		return &Response{Logits: logits, Stats: stats}, nil
 	default: // Validate admitted it, so it is TaskGenerate
-		return e.ExecuteGenerate(ctx, p, req)
+		b := NewBatcher(e, BatcherOptions{MaxStreams: 1})
+		defer b.Close()
+		defer context.AfterFunc(ctx, b.Close)()
+		res, err := b.Submit(ctx, p, req)
+		var resp *Response
+		if err == nil {
+			out := <-res
+			resp, err = out.Resp, out.Err
+		}
+		if errors.Is(err, ErrBatcherClosed) {
+			// Only a cancelled ctx closes the batcher before Run returns.
+			err = ctx.Err()
+		}
+		return resp, err
 	}
 }
 
@@ -60,103 +80,4 @@ func (e *Engine) Materialize(ctx context.Context, p *planner.Plan) (*model.Submo
 	}
 	stats.Total = time.Since(start)
 	return sm, stats, nil
-}
-
-// ExecuteGenerate serves a TaskGenerate request: the plan's shard
-// stream is warmed exactly once (Materialize), a KV-cached decoder is
-// built over the assembled causal submodel, and the one-time elastic IO
-// is amortized across every decode step. The decoded sequence is
-// byte-identical to model.Submodel.GenerateCached on the same submodel
-// — the decode loop below mirrors it step for step.
-//
-// Cancellation is checked before every decode step, so a cancelled ctx
-// stops within one token; the partial Response (tokens decoded so far,
-// with stats) is returned alongside ctx.Err() because streaming callers
-// have already observed those tokens via Request.OnToken.
-func (e *Engine) ExecuteGenerate(ctx context.Context, p *planner.Plan, req Request) (*Response, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	if req.Task != TaskGenerate {
-		return nil, fmt.Errorf("pipeline: ExecuteGenerate called with task %v", req.Task)
-	}
-	sm, stream, err := e.Materialize(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeGenerate(ctx, sm, stream, req)
-}
-
-// DecodeGenerate runs the KV-cached decode phase of a generate request
-// over an already-materialized submodel. It is split from
-// ExecuteGenerate so callers that hold a lock for the shard stream
-// (e.g. a fleet quiescing replans) can release it before the
-// many-token decode: the submodel is immutable, so the decode needs no
-// synchronization with the engine. stream is the cost of the
-// materialization, folded into the returned GenStats. Both callers
-// (ExecuteGenerate, Fleet.Serve) have already validated the request.
-func DecodeGenerate(ctx context.Context, sm *model.Submodel, stream *ExecStats, req Request) (*Response, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	gen := &GenStats{PromptTokens: len(req.Tokens)}
-	if stream != nil {
-		gen.Stream = *stream
-	}
-	resp := &Response{Gen: gen, Stats: &gen.Stream}
-	// Total spans the whole execution: the one-time stream plus decode.
-	finish := func() { gen.Total = gen.Stream.Total + time.Since(start) }
-
-	dec := model.NewDecoder(sm)
-	step := func(tok int) ([]float32, error) {
-		stepStart := time.Now()
-		logits, err := dec.NextLogits(tok)
-		gen.StepCompute = append(gen.StepCompute, time.Since(stepStart))
-		return logits, err
-	}
-
-	var logits []float32
-	var err error
-	seq := append([]int(nil), req.Tokens...)
-	resp.GeneratedTokens = seq
-	for _, tok := range req.Tokens {
-		if err := ctx.Err(); err != nil {
-			finish()
-			return resp, err
-		}
-		if logits, err = step(tok); err != nil {
-			return nil, err
-		}
-	}
-	for s := 0; s < req.MaxNewTokens && len(seq) < sm.Cfg.MaxSeq; s++ {
-		if err := ctx.Err(); err != nil {
-			finish()
-			return resp, err
-		}
-		best := 0
-		for i, v := range logits {
-			if v > logits[best] {
-				best = i
-			}
-		}
-		seq = append(seq, best)
-		resp.GeneratedTokens = seq
-		gen.NewTokens++
-		if req.OnToken != nil {
-			req.OnToken(s, best)
-		}
-		if len(seq) >= sm.Cfg.MaxSeq {
-			break
-		}
-		if logits, err = step(best); err != nil {
-			return nil, err
-		}
-	}
-	resp.Logits = logits
-	finish()
-	return resp, nil
 }

@@ -4,17 +4,18 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestExecuteGenerateMatchesGenerateCached pins the acceptance claim:
+// TestEngineRunGenerateMatchesGenerateCached pins the acceptance claim:
 // the engine's generate path is byte-identical to
 // model.Submodel.GenerateCached over the same materialized submodel —
 // the elastic stream changes where the weights come from, never what
 // they decode.
-func TestExecuteGenerateMatchesGenerateCached(t *testing.T) {
-	eng, _, st := buildTinyEngine(t, 0)
+func TestEngineRunGenerateMatchesGenerateCached(t *testing.T) {
+	eng, _, st := buildTinyEngine(t, 1<<20)
 	p, _ := tinyPlan(t, st, 100*time.Millisecond, 0)
 
 	sm, streamStats, err := eng.Materialize(ctxbg, p)
@@ -32,7 +33,7 @@ func TestExecuteGenerateMatchesGenerateCached(t *testing.T) {
 	}
 
 	var streamed []int
-	resp, err := eng.ExecuteGenerate(ctxbg, p, Request{
+	resp, err := eng.Run(ctxbg, p, Request{
 		Task: TaskGenerate, Tokens: prompt, MaxNewTokens: steps,
 		OnToken: func(step, token int) { streamed = append(streamed, token) },
 	})
@@ -70,10 +71,48 @@ func TestExecuteGenerateMatchesGenerateCached(t *testing.T) {
 	}
 }
 
+// TestEngineRunGenerateChargesKV: a generate through Engine.Run holds
+// its paged KV against the engine's one grant, like every fleet
+// stream. A full preload buffer yields top-layer shards to the decode
+// pages, the pages are returned when Run finishes, and an engine with
+// no grant at all refuses to decode.
+func TestEngineRunGenerateChargesKV(t *testing.T) {
+	eng, _, st := buildTinyEngine(t, 1<<20)
+	p, _ := tinyPlan(t, st, 100*time.Millisecond, 64<<10)
+	if err := eng.Warm(p); err != nil {
+		t.Fatal(err)
+	}
+	before := eng.CacheBytes()
+	if before == 0 {
+		t.Fatal("warm cached nothing")
+	}
+	eng.SetCacheBudget(before) // the preload set fills the grant exactly
+	req := Request{Task: TaskGenerate, Tokens: []int{1, 2}, MaxNewTokens: 4}
+	if _, err := eng.Run(ctxbg, p, req); err != nil {
+		t.Fatal(err)
+	}
+	after, kv := eng.CacheBytes(), eng.KVBytes()
+	if after >= before {
+		t.Fatalf("preload %d bytes after decode, want < %d: KV pages displaced nothing", after, before)
+	}
+	if kv != 0 {
+		t.Fatalf("%d KV bytes still charged after Run returned", kv)
+	}
+	if after+kv > eng.Budget() {
+		t.Fatalf("preload %d + KV %d exceeds the grant %d", after, kv, eng.Budget())
+	}
+
+	zero, _, st0 := buildTinyEngine(t, 0)
+	p0, _ := tinyPlan(t, st0, 100*time.Millisecond, 0)
+	if _, err := zero.Run(ctxbg, p0, req); !errors.Is(err, ErrKVBudget) {
+		t.Fatalf("zero-budget generate: err %v, want ErrKVBudget", err)
+	}
+}
+
 // TestEngineRunDispatchesTasks drives both tasks through the unified
 // Run entry point.
 func TestEngineRunDispatchesTasks(t *testing.T) {
-	eng, w, st := buildTinyEngine(t, 0)
+	eng, w, st := buildTinyEngine(t, 1<<20)
 	p, _ := tinyPlan(t, st, 100*time.Millisecond, 0)
 
 	tokens := []int{1, 2, 3, 4}
@@ -120,32 +159,6 @@ func TestRequestValidate(t *testing.T) {
 		if err := tc.req.Validate(); (err == nil) != tc.ok {
 			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
 		}
-	}
-}
-
-// TestExecuteGenerateCancelMidDecode cancels the context from the
-// OnToken callback: the decode must stop within one token, returning
-// the partial sequence alongside ctx.Err().
-func TestExecuteGenerateCancelMidDecode(t *testing.T) {
-	eng, _, st := buildTinyEngine(t, 0)
-	p, _ := tinyPlan(t, st, 100*time.Millisecond, 0)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	prompt := []int{1, 17, 23}
-	resp, err := eng.ExecuteGenerate(ctx, p, Request{
-		Task: TaskGenerate, Tokens: prompt, MaxNewTokens: 8,
-		OnToken: func(step, token int) { cancel() }, // cancel after the first token
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err %v, want context.Canceled", err)
-	}
-	if resp == nil {
-		t.Fatal("cancelled generate must return the partial response")
-	}
-	if resp.Gen.NewTokens != 1 || len(resp.GeneratedTokens) != len(prompt)+1 {
-		t.Fatalf("decoded %d new tokens (%v), want exactly 1 after cancel",
-			resp.Gen.NewTokens, resp.GeneratedTokens)
 	}
 }
 
@@ -203,15 +216,48 @@ func TestExecuteCancelStopsIOWithinOneLayer(t *testing.T) {
 	}
 }
 
-// TestExecuteGenerateUsesPreloadCache: a warmed plan serves the
+// TestEngineRunGenerateCancelStopsShardStream: cancelling a generate
+// while its plan is still materializing closes the one-stream batcher,
+// which aborts the cold shard stream instead of reading the rest of
+// the plan for a caller that has gone.
+func TestEngineRunGenerateCancelStopsShardStream(t *testing.T) {
+	eng, _, st := buildTinyEngine(t, 1<<20)
+	p, _ := tinyPlan(t, st, 100*time.Millisecond, 0)
+	if p.Depth < 3 {
+		t.Fatalf("plan depth %d too shallow to observe a mid-stream abort", p.Depth)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var ioJobs atomic.Int32
+	eng.ioHook = func(layer int) {
+		ioJobs.Add(1)
+		if layer == 1 {
+			cancel()
+			time.Sleep(50 * time.Millisecond) // the cancel closes the batcher meanwhile
+		}
+	}
+	resp, err := eng.Run(ctx, p, Request{Task: TaskGenerate, Tokens: []int{1, 2}, MaxNewTokens: 4})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err %v, want context.Canceled", err)
+	}
+	if resp != nil {
+		t.Fatalf("cancelled mid-materialization, yet it ran to completion: %+v", resp)
+	}
+	time.Sleep(10 * time.Millisecond) // would-be later layers had ample time to start
+	if n := int(ioJobs.Load()); n >= p.Depth {
+		t.Fatalf("%d of %d layers' IO jobs started after cancel at layer 1", n, p.Depth)
+	}
+}
+
+// TestEngineRunGenerateUsesPreloadCache: a warmed plan serves the
 // generate stream from the preload buffer exactly like classify.
-func TestExecuteGenerateUsesPreloadCache(t *testing.T) {
+func TestEngineRunGenerateUsesPreloadCache(t *testing.T) {
 	eng, _, st := buildTinyEngine(t, 1<<20)
 	p, _ := tinyPlan(t, st, 100*time.Millisecond, 64<<10)
 	if err := eng.Warm(p); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := eng.ExecuteGenerate(ctxbg, p, Request{Task: TaskGenerate, Tokens: []int{1, 2}, MaxNewTokens: 2})
+	resp, err := eng.Run(ctxbg, p, Request{Task: TaskGenerate, Tokens: []int{1, 2}, MaxNewTokens: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

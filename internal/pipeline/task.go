@@ -68,10 +68,11 @@ type Request struct {
 	// degraded fidelity. The pipeline itself ignores it.
 	Downgraded bool
 
-	// OnToken, when non-nil, is called synchronously from the decode
-	// loop after each generated token (step counts from 0). It is how
-	// serving layers stream tokens to clients before the request
-	// completes. Ignored by TaskClassify.
+	// OnToken, when non-nil, is called in order after each generated
+	// token (step counts from 0), from the stream's own emitter
+	// goroutine; every call returns before the request's result is
+	// delivered. It is how serving layers stream tokens to clients
+	// before the request completes. Ignored by TaskClassify.
 	OnToken func(step, token int)
 }
 

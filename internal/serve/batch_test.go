@@ -25,7 +25,7 @@ func TestSchedulerBatchesQueuedJobs(t *testing.T) {
 	results := make(chan error, 4)
 	submit := func() {
 		go func() {
-			_, err := s.Do(context.Background(), "sentiment", []int{1, 2}, nil)
+			_, err := classify(context.Background(), s, "sentiment", []int{1, 2})
 			results <- err
 		}()
 	}
@@ -78,7 +78,7 @@ func TestSchedulerBatchExpiredJobShedsAlone(t *testing.T) {
 
 	first := make(chan error, 1)
 	go func() {
-		_, err := s.Do(context.Background(), "m", []int{1}, nil)
+		_, err := classify(context.Background(), s, "m", []int{1})
 		first <- err
 	}()
 	waitUntil(t, "worker pickup", func() bool { return b.calls.Load() > 0 })
@@ -89,12 +89,12 @@ func TestSchedulerBatchExpiredJobShedsAlone(t *testing.T) {
 	defer cancel()
 	expiring := make(chan error, 1)
 	go func() {
-		_, err := s.Do(ctx, "m", []int{1}, nil)
+		_, err := classify(ctx, s, "m", []int{1})
 		expiring <- err
 	}()
 	patient := make(chan error, 1)
 	go func() {
-		_, err := s.Do(context.Background(), "m", []int{1, 2, 3}, nil)
+		_, err := classify(context.Background(), s, "m", []int{1, 2, 3})
 		patient <- err
 	}()
 	waitUntil(t, "two queued", func() bool { return queueDepth(s, "m") == 2 })
@@ -130,18 +130,18 @@ func TestSchedulerPoisonedBatchmateFailsAlone(t *testing.T) {
 
 	first := make(chan error, 1)
 	go func() {
-		_, err := s.Do(context.Background(), "sentiment", []int{1}, nil)
+		_, err := classify(context.Background(), s, "sentiment", []int{1})
 		first <- err
 	}()
 	waitUntil(t, "worker pickup", func() bool { return b.calls.Load() > 0 })
 	poisoned := make(chan error, 1)
 	go func() {
-		_, err := s.Do(context.Background(), "sentiment", []int{poisonTok}, nil)
+		_, err := classify(context.Background(), s, "sentiment", []int{poisonTok})
 		poisoned <- err
 	}()
 	healthy := make(chan error, 1)
 	go func() {
-		_, err := s.Do(context.Background(), "sentiment", []int{1, 2}, nil)
+		_, err := classify(context.Background(), s, "sentiment", []int{1, 2})
 		healthy <- err
 	}()
 	waitUntil(t, "two queued", func() bool { return queueDepth(s, "sentiment") == 2 })
@@ -168,7 +168,7 @@ func TestSchedulerPoisonedBatchmateFailsAlone(t *testing.T) {
 func TestSchedulerDoAfterCloseCreatesNoQueue(t *testing.T) {
 	s := New(&stubBackend{targets: twoModels()}, Options{})
 	s.Close()
-	if _, err := s.Do(context.Background(), "sentiment", []int{1}, nil); !errors.Is(err, ErrClosed) {
+	if _, err := classify(context.Background(), s, "sentiment", []int{1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err %v, want ErrClosed", err)
 	}
 	if n := queueCount(s); n != 0 {
@@ -178,7 +178,7 @@ func TestSchedulerDoAfterCloseCreatesNoQueue(t *testing.T) {
 	// stats: pre-fix it created a queue just to count a deadline miss.
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := s.Do(ctx, "nextword", []int{1}, nil); !errors.Is(err, ErrClosed) {
+	if _, err := classify(ctx, s, "nextword", []int{1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err %v, want ErrClosed on expired submit", err)
 	}
 	if n := queueCount(s); n != 0 {
@@ -186,7 +186,7 @@ func TestSchedulerDoAfterCloseCreatesNoQueue(t *testing.T) {
 	}
 }
 
-// TestSchedulerCloseDoRace hammers Do against Close under -race: no
+// TestSchedulerCloseDoRace hammers Submit against Close under -race: no
 // submit may create a queue after Close walked the map, and every
 // submit must either be served, shed, or get ErrClosed.
 func TestSchedulerCloseDoRace(t *testing.T) {
@@ -204,7 +204,7 @@ func TestSchedulerCloseDoRace(t *testing.T) {
 				if c%2 == 1 {
 					model = "nextword"
 				}
-				_, err := s.Do(context.Background(), model, []int{1}, nil)
+				_, err := classify(context.Background(), s, model, []int{1})
 				if err != nil && !errors.Is(err, ErrClosed) && !errors.Is(err, ErrQueueFull) {
 					t.Errorf("unexpected error %v", err)
 				}
@@ -220,8 +220,8 @@ func TestSchedulerCloseDoRace(t *testing.T) {
 		wg.Wait()
 		// Whatever queues exist were all created before Close and are
 		// drained; their channels are closed, so workers have exited.
-		if _, err := s.Do(context.Background(), "sentiment", []int{1}, nil); !errors.Is(err, ErrClosed) {
-			t.Fatalf("iter %d: post-close Do got %v, want ErrClosed", iter, err)
+		if _, err := classify(context.Background(), s, "sentiment", []int{1}); !errors.Is(err, ErrClosed) {
+			t.Fatalf("iter %d: post-close submit got %v, want ErrClosed", iter, err)
 		}
 	}
 }

@@ -11,9 +11,9 @@ import (
 	"sti/internal/store"
 )
 
-// elasticStub wraps the stub backend with the optional replica
-// surfaces so the scheduler's pressure signal and stats plumbing can
-// be observed without real pools.
+// elasticStub overrides the stub backend's replica surfaces so the
+// scheduler's pressure signal and stats plumbing can be observed
+// without real pools.
 type elasticStub struct {
 	stubBackend
 
@@ -149,8 +149,9 @@ func TestSchedulerSnapshotSurfacesReplicaStats(t *testing.T) {
 	}
 }
 
-// TestSchedulerPlainBackendUnaffected: a backend without the optional
-// surfaces serves exactly as before and reports zero replica fields.
+// TestSchedulerPlainBackendUnaffected: a backend whose replica
+// surfaces report nothing serves exactly as before and reports zero
+// replica fields.
 func TestSchedulerPlainBackendUnaffected(t *testing.T) {
 	b := &stubBackend{targets: twoModels()}
 	s := New(b, Options{})

@@ -68,7 +68,10 @@ var (
 )
 
 // Backend is the fleet surface the scheduler drives. *sti.Fleet
-// implements it; tests substitute stubs.
+// implements it; tests substitute stubs. Pressure and ObserveArrival
+// are called on the serving path and must be cheap and non-blocking;
+// the stats methods report ok=false for a model (or a backend) with
+// nothing to report.
 type Backend interface {
 	// Names lists managed models in a stable order.
 	Names() []string
@@ -80,48 +83,26 @@ type Backend interface {
 	// ServeBatch runs one batched classify whose single IO/decompress
 	// stream serves every request; it must be safe for concurrent use.
 	ServeBatch(ctx context.Context, name string, reqs []pipeline.Request) ([]*pipeline.Response, *pipeline.BatchStats, error)
-}
 
-// Elastic is the optional backend surface for replica elasticity. A
-// backend that also implements it (the fleet's per-model replica pools
-// do) receives the scheduler's queue-pressure signal — queue depth and
-// capacity at each admission and each completion — and may scale a
-// model's serving capacity up past the high-water mark or drain it
-// when the queue stays idle. Pressure must be cheap and non-blocking:
-// it is called on the serving path.
-type Elastic interface {
+	// Pressure receives the queue-pressure signal — queue depth and
+	// capacity at each admission, each completion and each idle tick —
+	// from which a backend with replica pools scales a model's serving
+	// capacity up past the high-water mark or drains it when the queue
+	// stays idle.
 	Pressure(model string, depth, capacity int)
-}
+	// ObserveArrival receives one observation per successful admission:
+	// the request's canonicalized SLO class plus the queue
+	// depth/capacity at that moment — the predictive subsystem's
+	// arrival stream.
+	ObserveArrival(model string, class time.Duration, depth, capacity int)
 
-// ReplicaReporter is the optional backend surface for replica-aware
-// stats: per-model pool snapshots and shared shard-cache counters,
-// surfaced through Snapshot into ModelStats.
-type ReplicaReporter interface {
+	// ReplicaStats and SharedCacheStats report a model's replica pool
+	// and its shared shard-cache counters; GenerateStats its aggregated
+	// continuous-batching step loops; PredictStats its predictors. All
+	// surface through Snapshot into ModelStats.
 	ReplicaStats(model string) (replica.PoolStats, bool)
 	SharedCacheStats(model string) (store.CacheStats, bool)
-}
-
-// StepLoopReporter is the optional backend surface for continuous-
-// batching stats: a backend whose generate path runs per-replica step
-// loops (the fleet's replica pools do) exposes their aggregated
-// snapshot per model, surfaced through Snapshot into ModelStats.
-type StepLoopReporter interface {
 	GenerateStats(model string) (pipeline.StepLoopStats, bool)
-}
-
-// ArrivalObserver is the optional backend surface for the predictive
-// subsystem's arrival stream: a backend that implements it (the fleet
-// does when prediction is enabled) receives one observation per
-// successful admission — the request's canonicalized SLO class plus
-// the queue depth/capacity at that moment. ObserveArrival must be
-// cheap and non-blocking: it is called on the serving path.
-type ArrivalObserver interface {
-	ObserveArrival(model string, class time.Duration, depth, capacity int)
-}
-
-// PredictReporter is the optional backend surface for predictor
-// stats, surfaced through Snapshot into ModelStats.
-type PredictReporter interface {
 	PredictStats(model string) (predict.ModelStats, bool)
 }
 
@@ -246,20 +227,11 @@ type modelQueue struct {
 
 // Scheduler multiplexes task-typed requests across a Backend with
 // per-model bounded queues, deadlines and worker pools. Create with
-// New, submit with Submit (or the deprecated classify-only Do),
-// observe with Snapshot, stop with Close.
+// New, submit with Submit, observe with Snapshot, stop with Close.
 type Scheduler struct {
 	backend Backend
-	// elastic, reporter, stepLoops, arrivals and predicts are the
-	// backend's optional replica/step-loop/predictor surfaces, resolved
-	// once at construction.
-	elastic   Elastic
-	reporter  ReplicaReporter
-	stepLoops StepLoopReporter
-	arrivals  ArrivalObserver
-	predicts  PredictReporter
-	opts      Options
-	start     time.Time
+	opts    Options
+	start   time.Time
 
 	// genSlots is the scheduler-wide generate concurrency gate: one
 	// token per in-flight stream, acquired by the worker before the
@@ -276,7 +248,7 @@ type Scheduler struct {
 	queues map[string]*modelQueue
 	closed bool
 	wg     sync.WaitGroup
-	stop   chan struct{} // closes the idle-pressure ticker; nil without an elastic backend
+	stop   chan struct{} // closes the idle-pressure ticker
 }
 
 // SetDraining marks (or clears) the scheduler's graceful-shutdown
@@ -288,7 +260,7 @@ func (s *Scheduler) SetDraining(v bool) { s.draining.Store(v) }
 func (s *Scheduler) Draining() bool { return s.draining.Load() }
 
 // idlePressureInterval paces the background pressure ticker: without
-// it an elastic backend would only observe queue depth on traffic
+// it the backend would only observe queue depth on traffic
 // events, so a pool scaled up during a burst could never drain once
 // traffic stops entirely (workers park on the queue and emit nothing).
 const idlePressureInterval = 250 * time.Millisecond
@@ -302,23 +274,16 @@ func New(backend Backend, opts Options) *Scheduler {
 		opts:    opts.withDefaults(),
 		start:   time.Now(),
 		queues:  make(map[string]*modelQueue),
+		stop:    make(chan struct{}),
 	}
 	s.genSlots = make(chan struct{}, s.opts.MaxStreams)
-	s.elastic, _ = backend.(Elastic)
-	s.reporter, _ = backend.(ReplicaReporter)
-	s.stepLoops, _ = backend.(StepLoopReporter)
-	s.arrivals, _ = backend.(ArrivalObserver)
-	s.predicts, _ = backend.(PredictReporter)
-	if s.elastic != nil {
-		s.stop = make(chan struct{})
-		s.wg.Add(1)
-		go s.idlePressure()
-	}
+	s.wg.Add(1)
+	go s.idlePressure()
 	return s
 }
 
 // idlePressure periodically reports every known queue's depth to the
-// elastic backend, so sustained idleness is observed (and surplus
+// backend, so sustained idleness is observed (and surplus
 // replicas drained, their preload bytes reclaimed) even when no
 // traffic events arrive at all.
 func (s *Scheduler) idlePressure() {
@@ -345,12 +310,10 @@ func (s *Scheduler) idlePressure() {
 	}
 }
 
-// pressure feeds one queue observation to an elastic backend, which
-// may scale the model's replica pool in the background.
+// pressure feeds one queue observation to the backend, which may
+// scale the model's replica pool in the background.
 func (s *Scheduler) pressure(model string, q *modelQueue) {
-	if s.elastic != nil {
-		s.elastic.Pressure(model, len(q.jobs), cap(q.jobs))
-	}
+	s.backend.Pressure(model, len(q.jobs), cap(q.jobs))
 }
 
 // congested reports whether a queue's depth is at or past the
@@ -432,16 +395,13 @@ func (s *Scheduler) Submit(ctx context.Context, model string, req pipeline.Reque
 			}
 		}
 		s.mu.Unlock()
-		// Every admission is a pressure observation: an elastic backend
-		// scales the model's replica pool up when the queue crosses its
+		// Every admission is a pressure observation: the backend scales the model's replica pool up when the queue crosses its
 		// high-water mark.
 		s.pressure(model, q)
 		// And an arrival observation: the predictive subsystem trains
 		// its per-(model, SLO-class) rate EWMAs on the admission stream
 		// (req.TargetLatency is already canonicalized above).
-		if s.arrivals != nil {
-			s.arrivals.ObserveArrival(model, req.TargetLatency, len(q.jobs), cap(q.jobs))
-		}
+		s.backend.ObserveArrival(model, req.TargetLatency, len(q.jobs), cap(q.jobs))
 	default:
 		s.mu.Unlock()
 		q.stats.shed()
@@ -455,14 +415,6 @@ func (s *Scheduler) Submit(ctx context.Context, model string, req pipeline.Reque
 		// The worker will notice ctx and drop the job; don't wait.
 		return nil, ctx.Err()
 	}
-}
-
-// Do submits one classify request and blocks until it completes.
-//
-// Deprecated: Do is the positional classify-only API; use Submit with
-// a task-typed pipeline.Request.
-func (s *Scheduler) Do(ctx context.Context, model string, tokens []int, mask []bool) (*Result, error) {
-	return s.Submit(ctx, model, pipeline.Request{Task: pipeline.TaskClassify, Tokens: tokens, Mask: mask})
 }
 
 // queueLocked returns the model's queue, creating it on first use.
@@ -551,9 +503,9 @@ func (s *Scheduler) worker(model string, q *modelQueue) {
 		for _, g := range generate {
 			s.dispatchGenerate(model, q, g)
 		}
-		// Every drain is a pressure observation too: it is how an
-		// elastic backend sees the queue go (and stay) idle and drains
-		// surplus replicas, reclaiming their preload bytes.
+		// Every drain is a pressure observation too: it is how the
+		// backend sees the queue go (and stay) idle and drains surplus
+		// replicas, reclaiming their preload bytes.
 		s.pressure(model, q)
 	}
 }
@@ -607,8 +559,8 @@ func (s *Scheduler) dispatchGenerate(model string, q *modelQueue, j *job) {
 		defer s.wg.Done()
 		defer func() { <-s.genSlots }()
 		s.runSingle(model, q, j)
-		// A finished stream is capacity coming back; let an elastic
-		// backend observe the queue it can now drain into.
+		// A finished stream is capacity coming back; let the backend
+		// observe the queue it can now drain into.
 		s.pressure(model, q)
 	}()
 }
@@ -862,8 +814,6 @@ func (s *Scheduler) Close() {
 		close(q.jobs)
 	}
 	s.mu.Unlock()
-	if s.stop != nil {
-		close(s.stop)
-	}
+	close(s.stop)
 	s.wg.Wait()
 }

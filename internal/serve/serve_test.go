@@ -10,6 +10,9 @@ import (
 	"time"
 
 	"sti/internal/pipeline"
+	"sti/internal/predict"
+	"sti/internal/replica"
+	"sti/internal/store"
 )
 
 // stubBackend fabricates inference results so scheduler behaviour can
@@ -153,6 +156,29 @@ func (b *stubBackend) ServeBatch(ctx context.Context, name string, reqs []pipeli
 	return out, bs, nil
 }
 
+// The stub has no replica pools, step loops or predictors: the
+// scheduler's signals go nowhere and every stats query reports none.
+func (b *stubBackend) Pressure(string, int, int)                      {}
+func (b *stubBackend) ObserveArrival(string, time.Duration, int, int) {}
+func (b *stubBackend) ReplicaStats(string) (replica.PoolStats, bool) {
+	return replica.PoolStats{}, false
+}
+func (b *stubBackend) SharedCacheStats(string) (store.CacheStats, bool) {
+	return store.CacheStats{}, false
+}
+func (b *stubBackend) GenerateStats(string) (pipeline.StepLoopStats, bool) {
+	return pipeline.StepLoopStats{}, false
+}
+func (b *stubBackend) PredictStats(string) (predict.ModelStats, bool) {
+	return predict.ModelStats{}, false
+}
+
+// classify submits one classify request for tokens and blocks until it
+// completes.
+func classify(ctx context.Context, s *Scheduler, model string, tokens []int) (*Result, error) {
+	return s.Submit(ctx, model, pipeline.Request{Task: pipeline.TaskClassify, Tokens: tokens})
+}
+
 // queueDepth inspects a model's queue without creating one.
 func queueDepth(s *Scheduler, model string) int {
 	s.mu.Lock()
@@ -196,7 +222,7 @@ func TestSchedulerServesAndCounts(t *testing.T) {
 	defer s.Close()
 
 	for i := 0; i < 10; i++ {
-		res, err := s.Do(context.Background(), "sentiment", []int{1, 2, 3}, nil)
+		res, err := classify(context.Background(), s, "sentiment", []int{1, 2, 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +251,7 @@ func TestSchedulerServesAndCounts(t *testing.T) {
 func TestSchedulerUnknownModel(t *testing.T) {
 	s := New(&stubBackend{targets: twoModels()}, Options{})
 	defer s.Close()
-	if _, err := s.Do(context.Background(), "absent", []int{1}, nil); !errors.Is(err, ErrUnknownModel) {
+	if _, err := classify(context.Background(), s, "absent", []int{1}); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("err %v, want ErrUnknownModel", err)
 	}
 }
@@ -234,7 +260,7 @@ func TestSchedulerBackendErrorPropagates(t *testing.T) {
 	boom := errors.New("flash died")
 	s := New(&stubBackend{targets: twoModels(), err: boom}, Options{})
 	defer s.Close()
-	if _, err := s.Do(context.Background(), "sentiment", []int{1}, nil); !errors.Is(err, boom) {
+	if _, err := classify(context.Background(), s, "sentiment", []int{1}); !errors.Is(err, boom) {
 		t.Fatalf("err %v, want backend error", err)
 	}
 	if st := s.Snapshot(); st.Failed != 1 {
@@ -247,12 +273,12 @@ func TestSchedulerSurvivesPanickingBackend(t *testing.T) {
 	b.panics.Store(true)
 	s := New(b, Options{Workers: 1})
 	defer s.Close()
-	if _, err := s.Do(context.Background(), "sentiment", []int{1}, nil); err == nil {
+	if _, err := classify(context.Background(), s, "sentiment", []int{1}); err == nil {
 		t.Fatal("panicking backend must surface an error")
 	}
 	// The worker survived the panic and keeps serving.
 	b.panics.Store(false)
-	if _, err := s.Do(context.Background(), "sentiment", []int{1}, nil); err != nil {
+	if _, err := classify(context.Background(), s, "sentiment", []int{1}); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Snapshot()
@@ -277,17 +303,17 @@ func TestSchedulerShedsWhenQueueFull(t *testing.T) {
 	// the second request instead.
 	results := make(chan error, 2)
 	go func() {
-		_, err := s.Do(context.Background(), "sentiment", []int{1}, nil)
+		_, err := classify(context.Background(), s, "sentiment", []int{1})
 		results <- err
 	}()
 	waitUntil(t, "worker pickup", func() bool { return b.calls.Load() > 0 })
 	go func() {
-		_, err := s.Do(context.Background(), "sentiment", []int{1}, nil)
+		_, err := classify(context.Background(), s, "sentiment", []int{1})
 		results <- err
 	}()
 	waitUntil(t, "queued request", func() bool { return queueDepth(s, "sentiment") > 0 })
 
-	_, err := s.Do(context.Background(), "sentiment", []int{1}, nil)
+	_, err := classify(context.Background(), s, "sentiment", []int{1})
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err %v, want ErrQueueFull", err)
 	}
@@ -316,13 +342,13 @@ func TestSchedulerDropsBlownDeadlines(t *testing.T) {
 
 	first := make(chan error, 1)
 	go func() {
-		_, err := s.Do(context.Background(), "m", []int{1}, nil)
+		_, err := classify(context.Background(), s, "m", []int{1})
 		first <- err
 	}()
 	waitUntil(t, "worker pickup", func() bool { return b.calls.Load() > 0 })
 	second := make(chan error, 1)
 	go func() {
-		_, err := s.Do(context.Background(), "m", []int{1}, nil)
+		_, err := classify(context.Background(), s, "m", []int{1})
 		second <- err
 	}()
 	time.Sleep(120 * time.Millisecond) // let the queued request's 50ms deadline expire
@@ -343,7 +369,7 @@ func TestSchedulerExpiredAtAdmission(t *testing.T) {
 	defer s.Close()
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := s.Do(ctx, "sentiment", []int{1}, nil); !errors.Is(err, ErrDeadline) {
+	if _, err := classify(ctx, s, "sentiment", []int{1}); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err %v, want ErrDeadline", err)
 	}
 }
@@ -356,12 +382,12 @@ func TestSchedulerCloseDrainsAndRejects(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.Do(context.Background(), "sentiment", []int{1}, nil)
+			classify(context.Background(), s, "sentiment", []int{1})
 		}()
 	}
 	wg.Wait()
 	s.Close()
-	if _, err := s.Do(context.Background(), "sentiment", []int{1}, nil); !errors.Is(err, ErrClosed) {
+	if _, err := classify(context.Background(), s, "sentiment", []int{1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err %v, want ErrClosed", err)
 	}
 	s.Close() // idempotent
@@ -384,7 +410,7 @@ func TestSchedulerStress(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				_, err := s.Do(context.Background(), models[(c+i)%len(models)], []int{1, 2}, nil)
+				_, err := classify(context.Background(), s, models[(c+i)%len(models)], []int{1, 2})
 				switch {
 				case err == nil:
 					served.Add(1)

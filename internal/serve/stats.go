@@ -357,36 +357,30 @@ func (s *Scheduler) Snapshot() Stats {
 	for _, q := range queues {
 		ms := q.stats.snapshot()
 		ms.QueueDepth = len(q.jobs)
-		if s.reporter != nil {
-			if ps, ok := s.reporter.ReplicaStats(ms.Model); ok {
-				ms.Replicas = ps.Replicas
-				ms.ReplicaServed = ps.Served
-				ms.ScaleUps, ms.ScaleDowns = ps.ScaleUps, ps.ScaleDowns
-			}
-			if cs, ok := s.reporter.SharedCacheStats(ms.Model); ok {
-				ms.SingleflightHits = cs.Hits()
-				ms.FlashReads = cs.FlashReads
-				ms.SingleflightBytesSaved = cs.BytesSaved
-				ms.PrefetchHits = cs.PrefetchHits
-				ms.PrefetchWasted = cs.PrefetchWasted
-				ms.PrefetchedBytes = cs.PrefetchedBytes
-				ms.PeerHits = cs.PeerHits
-				ms.PeerBytes = cs.PeerBytes
-				ms.PeerServed = cs.PeerServed
-			}
+		if ps, ok := s.backend.ReplicaStats(ms.Model); ok {
+			ms.Replicas = ps.Replicas
+			ms.ReplicaServed = ps.Served
+			ms.ScaleUps, ms.ScaleDowns = ps.ScaleUps, ps.ScaleDowns
 		}
-		if s.predicts != nil {
-			if ps, ok := s.predicts.PredictStats(ms.Model); ok {
-				ms.Predict = &ps
-			}
+		if cs, ok := s.backend.SharedCacheStats(ms.Model); ok {
+			ms.SingleflightHits = cs.Hits()
+			ms.FlashReads = cs.FlashReads
+			ms.SingleflightBytesSaved = cs.BytesSaved
+			ms.PrefetchHits = cs.PrefetchHits
+			ms.PrefetchWasted = cs.PrefetchWasted
+			ms.PrefetchedBytes = cs.PrefetchedBytes
+			ms.PeerHits = cs.PeerHits
+			ms.PeerBytes = cs.PeerBytes
+			ms.PeerServed = cs.PeerServed
 		}
-		if s.stepLoops != nil {
-			if gs, ok := s.stepLoops.GenerateStats(ms.Model); ok {
-				ms.Gen = &gs
-				st.GenSteps += gs.Steps
-				st.GenStreams += gs.Streams
-				st.GenKVBytes += gs.KVBytes
-			}
+		if ps, ok := s.backend.PredictStats(ms.Model); ok {
+			ms.Predict = &ps
+		}
+		if gs, ok := s.backend.GenerateStats(ms.Model); ok {
+			ms.Gen = &gs
+			st.GenSteps += gs.Steps
+			st.GenStreams += gs.Streams
+			st.GenKVBytes += gs.KVBytes
 		}
 		st.Replicas += ms.Replicas
 		st.SingleflightHits += ms.SingleflightHits

@@ -25,7 +25,7 @@ func TestSchedulerDropsCancelledWhileQueued(t *testing.T) {
 	// First request occupies the single worker.
 	first := make(chan error, 1)
 	go func() {
-		_, err := s.Do(context.Background(), "sentiment", []int{1}, nil)
+		_, err := classify(context.Background(), s, "sentiment", []int{1})
 		first <- err
 	}()
 	waitUntil(t, "worker pickup", func() bool { return b.calls.Load() > 0 })
@@ -35,7 +35,7 @@ func TestSchedulerDropsCancelledWhileQueued(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	second := make(chan error, 1)
 	go func() {
-		_, err := s.Do(ctx, "sentiment", []int{cancelledTok}, nil)
+		_, err := classify(ctx, s, "sentiment", []int{cancelledTok})
 		second <- err
 	}()
 	waitUntil(t, "second queued", func() bool { return queueDepth(s, "sentiment") == 1 })
@@ -77,7 +77,7 @@ func TestSchedulerGenerateRunsSingly(t *testing.T) {
 
 	first := make(chan error, 1)
 	go func() {
-		_, err := s.Do(context.Background(), "sentiment", []int{1}, nil)
+		_, err := classify(context.Background(), s, "sentiment", []int{1})
 		first <- err
 	}()
 	waitUntil(t, "worker pickup", func() bool { return b.calls.Load() > 0 })
@@ -86,7 +86,7 @@ func TestSchedulerGenerateRunsSingly(t *testing.T) {
 	classifyDone := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			_, err := s.Do(context.Background(), "sentiment", []int{2, 3}, nil)
+			_, err := classify(context.Background(), s, "sentiment", []int{2, 3})
 			classifyDone <- err
 		}()
 	}
@@ -160,12 +160,12 @@ func TestSchedulerBestEffortDowngradesNotSheds(t *testing.T) {
 
 	results := make(chan error, 2)
 	go func() {
-		_, err := s.Do(context.Background(), "sentiment", []int{1}, nil)
+		_, err := classify(context.Background(), s, "sentiment", []int{1})
 		results <- err
 	}()
 	waitUntil(t, "worker pickup", func() bool { return b.calls.Load() > 0 })
 	go func() {
-		_, err := s.Do(context.Background(), "sentiment", []int{1}, nil)
+		_, err := classify(context.Background(), s, "sentiment", []int{1})
 		results <- err
 	}()
 	waitUntil(t, "one queued", func() bool { return queueDepth(s, "sentiment") == 1 })

@@ -25,7 +25,7 @@ func TestSchedulerSLODerivesDeadline(t *testing.T) {
 
 	first := make(chan error, 1)
 	go func() {
-		_, err := s.Do(context.Background(), "m", []int{1}, nil)
+		_, err := classify(context.Background(), s, "m", []int{1})
 		first <- err
 	}()
 	waitUntil(t, "worker pickup", func() bool { return b.calls.Load() > 0 })
@@ -62,7 +62,7 @@ func TestSchedulerOverDeadlineDowngradesWhenCongested(t *testing.T) {
 
 	first := make(chan error, 1)
 	go func() {
-		_, err := s.Do(context.Background(), "m", []int{1}, nil)
+		_, err := classify(context.Background(), s, "m", []int{1})
 		first <- err
 	}()
 	waitUntil(t, "worker pickup", func() bool { return b.calls.Load() > 0 })
@@ -72,14 +72,14 @@ func TestSchedulerOverDeadlineDowngradesWhenCongested(t *testing.T) {
 	second := make(chan *Result, 1)
 	secondErr := make(chan error, 1)
 	go func() {
-		res, err := s.Do(context.Background(), "m", []int{2}, nil)
+		res, err := classify(context.Background(), s, "m", []int{2})
 		second <- res
 		secondErr <- err
 	}()
 	waitUntil(t, "second queued", func() bool { return queueDepth(s, "m") == 1 })
 	third := make(chan error, 1)
 	go func() {
-		_, err := s.Do(context.Background(), "m", []int{3}, nil)
+		_, err := classify(context.Background(), s, "m", []int{3})
 		third <- err
 	}()
 	waitUntil(t, "queue full", func() bool { return queueDepth(s, "m") == 2 })
@@ -123,7 +123,7 @@ func TestSchedulerBottomRungOverDeadlineStillSheds(t *testing.T) {
 
 	first := make(chan error, 1)
 	go func() {
-		_, err := s.Do(context.Background(), "m", []int{1}, nil)
+		_, err := classify(context.Background(), s, "m", []int{1})
 		first <- err
 	}()
 	waitUntil(t, "worker pickup", func() bool { return b.calls.Load() > 0 })
@@ -170,7 +170,7 @@ func TestSchedulerBatchesGroupByTier(t *testing.T) {
 
 	first := make(chan error, 1)
 	go func() {
-		_, err := s.Do(context.Background(), "sentiment", []int{1}, nil)
+		_, err := classify(context.Background(), s, "sentiment", []int{1})
 		first <- err
 	}()
 	waitUntil(t, "worker pickup", func() bool { return b.calls.Load() > 0 })

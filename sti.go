@@ -168,9 +168,12 @@ type (
 	ObsExemplar = obs.Exemplar
 )
 
-// The fleet is what a cluster node serves: compile-time proof the
-// public Fleet satisfies the cluster's backend contract.
-var _ cluster.NodeBackend = (*Fleet)(nil)
+// The fleet is what a cluster node and a scheduler serve: compile-time
+// proof the public Fleet satisfies both backend contracts.
+var (
+	_ cluster.NodeBackend = (*Fleet)(nil)
+	_ serve.Backend       = (*Fleet)(nil)
+)
 
 // NewObsHub builds an observability hub with a fresh registry, tracing
 // enabled, and exemplar rings of ringCap traces per model (<= 0 means
@@ -216,6 +219,13 @@ var (
 	ErrUnknownModel = serve.ErrUnknownModel
 	// ErrServerClosed reports a submit to a closed scheduler.
 	ErrServerClosed = serve.ErrClosed
+	// ErrKVBudget reports a generate stream the KV budget cannot serve:
+	// its grant holds no page, or the stream was shed to let others
+	// decode.
+	ErrKVBudget = pipeline.ErrKVBudget
+	// ErrBatcherClosed reports a generate stream cut off because its
+	// replica's step loop shut down (a retired or closing replica).
+	ErrBatcherClosed = pipeline.ErrBatcherClosed
 )
 
 // NewScheduler starts a concurrent request scheduler over a fleet.
@@ -224,9 +234,8 @@ var (
 // request's own TargetLatency (or the model's default target), serves
 // each from the tightest plan tier meeting its SLO, and downgrades
 // best-effort and over-deadline requests to a coarser tier under
-// congestion instead of shedding them (Do remains as the deprecated
-// classify-only adapter). Close the scheduler before discarding the
-// fleet.
+// congestion instead of shedding them. Close the scheduler before
+// discarding the fleet.
 func NewScheduler(f *Fleet, opts ServeOptions) *Scheduler {
 	return serve.New(f, opts)
 }
@@ -370,33 +379,18 @@ func (s *System) Warm(p *Plan) error { return s.Engine.Warm(p) }
 // primary entry point. TaskClassify runs the layer-pipelined encoder
 // pass and returns class logits; TaskGenerate materializes a causal
 // submodel from the plan's shard stream once, then greedily decodes
-// through a KV cache, amortizing the elastic IO across every token and
-// streaming each one through Request.OnToken. Cancelling ctx aborts
-// the shard stream between layers and the decode between tokens.
+// through a paged KV cache, amortizing the elastic IO across every
+// token and streaming each one through Request.OnToken.
+//
+// Generate decodes on a one-stream continuous batcher, so its KV pages
+// are charged to the engine's preload grant exactly like a fleet
+// stream's: they evict top-layer preload shards first, and a grant too
+// small for one page fails with ErrKVBudget. OnToken runs on the
+// stream's own goroutine; every token is delivered before Run returns.
+// Cancelling ctx aborts the shard stream between layers and the decode
+// within one step, returning the partial Response with ctx.Err().
 func (s *System) Run(ctx context.Context, p *Plan, req Request) (*Response, error) {
 	return s.Engine.Run(ctx, p, req)
-}
-
-// Infer runs one pipelined classification and returns class logits.
-//
-// Deprecated: Infer is the positional classify-only API; use Run with
-// a task-typed Request.
-//
-//sti:ctxok deprecated compatibility shim; Run(ctx, ...) is the context-threading API
-func (s *System) Infer(p *Plan, tokens []int, mask []bool) ([]float32, *ExecStats, error) {
-	return s.Engine.Execute(context.Background(), p, tokens, mask)
-}
-
-// InferBatch runs one batched pipelined classification: the plan's
-// shard stream is read and decompressed once for the whole batch, and
-// each input's logits are byte-identical to a separate Infer call.
-//
-// Deprecated: InferBatch is the positional classify-only API; use
-// Fleet.ServeBatch (or Run per request) with task-typed Requests.
-//
-//sti:ctxok deprecated compatibility shim; Run(ctx, ...) with task-typed Requests is the context-threading API
-func (s *System) InferBatch(p *Plan, inputs []BatchInput) ([][]float32, *BatchStats, error) {
-	return s.Engine.ExecuteBatch(context.Background(), p, inputs)
 }
 
 // Retain applies the post-execution eviction policy (§5.5), keeping

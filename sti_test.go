@@ -1,6 +1,7 @@
 package sti_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -50,14 +51,15 @@ func TestEndToEndWorkflow(t *testing.T) {
 	}
 
 	tokens, mask := ds.Encode(ds.Dev[0])
-	logits, stats, err := sys.Infer(plan, tokens, mask)
+	ctx := context.Background()
+	resp, err := sys.Run(ctx, plan, sti.Request{Task: sti.TaskClassify, Tokens: tokens, Mask: mask})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(logits) != cfg.Classes {
-		t.Fatalf("logits %v", logits)
+	if len(resp.Logits) != cfg.Classes {
+		t.Fatalf("logits %v", resp.Logits)
 	}
-	if stats.Total <= 0 {
+	if resp.Stats.Total <= 0 {
 		t.Fatal("no stats recorded")
 	}
 
@@ -65,11 +67,11 @@ func TestEndToEndWorkflow(t *testing.T) {
 	if err := sys.Retain(plan); err != nil {
 		t.Fatal(err)
 	}
-	_, stats2, err := sys.Infer(plan, tokens, mask)
+	resp2, err := sys.Run(ctx, plan, sti.Request{Task: sti.TaskClassify, Tokens: tokens, Mask: mask})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats2.CacheHits == 0 {
+	if resp2.Stats.CacheHits == 0 {
 		t.Fatal("retained execution produced no cache hits")
 	}
 
@@ -78,10 +80,11 @@ func TestEndToEndWorkflow(t *testing.T) {
 	correct := 0
 	for _, ex := range ds.Dev {
 		toks, m := ds.Encode(ex)
-		lg, _, err := sys.Infer(plan, toks, m)
+		r, err := sys.Run(ctx, plan, sti.Request{Task: sti.TaskClassify, Tokens: toks, Mask: m})
 		if err != nil {
 			t.Fatal(err)
 		}
+		lg := r.Logits
 		pred := 0
 		if lg[1] > lg[0] {
 			pred = 1
