@@ -7,17 +7,15 @@
 //	sti-preprocess -out /tmp/sst2 -task SST-2 -train
 //	sti-serve -model sentiment=/tmp/sst2 -budget 262144 -addr :8080
 //
-//	# task-typed v2: classify (default) or generate (streams SSE tokens)
-//	curl -s localhost:8080/v2/infer -d '{"model":"sentiment","task":"classify","text":"wonderful gripping story"}'
+//	# task-typed: classify (default) or generate (streams SSE tokens)
+//	curl -s localhost:8080/v2/infer -d '{"model":"sentiment","text":"wonderful gripping story"}'
+//	curl -s localhost:8080/v2/infer -d '{"model":"sentiment","inputs":[{"text":"loved it"},{"text":"dreadful"}]}'
 //	curl -sN localhost:8080/v2/infer -d '{"model":"sentiment","task":"generate","text":"once upon","max_new_tokens":8}'
 //
 //	# per-request SLO: target_ms rides the tightest plan tier that meets
 //	# it (the response's tier_ms/fidelity report which tier served it)
 //	curl -s localhost:8080/v2/infer -d '{"model":"sentiment","text":"quick check","target_ms":100}'
 //
-//	# v1 is served as a classify-pinned adapter over the v2 path
-//	curl -s localhost:8080/v1/infer -d '{"model":"sentiment","text":"wonderful gripping story"}'
-//	curl -s localhost:8080/v1/infer -d '{"model":"sentiment","inputs":[{"text":"loved it"},{"text":"dreadful"}]}'
 //	curl -s localhost:8080/v1/stats
 //	curl -s localhost:8080/v1/budget -d '{"budget_bytes":131072}'
 //

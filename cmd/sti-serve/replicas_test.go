@@ -89,7 +89,7 @@ func TestStatsExposeReplicas(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			status, body := postJSON(t, ts.URL+"/v1/infer", map[string]any{
+			status, body := postJSON(t, ts.URL+"/v2/infer", map[string]any{
 				"model": "sentiment", "text": fmt.Sprintf("request %d", 0),
 			})
 			if status != http.StatusOK {

@@ -20,11 +20,10 @@ import (
 // split from main so tests can drive the exact handler path with
 // httptest.
 //
-// /v2/infer is the task-typed surface: a `task` field selects classify
-// (the default) or generate; generate responses stream each decoded
-// token as a server-sent event the moment the pipeline produces it.
-// /v1/infer is an adapter over the same path with the task pinned to
-// classify, so pre-v2 clients are served byte-identically.
+// /v2/infer is the one inference surface: a `task` field selects
+// classify (the default) or generate; generate responses stream each
+// decoded token as a server-sent event the moment the pipeline
+// produces it.
 type server struct {
 	fleet  *sti.Fleet
 	sched  *sti.Scheduler
@@ -61,8 +60,7 @@ func newServer(fleet *sti.Fleet, sched *sti.Scheduler, hub *obs.Hub) *server {
 			maxSeq: cfg.MaxSeq,
 		}
 	}
-	s.mux.HandleFunc("POST /v2/infer", s.handleInferV2)
-	s.mux.HandleFunc("POST /v1/infer", s.handleInferV1)
+	s.mux.HandleFunc("POST /v2/infer", s.handleInfer)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("POST /v1/budget", s.handleBudget)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -96,10 +94,10 @@ const defaultMaxNewTokens = 16
 // float→Duration conversion into a negative target.
 const maxTargetMS = 3_600_000
 
-// inferRequest is the v2 wire shape: a task-typed request carrying a
-// single inline input or a list of classify inputs the scheduler's
-// batch accumulator may serve with one shared IO/decompress stream.
-// The v1 adapter decodes the same shape and pins Task to classify.
+// inferRequest is the /v2/infer wire shape: a task-typed request
+// carrying a single inline input or a list of classify inputs the
+// scheduler's batch accumulator may serve with one shared
+// IO/decompress stream.
 type inferRequest struct {
 	Model string `json:"model"`
 	// Task is "classify" (the default) or "generate".
@@ -249,31 +247,14 @@ func resultFor(res *sti.ServeResult, err error) inferResult {
 	return out
 }
 
-// handleInferV2 is the task-typed inference endpoint.
-func (s *server) handleInferV2(w http.ResponseWriter, r *http.Request) {
+// handleInfer is the task-typed inference endpoint: it decodes,
+// validates and dispatches one request.
+func (s *server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	var req inferRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	s.serveInfer(w, r, req)
-}
-
-// handleInferV1 adapts the original positional endpoint onto the v2
-// path: the same wire shape with the task pinned to classify, so v1
-// clients observe exactly the pre-v2 behavior.
-func (s *server) handleInferV1(w http.ResponseWriter, r *http.Request) {
-	var req inferRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	req.Task = "classify"
-	s.serveInfer(w, r, req)
-}
-
-// serveInfer validates and dispatches one decoded request.
-func (s *server) serveInfer(w http.ResponseWriter, r *http.Request, req inferRequest) {
 	if req.Model == "" {
 		httpError(w, http.StatusBadRequest, errors.New("missing model"))
 		return
@@ -311,42 +292,31 @@ func (s *server) serveInfer(w http.ResponseWriter, r *http.Request, req inferReq
 	s.hub.FinishRequest(tr, req.Model, "", errStr)
 }
 
-// serveClassify serves a single- or multi-input classify request. The
-// returned string is the request's outcome for the trace exemplar ring
-// ("" on success).
+// serveClassify serves a classify request. A single-input body is a
+// one-element input list: every input is validated up front, then
+// submitted concurrently so the scheduler's batch accumulator can drain
+// them into one batched execution. Only the response shape differs: a
+// single input answers with one result (or a plain error), a list with
+// per-input results. The returned string is the request's outcome for
+// the trace exemplar ring ("" on success).
 func (s *server) serveClassify(w http.ResponseWriter, r *http.Request, req inferRequest, info modelInfo) string {
-	// Single-input body: the original API shape.
-	if len(req.Inputs) == 0 {
-		tokens, mask, err := info.encode(req.inferInput)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return err.Error()
-		}
-		res, err := s.sched.Submit(r.Context(), req.Model, sti.Request{
-			Task: sti.TaskClassify, Tokens: tokens, Mask: mask,
-			TargetLatency: req.targetLatency(), Priority: req.Priority,
-		})
-		if err != nil {
-			httpError(w, statusFor(err), err)
-			return err.Error()
-		}
-		writeJSON(w, http.StatusOK, inferResponse{Model: req.Model, inferResult: resultFor(res, nil)})
-		return ""
+	single := len(req.Inputs) == 0
+	inputs := req.Inputs
+	if single {
+		inputs = []inferInput{req.inferInput}
 	}
-
-	// Multi-input body: every input is validated up front, then
-	// submitted concurrently so the scheduler's batch accumulator can
-	// drain them into one batched execution.
-	if len(req.Inputs) > maxInputsPerBody {
-		err := fmt.Errorf("%d inputs exceed the per-request limit %d", len(req.Inputs), maxInputsPerBody)
+	if len(inputs) > maxInputsPerBody {
+		err := fmt.Errorf("%d inputs exceed the per-request limit %d", len(inputs), maxInputsPerBody)
 		httpError(w, http.StatusBadRequest, err)
 		return err.Error()
 	}
-	encoded := make([]sti.Request, len(req.Inputs))
-	for i, in := range req.Inputs {
+	encoded := make([]sti.Request, len(inputs))
+	for i, in := range inputs {
 		tokens, mask, err := info.encode(in)
 		if err != nil {
-			err = fmt.Errorf("input %d: %w", i, err)
+			if !single {
+				err = fmt.Errorf("input %d: %w", i, err)
+			}
 			httpError(w, http.StatusBadRequest, err)
 			return err.Error()
 		}
@@ -367,6 +337,14 @@ func (s *server) serveClassify(w http.ResponseWriter, r *http.Request, req infer
 		}(i, sreq)
 	}
 	wg.Wait()
+	if single {
+		if err := errs[0]; err != nil {
+			httpError(w, statusFor(err), err)
+			return err.Error()
+		}
+		writeJSON(w, http.StatusOK, inferResponse{Model: req.Model, inferResult: results[0]})
+		return ""
+	}
 	// Mixed outcomes are 200 with per-result errors; an all-failed
 	// batch surfaces the first failure's status.
 	status := http.StatusOK

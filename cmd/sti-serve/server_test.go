@@ -71,7 +71,7 @@ func postJSON(t *testing.T, url string, body any) (int, []byte) {
 func TestServerInferStatsHealthz(t *testing.T) {
 	ts, _ := buildServer(t, sti.ServeOptions{Slack: 1000})
 
-	status, data := postJSON(t, ts.URL+"/v1/infer",
+	status, data := postJSON(t, ts.URL+"/v2/infer",
 		inferRequest{Model: "sentiment", inferInput: inferInput{Text: "wonderful gripping story"}})
 	if status != http.StatusOK {
 		t.Fatalf("infer status %d: %s", status, data)
@@ -119,7 +119,7 @@ func TestServerInferStatsHealthz(t *testing.T) {
 
 func TestServerRawTokens(t *testing.T) {
 	ts, _ := buildServer(t, sti.ServeOptions{Slack: 1000})
-	status, data := postJSON(t, ts.URL+"/v1/infer",
+	status, data := postJSON(t, ts.URL+"/v2/infer",
 		inferRequest{Model: "nextword", inferInput: inferInput{Tokens: []int{1, 5, 6, 2}}})
 	if status != http.StatusOK {
 		t.Fatalf("infer status %d: %s", status, data)
@@ -136,13 +136,14 @@ func TestServerErrorMapping(t *testing.T) {
 		{"unknown model", inferRequest{Model: "absent", inferInput: inferInput{Text: "hi"}}, http.StatusNotFound},
 		{"missing model", inferRequest{inferInput: inferInput{Text: "hi"}}, http.StatusBadRequest},
 		{"missing input", inferRequest{Model: "sentiment"}, http.StatusBadRequest},
+		{"unknown task", inferRequest{Model: "sentiment", Task: "translate", inferInput: inferInput{Text: "hi"}}, http.StatusBadRequest},
 		{"negative budget", map[string]int64{"budget_bytes": -1}, http.StatusBadRequest},
 		{"token out of vocab", inferRequest{Model: "sentiment", inferInput: inferInput{Tokens: []int{999999999}}}, http.StatusBadRequest},
 		{"negative token", inferRequest{Model: "sentiment", inferInput: inferInput{Tokens: []int{-5}}}, http.StatusBadRequest},
 		{"oversized sequence", inferRequest{Model: "sentiment", inferInput: inferInput{Tokens: make([]int, 10000)}}, http.StatusBadRequest},
 		{"mask length mismatch", inferRequest{Model: "sentiment", inferInput: inferInput{Tokens: []int{1, 2}, Mask: []bool{true}}}, http.StatusBadRequest},
 	} {
-		url := ts.URL + "/v1/infer"
+		url := ts.URL + "/v2/infer"
 		if tc.name == "negative budget" {
 			url = ts.URL + "/v1/budget"
 		}
@@ -150,13 +151,18 @@ func TestServerErrorMapping(t *testing.T) {
 			t.Errorf("%s: status %d (want %d): %s", tc.name, status, tc.want, data)
 		}
 	}
-	resp, err := http.Post(ts.URL+"/v1/infer", "application/json", bytes.NewReader([]byte("{not json")))
+	resp, err := http.Post(ts.URL+"/v2/infer", "application/json", bytes.NewReader([]byte("{not json")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad json: status %d", resp.StatusCode)
+	}
+	// /v2/infer is the only inference route.
+	body := inferRequest{Model: "sentiment", inferInput: inferInput{Text: "hi"}}
+	if status, data := postJSON(t, ts.URL+"/v1/infer", body); status != http.StatusNotFound {
+		t.Errorf("POST /v1/infer: status %d (want 404): %s", status, data)
 	}
 }
 
@@ -172,7 +178,7 @@ func TestServerBatchedInfer(t *testing.T) {
 	// Reference classes via the single-input API.
 	want := make([]int, len(texts))
 	for i, text := range texts {
-		status, data := postJSON(t, ts.URL+"/v1/infer", inferRequest{
+		status, data := postJSON(t, ts.URL+"/v2/infer", inferRequest{
 			Model: "sentiment", inferInput: inferInput{Text: text}})
 		if status != http.StatusOK {
 			t.Fatalf("single infer status %d: %s", status, data)
@@ -188,7 +194,7 @@ func TestServerBatchedInfer(t *testing.T) {
 	for i, text := range texts {
 		inputs[i] = inferInput{Text: text}
 	}
-	status, data := postJSON(t, ts.URL+"/v1/infer", inferRequest{Model: "sentiment", Inputs: inputs})
+	status, data := postJSON(t, ts.URL+"/v2/infer", inferRequest{Model: "sentiment", Inputs: inputs})
 	if status != http.StatusOK {
 		t.Fatalf("batched infer status %d: %s", status, data)
 	}
@@ -228,7 +234,7 @@ func TestServerBatchedInfer(t *testing.T) {
 
 func TestServerBatchedInferValidatesInputs(t *testing.T) {
 	ts, _ := buildServer(t, sti.ServeOptions{Slack: 1000, MaxBatch: 4})
-	status, data := postJSON(t, ts.URL+"/v1/infer", inferRequest{
+	status, data := postJSON(t, ts.URL+"/v2/infer", inferRequest{
 		Model:  "sentiment",
 		Inputs: []inferInput{{Text: "fine"}, {Tokens: []int{-3}}},
 	})
@@ -240,7 +246,7 @@ func TestServerBatchedInferValidatesInputs(t *testing.T) {
 	for i := range huge {
 		huge[i] = inferInput{Text: "x"}
 	}
-	status, data = postJSON(t, ts.URL+"/v1/infer", inferRequest{Model: "sentiment", Inputs: huge})
+	status, data = postJSON(t, ts.URL+"/v2/infer", inferRequest{Model: "sentiment", Inputs: huge})
 	if status != http.StatusBadRequest {
 		t.Fatalf("oversized input list: status %d (want 400): %s", status, data)
 	}
@@ -280,7 +286,7 @@ func TestServerBudgetReplanLive(t *testing.T) {
 	}
 
 	// Inference still works under the shrunk plans.
-	if status, data := postJSON(t, ts.URL+"/v1/infer",
+	if status, data := postJSON(t, ts.URL+"/v2/infer",
 		inferRequest{Model: "sentiment", inferInput: inferInput{Text: "still serving"}}); status != http.StatusOK {
 		t.Fatalf("post-replan infer status %d: %s", status, data)
 	}
@@ -304,7 +310,7 @@ func TestServerConcurrentClients(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
-				status, data := postJSON(t, ts.URL+"/v1/infer", inferRequest{
+				status, data := postJSON(t, ts.URL+"/v2/infer", inferRequest{
 					Model:      models[(c+i)%len(models)],
 					inferInput: inferInput{Text: fmt.Sprintf("request %d from client %d", i, c)},
 				})

@@ -52,66 +52,6 @@ func postSSE(t *testing.T, url string, body any) (int, string, []sseEvent) {
 	return resp.StatusCode, resp.Header.Get("Content-Type"), events
 }
 
-// TestServerV2ClassifyMatchesV1 pins the adapter contract: /v1/infer
-// is served over the v2 path, and a v2 classify request returns the
-// same class and logits as the v1 shape for the same input.
-func TestServerV2ClassifyMatchesV1(t *testing.T) {
-	ts, _ := buildServer(t, sti.ServeOptions{Slack: 1000})
-	body := map[string]any{"model": "sentiment", "text": "wonderful gripping story"}
-
-	status, data := postJSON(t, ts.URL+"/v1/infer", body)
-	if status != http.StatusOK {
-		t.Fatalf("v1 status %d: %s", status, data)
-	}
-	var v1 inferResponse
-	if err := json.Unmarshal(data, &v1); err != nil {
-		t.Fatal(err)
-	}
-
-	body["task"] = "classify"
-	status, data = postJSON(t, ts.URL+"/v2/infer", body)
-	if status != http.StatusOK {
-		t.Fatalf("v2 status %d: %s", status, data)
-	}
-	var v2 inferResponse
-	if err := json.Unmarshal(data, &v2); err != nil {
-		t.Fatal(err)
-	}
-	if v2.Class != v1.Class || len(v2.Logits) != len(v1.Logits) {
-		t.Fatalf("v2 %+v != v1 %+v", v2, v1)
-	}
-	for i := range v1.Logits {
-		if v2.Logits[i] != v1.Logits[i] {
-			t.Fatalf("logit %d: v2 %v != v1 %v", i, v2.Logits[i], v1.Logits[i])
-		}
-	}
-
-	// Omitted task defaults to classify.
-	delete(body, "task")
-	if status, data := postJSON(t, ts.URL+"/v2/infer", body); status != http.StatusOK {
-		t.Fatalf("v2 default-task status %d: %s", status, data)
-	}
-	// Unknown tasks are rejected.
-	body["task"] = "translate"
-	if status, _ := postJSON(t, ts.URL+"/v2/infer", body); status != http.StatusBadRequest {
-		t.Fatalf("unknown task status %d, want 400", status)
-	}
-	// The v1 adapter pins classify: a task field posted to /v1 is
-	// overridden, never executed as generate.
-	body["task"] = "generate"
-	status, data = postJSON(t, ts.URL+"/v1/infer", body)
-	if status != http.StatusOK {
-		t.Fatalf("v1 with task field: status %d: %s", status, data)
-	}
-	var adapted inferResponse
-	if err := json.Unmarshal(data, &adapted); err != nil {
-		t.Fatal(err)
-	}
-	if adapted.Class != v1.Class {
-		t.Fatalf("v1 adapter class %d, want %d (classify pinned)", adapted.Class, v1.Class)
-	}
-}
-
 // TestServerV2GenerateSSE drives the acceptance curl end-to-end:
 // task=generate streams one SSE token event per decoded token followed
 // by a done event carrying the full sequence and stream stats.

@@ -668,51 +668,30 @@ func (f *Fleet) resolveForServe(name string, pick func(*FleetEntry) Request) (re
 // Replan blocks until they drain. Cancelling ctx aborts the shard
 // stream between layers and a generate decode between tokens.
 //
-// The read lock — which a Replan must wait out — is held only long
-// enough to enqueue the work, never for a generate's many decode
-// steps: a generate request joins the acquired replica's
-// continuous-batching step loop (one batched forward per step across
-// every in-flight stream, over the plan's once-materialized immutable
-// submodel), so one long generation cannot stall budget changes (or,
-// behind a pending writer, every other model's traffic).
+// A classify is a one-element ServeBatch. A generate joins the
+// acquired replica's continuous-batching step loop (one batched
+// forward per step across every in-flight stream, over the plan's
+// once-materialized immutable submodel); the read lock — which a
+// Replan must wait out — is held only long enough to enqueue it, never
+// for its many decode steps, so one long generation cannot stall
+// budget changes (or, behind a pending writer, every other model's
+// traffic).
 func (f *Fleet) Serve(ctx context.Context, name string, req Request) (*Response, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
+	}
+	if req.Task == TaskClassify {
+		resps, _, err := f.ServeBatch(ctx, name, []Request{req})
+		if err != nil {
+			return nil, err
+		}
+		return resps[0], nil
 	}
 	r, err := f.resolveForServe(name, func(*FleetEntry) Request { return req })
 	if err != nil {
 		return nil, err
 	}
-	// resolveForServe returned with the read lock held. The locked
-	// stretch runs inside a closure whose defer releases it even if
-	// the engine panics on a poisoned request — a leaked read lock
-	// would wedge the next replan and, behind that pending writer,
-	// every model's traffic. The request executes on the least-loaded
-	// replica of the model's pool; the replica is released before the
-	// read lock (defer order), so whenever a writer holds the fleet no
-	// replica has work in flight and scale-downs drain instantly.
 	info := r.info()
-
-	if req.Task != TaskGenerate {
-		resp, err := func() (*Response, error) {
-			defer f.mu.RUnlock()
-			rep, err := r.entry.pool.Acquire()
-			if err != nil {
-				return nil, err
-			}
-			served := 0
-			defer func() { r.entry.pool.Release(rep, served) }()
-			resp, err := rep.Engine.Run(ctx, r.plan, req)
-			if err == nil {
-				served = 1
-			}
-			return resp, err
-		}()
-		if resp != nil {
-			resp.Tier = info
-		}
-		return resp, err
-	}
 	// Generate joins the acquired replica's continuous-batching step
 	// loop: Submit only enqueues (the loop admits between decode steps
 	// and shares one batched forward — and one shard stream per plan —
@@ -766,9 +745,10 @@ func (f *Fleet) GenerateStats(name string) (pipeline.StepLoopStats, bool) {
 
 // ServeBatch runs one batched classify on the named model: the model's
 // shard stream is read and decompressed once and fanned out across all
-// requests, so per-request IO is 1/len(reqs) of sequential Serve
-// calls. Per-request logits are byte-identical to separate Serves.
-// The batch executes on one plan tier — the tightest member's SLO
+// requests, so per-request IO is 1/len(reqs) of serving each alone,
+// with per-request logits byte-identical to it. It is every classify's
+// path: Serve classifies as a batch of one. The batch executes on one
+// plan tier — the tightest member's SLO
 // resolved against the ladder, so no request is served past its
 // target — and every response's Tier records it. Every request must
 // be TaskClassify: generate decodes are stateful per sequence and run

@@ -2,6 +2,7 @@ package sti_test
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -249,8 +250,10 @@ func TestFleetReplanFailureIsAtomic(t *testing.T) {
 }
 
 // TestFleetInferBatchMatchesInfer drives the batched path through the
-// fleet: per-input logits must be byte-identical to sequential Serves
-// and the shared stream's per-request IO must shrink with batch size.
+// fleet: per-input logits must be byte-identical to sequential Serves,
+// a Serve must equal its one-element ServeBatch (logits, tier and
+// stream bytes), and the shared stream's per-request IO must shrink
+// with batch size.
 func TestFleetInferBatchMatchesInfer(t *testing.T) {
 	f := sti.NewFleet(0) // zero preload: every execution streams all IO
 	if err := f.Add("m", fleetSystem(t, 22), 200*time.Millisecond, 1); err != nil {
@@ -274,6 +277,22 @@ func TestFleetInferBatchMatchesInfer(t *testing.T) {
 		}
 		single[i] = resp.Logits
 		singleBytes += resp.Stats.BytesRead
+
+		one, _, err := f.ServeBatch(context.Background(), "m", []sti.Request{in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range resp.Logits {
+			if math.Float32bits(one[0].Logits[c]) != math.Float32bits(resp.Logits[c]) {
+				t.Fatalf("input %d logit %d: one-element ServeBatch %v != Serve %v", i, c, one[0].Logits[c], resp.Logits[c])
+			}
+		}
+		if one[0].Tier == nil || resp.Tier == nil || *one[0].Tier != *resp.Tier {
+			t.Fatalf("input %d: one-element ServeBatch tier %+v != Serve tier %+v", i, one[0].Tier, resp.Tier)
+		}
+		if one[0].Stats.BytesRead != resp.Stats.BytesRead {
+			t.Fatalf("input %d: one-element ServeBatch read %d bytes, Serve read %d", i, one[0].Stats.BytesRead, resp.Stats.BytesRead)
+		}
 	}
 	batched, bs, err := f.ServeBatch(context.Background(), "m", inputs)
 	if err != nil {
@@ -355,9 +374,9 @@ func TestFleetRemoveReleasesPreloadAndReplans(t *testing.T) {
 }
 
 // TestFleetServeTasks drives both tasks through the fleet's unified
-// Serve entry point: classify matches the engine's Execute on the
-// model's committed plan byte for byte, and generate decodes
-// deterministically.
+// Serve entry point: classify matches the engine's one-input
+// ExecuteBatch on the model's committed plan byte for byte, and
+// generate decodes deterministically.
 func TestFleetServeTasks(t *testing.T) {
 	f := sti.NewFleet(100 << 10)
 	if err := f.Add("m", fleetSystem(t, 32), 200*time.Millisecond, 1); err != nil {
@@ -372,13 +391,13 @@ func TestFleetServeTasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, _ := f.Entry("m")
-	want, _, err := e.System.Engine.Execute(context.Background(), e.Plan, tokens, nil)
+	want, _, err := e.System.Engine.ExecuteBatch(context.Background(), e.Plan, []sti.BatchInput{{Tokens: tokens}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if resp.Logits[i] != want[i] {
-			t.Fatalf("Serve logits %v != Execute logits %v", resp.Logits, want)
+	for i := range want[0] {
+		if resp.Logits[i] != want[0][i] {
+			t.Fatalf("Serve logits %v != ExecuteBatch logits %v", resp.Logits, want[0])
 		}
 	}
 

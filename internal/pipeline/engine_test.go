@@ -58,10 +58,11 @@ func TestEngineExecutesPlanMatchesDirectAssembly(t *testing.T) {
 	p, _ := tinyPlan(t, st, 100*time.Millisecond, 0)
 	tokens := []int{1, 2, 3, 4, 5, 6, 7, 8}
 
-	logits, stats, err := eng.Execute(ctxbg, p, tokens, nil)
+	resp, err := eng.Run(ctxbg, p, Request{Tokens: tokens})
 	if err != nil {
 		t.Fatal(err)
 	}
+	logits, stats := resp.Logits, resp.Stats
 	if len(logits) != w.Cfg.Classes {
 		t.Fatalf("logits %v", logits)
 	}
@@ -119,11 +120,11 @@ func TestEngineWarmProducesCacheHits(t *testing.T) {
 	if eng.CacheBytes() == 0 {
 		t.Fatal("warm loaded nothing")
 	}
-	_, stats, err := eng.Execute(ctxbg, p, []int{1, 2, 3}, nil)
+	resp, err := eng.Run(ctxbg, p, Request{Tokens: []int{1, 2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.CacheHits != preloadCount {
+	if stats := resp.Stats; stats.CacheHits != preloadCount {
 		t.Fatalf("cache hits %d, want %d preloaded shards", stats.CacheHits, preloadCount)
 	}
 }
@@ -133,20 +134,22 @@ func TestEngineRetainServesBackToBack(t *testing.T) {
 	// execution reads fewer bytes.
 	eng, _, st := buildTinyEngine(t, 256<<10)
 	p, _ := tinyPlan(t, st, 100*time.Millisecond, 0)
-	_, cold, err := eng.Execute(ctxbg, p, []int{5, 4, 3}, nil)
+	coldResp, err := eng.Run(ctxbg, p, Request{Tokens: []int{5, 4, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cold := coldResp.Stats
 	if err := eng.Retain(p); err != nil {
 		t.Fatal(err)
 	}
 	if eng.CacheBytes() == 0 || eng.CacheBytes() > eng.Budget() {
 		t.Fatalf("cache %d outside (0, %d]", eng.CacheBytes(), eng.Budget())
 	}
-	_, warm, err := eng.Execute(ctxbg, p, []int{5, 4, 3}, nil)
+	warmResp, err := eng.Run(ctxbg, p, Request{Tokens: []int{5, 4, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	warm := warmResp.Stats
 	if warm.BytesRead >= cold.BytesRead {
 		t.Fatalf("retained run read %d bytes, cold read %d", warm.BytesRead, cold.BytesRead)
 	}
@@ -186,14 +189,15 @@ func TestEngineRetainKeepsBottomLayers(t *testing.T) {
 func TestEngineDeterministicLogits(t *testing.T) {
 	eng, _, st := buildTinyEngine(t, 0)
 	p, _ := tinyPlan(t, st, 150*time.Millisecond, 0)
-	a, _, err := eng.Execute(ctxbg, p, []int{9, 8, 7, 6}, nil)
+	ra, err := eng.Run(ctxbg, p, Request{Tokens: []int{9, 8, 7, 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := eng.Execute(ctxbg, p, []int{9, 8, 7, 6}, nil)
+	rb, err := eng.Run(ctxbg, p, Request{Tokens: []int{9, 8, 7, 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	a, b := ra.Logits, rb.Logits
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("pipelined execution not deterministic")
@@ -205,7 +209,7 @@ func TestEngineRejectsOversizedPlan(t *testing.T) {
 	eng, _, st := buildTinyEngine(t, 0)
 	p, _ := tinyPlan(t, st, 100*time.Millisecond, 0)
 	p.Depth = st.Man.Config.Layers + 5
-	if _, _, err := eng.Execute(ctxbg, p, []int{1}, nil); err == nil {
+	if _, err := eng.Run(ctxbg, p, Request{Tokens: []int{1}}); err == nil {
 		t.Fatal("expected depth rejection")
 	}
 }

@@ -12,11 +12,12 @@ import (
 
 // Run executes one task-typed request against a plan — the engine's
 // unified entry point. TaskClassify runs the layer-pipelined encoder
-// pass. TaskGenerate runs on a one-stream Batcher — the same step loop
-// every fleet stream decodes on — so its paged KV is charged to the
-// engine's grant (evicting top-layer preload shards first, failing
-// with ErrKVBudget when no page fits), OnToken fires from the stream's
-// emitter goroutine, and every token is delivered before Run returns.
+// pass as a one-input ExecuteBatch. TaskGenerate runs on a one-stream
+// Batcher — the same step loop every fleet stream decodes on — so its
+// paged KV is charged to the engine's grant (evicting top-layer
+// preload shards first, failing with ErrKVBudget when no page fits),
+// OnToken fires from the stream's emitter goroutine, and every token
+// is delivered before Run returns.
 // Cancelling ctx closes the batcher, aborting a cold shard stream
 // between layers and the decode within one step; the partial Response
 // comes back alongside ctx.Err().
@@ -29,11 +30,11 @@ func (e *Engine) Run(ctx context.Context, p *planner.Plan, req Request) (*Respon
 	}
 	switch req.Task {
 	case TaskClassify:
-		logits, stats, err := e.Execute(ctx, p, req.Tokens, req.Mask)
+		logits, bs, err := e.ExecuteBatch(ctx, p, []BatchInput{{Tokens: req.Tokens, Mask: req.Mask}})
 		if err != nil {
 			return nil, err
 		}
-		return &Response{Logits: logits, Stats: stats}, nil
+		return &Response{Logits: logits[0], Stats: &bs.ExecStats}, nil
 	default: // Validate admitted it, so it is TaskGenerate
 		b := NewBatcher(e, BatcherOptions{MaxStreams: 1})
 		defer b.Close()

@@ -123,13 +123,13 @@ func TestEngineRunDispatchesTasks(t *testing.T) {
 	if len(resp.Logits) != w.Cfg.Classes || resp.Gen != nil || resp.GeneratedTokens != nil {
 		t.Fatalf("classify response %+v", resp)
 	}
-	want, _, err := eng.Execute(ctxbg, p, tokens, nil)
+	want, _, err := eng.ExecuteBatch(ctxbg, p, []BatchInput{{Tokens: tokens}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if resp.Logits[i] != want[i] {
-			t.Fatalf("Run logits %v != Execute logits %v", resp.Logits, want)
+	for i := range want[0] {
+		if resp.Logits[i] != want[0][i] {
+			t.Fatalf("Run logits %v != ExecuteBatch logits %v", resp.Logits, want[0])
 		}
 	}
 
@@ -175,7 +175,7 @@ func TestExecuteCancelStopsIOWithinOneLayer(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// Execute can return on its own ctx check before the IO goroutine
+	// Run can return on its own ctx check before the IO goroutine
 	// exits, so the hook's record is read under a lock after settling.
 	var mu sync.Mutex
 	var ioLayers []int
@@ -187,7 +187,7 @@ func TestExecuteCancelStopsIOWithinOneLayer(t *testing.T) {
 			cancel() // cancelled while layer 1's IO job is about to start
 		}
 	}
-	_, _, err := eng.Execute(ctx, p, []int{1, 2, 3}, nil)
+	_, err := eng.Run(ctx, p, Request{Tokens: []int{1, 2, 3}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err %v, want context.Canceled", err)
 	}
@@ -211,7 +211,7 @@ func TestExecuteCancelStopsIOWithinOneLayer(t *testing.T) {
 	pre, preCancel := context.WithCancel(context.Background())
 	preCancel()
 	eng.ioHook = nil
-	if _, _, err := eng.Execute(pre, p, []int{1, 2, 3}, nil); !errors.Is(err, context.Canceled) {
+	if _, err := eng.Run(pre, p, Request{Tokens: []int{1, 2, 3}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled execute: err %v, want context.Canceled", err)
 	}
 }

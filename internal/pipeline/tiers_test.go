@@ -37,7 +37,7 @@ func TestWarmSetUnionRespectsBudget(t *testing.T) {
 	// Both tiers execute against the shared buffer; the bottom-up fill
 	// means at least the tight tier's bottom-layer preloads hit.
 	for _, p := range []*planner.Plan{tight, relaxed} {
-		if _, _, err := eng.Execute(ctxbg, p, []int{1, 2, 3}, nil); err != nil {
+		if _, err := eng.Run(ctxbg, p, Request{Tokens: []int{1, 2, 3}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -295,13 +295,6 @@ func warmAll(live []*Replica, per int64, plans []*planner.Plan) error {
 	return nil
 }
 
-// Budget returns the model grant the pool currently splits.
-func (p *Pool) Budget() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.budget
-}
-
 // ScaleTo grows or shrinks the pool to n live replicas (clamped to
 // [Min, Max]) and re-warms every live replica with the current plan
 // set under the grant split across the new count. Growth spawns the
@@ -606,18 +599,6 @@ func (p *Pool) Stats() PoolStats {
 		st.KVBytes += r.Engine.KVBytes()
 	}
 	return st
-}
-
-// KVBytes sums the live paged decode KV bytes across all replicas.
-func (p *Pool) KVBytes() int64 {
-	p.mu.Lock()
-	replicas := append([]*Replica(nil), p.replicas...)
-	p.mu.Unlock()
-	var total int64
-	for _, r := range replicas {
-		total += r.Engine.KVBytes()
-	}
-	return total
 }
 
 // GenStats aggregates every replica's continuous-batching step loop

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sti/internal/pipeline"
 )
 
 // TestSchedulerBatchesQueuedJobs verifies the batch accumulator: jobs
@@ -42,11 +44,8 @@ func TestSchedulerBatchesQueuedJobs(t *testing.T) {
 		}
 	}
 
-	b.mu.Lock()
-	sizes := append([]int(nil), b.batchSizes...)
-	b.mu.Unlock()
-	if len(sizes) != 1 || sizes[0] != 3 {
-		t.Fatalf("batched calls %v, want one batch of 3", sizes)
+	if sizes := b.batchCalls(); len(sizes) != 2 || sizes[0] != 1 || sizes[1] != 3 {
+		t.Fatalf("batched calls %v, want the lone first job then one batch of 3", sizes)
 	}
 	st := s.Snapshot()
 	if st.Completed != 4 || st.Batches != 2 {
@@ -116,8 +115,8 @@ func TestSchedulerBatchExpiredJobShedsAlone(t *testing.T) {
 }
 
 // TestSchedulerPoisonedBatchmateFailsAlone: when a batched execution
-// fails, the scheduler retries each job unbatched so only the poisoned
-// request errors — its batchmates still get their results.
+// fails, the scheduler retries each job as a batch of one so only the
+// poisoned request errors — its batchmates still get their results.
 func TestSchedulerPoisonedBatchmateFailsAlone(t *testing.T) {
 	gate := make(chan struct{})
 	b := &stubBackend{targets: twoModels(), gate: gate}
@@ -159,13 +158,18 @@ func TestSchedulerPoisonedBatchmateFailsAlone(t *testing.T) {
 	if st := s.Snapshot(); st.Completed != 2 || st.Failed != 1 {
 		t.Fatalf("snapshot %+v, want 2 completed + 1 failed", st)
 	}
+	// The lone first job, the failed batch of 2, then each batchmate
+	// retried alone.
+	if sizes := b.batchCalls(); len(sizes) != 4 || sizes[0] != 1 || sizes[1] != 2 || sizes[2] != 1 || sizes[3] != 1 {
+		t.Fatalf("batched calls %v, want [1 2 1 1]", sizes)
+	}
 }
 
-// TestSchedulerDoAfterCloseCreatesNoQueue is the regression for the
-// Close race: a submit for a never-seen model after Close must return
-// ErrClosed without inserting a queue Close can no longer drain (an
-// unclosed channel leak) or recording stats on a closed scheduler.
-func TestSchedulerDoAfterCloseCreatesNoQueue(t *testing.T) {
+// TestSchedulerSubmitAfterCloseCreatesNoQueue is the regression for
+// the Close race: a submit for a never-seen model after Close must
+// return ErrClosed without inserting a queue Close can no longer drain
+// (an unclosed channel leak) or recording stats on a closed scheduler.
+func TestSchedulerSubmitAfterCloseCreatesNoQueue(t *testing.T) {
 	s := New(&stubBackend{targets: twoModels()}, Options{})
 	s.Close()
 	if _, err := classify(context.Background(), s, "sentiment", []int{1}); !errors.Is(err, ErrClosed) {
@@ -186,10 +190,10 @@ func TestSchedulerDoAfterCloseCreatesNoQueue(t *testing.T) {
 	}
 }
 
-// TestSchedulerCloseDoRace hammers Submit against Close under -race: no
-// submit may create a queue after Close walked the map, and every
-// submit must either be served, shed, or get ErrClosed.
-func TestSchedulerCloseDoRace(t *testing.T) {
+// TestSchedulerCloseSubmitRace hammers Submit against Close under
+// -race: no submit may create a queue after Close walked the map, and
+// every submit must either be served, shed, or get ErrClosed.
+func TestSchedulerCloseSubmitRace(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
 		b := &stubBackend{targets: twoModels()}
 		s := New(b, Options{QueueDepth: 4, Workers: 1})
@@ -223,5 +227,133 @@ func TestSchedulerCloseDoRace(t *testing.T) {
 		if _, err := classify(context.Background(), s, "sentiment", []int{1}); !errors.Is(err, ErrClosed) {
 			t.Fatalf("iter %d: post-close submit got %v, want ErrClosed", iter, err)
 		}
+	}
+}
+
+// TestSchedulerClassifyNeverCallsServe: a lone classify is a batch of
+// one — it reaches the backend as a size-1 ServeBatch call, never
+// through Serve (the stub's Serve fails every classify).
+func TestSchedulerClassifyNeverCallsServe(t *testing.T) {
+	b := &stubBackend{targets: twoModels()}
+	s := New(b, Options{Workers: 1})
+	defer s.Close()
+
+	res, err := classify(context.Background(), s, "sentiment", []int{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Batch != 1 || res.Logits[0] != 3 || res.Stats == nil || res.Stats.BytesRead != stubStreamBytes || res.Tier == nil {
+		t.Fatalf("lone classify result %+v, want a batch of one with its stream stats and tier", res)
+	}
+	if sizes := b.batchCalls(); len(sizes) != 1 || sizes[0] != 1 {
+		t.Fatalf("batched calls %v, want one batch of 1", sizes)
+	}
+	if st := s.Snapshot(); st.Completed != 1 || st.Batches != 1 || st.Failed != 0 {
+		t.Fatalf("snapshot %+v, want 1 completed over 1 execution", st)
+	}
+}
+
+// ctxBackend parks every ServeBatch call until the test releases it or
+// the call's ctx is done, reporting each call's size on entry and the
+// ctx error it saw on exit.
+type ctxBackend struct {
+	*stubBackend
+	release chan struct{}
+	entered chan int
+	exited  chan error
+}
+
+func (b *ctxBackend) ServeBatch(ctx context.Context, name string, reqs []pipeline.Request) ([]*pipeline.Response, *pipeline.BatchStats, error) {
+	b.entered <- len(reqs)
+	select {
+	case <-ctx.Done():
+		b.exited <- ctx.Err()
+		return nil, nil, ctx.Err()
+	case <-b.release:
+	}
+	b.exited <- ctx.Err()
+	return b.stubBackend.ServeBatch(ctx, name, reqs)
+}
+
+// TestSchedulerLoneClassifyRunsUnderCallerCtx: a lone classify runs
+// under its caller's ctx, so a client that leaves mid-execution stops
+// its shard stream — and that is not a failure. A shared batch runs
+// under the background ctx: one member's client leaving aborts nothing.
+func TestSchedulerLoneClassifyRunsUnderCallerCtx(t *testing.T) {
+	b := &ctxBackend{
+		stubBackend: &stubBackend{targets: twoModels()},
+		release:     make(chan struct{}),
+		entered:     make(chan int, 3), // one per ServeBatch call the test makes
+		exited:      make(chan error, 3),
+	}
+	s := New(b, Options{Workers: 1, MaxBatch: 4, BatchWindow: 20 * time.Millisecond, Slack: 1000})
+	defer s.Close()
+	defer close(b.release) // a failed check must not leave a call parked under Close
+
+	// A lone classify whose client leaves mid-execution.
+	ctx, cancel := context.WithCancel(context.Background())
+	lone := make(chan error, 1)
+	go func() {
+		_, err := classify(ctx, s, "sentiment", []int{1})
+		lone <- err
+	}()
+	if n := recvWithin(t, "lone classify in ServeBatch", b.entered); n != 1 {
+		t.Fatalf("lone classify reached ServeBatch as a batch of %d, want 1", n)
+	}
+	cancel()
+	if err := recvWithin(t, "lone submit", lone); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled submit got %v, want context.Canceled", err)
+	}
+	if err := recvWithin(t, "lone execution exit", b.exited); !errors.Is(err, context.Canceled) {
+		t.Fatalf("backend saw ctx error %v, want the caller's cancellation", err)
+	}
+	waitUntil(t, "cancelled execution settled", func() bool { return s.Snapshot().Batches == 1 })
+	if st := s.Snapshot(); st.Failed != 0 || st.Completed != 0 {
+		t.Fatalf("snapshot %+v, want a client cancel to be neither failed nor completed", st)
+	}
+
+	// A batch of 2 whose one member's client leaves mid-execution.
+	first := make(chan error, 1)
+	go func() {
+		_, err := classify(context.Background(), s, "sentiment", []int{1})
+		first <- err
+	}()
+	recvWithin(t, "first job in ServeBatch", b.entered)
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	defer cancel2()
+	leaving := make(chan error, 1)
+	go func() {
+		_, err := classify(ctx2, s, "sentiment", []int{2})
+		leaving <- err
+	}()
+	// The leaving client's job leads the batch.
+	waitUntil(t, "leaving job queued", func() bool { return queueDepth(s, "sentiment") == 1 })
+	staying := make(chan error, 1)
+	go func() {
+		_, err := classify(context.Background(), s, "sentiment", []int{3})
+		staying <- err
+	}()
+	waitUntil(t, "two queued", func() bool { return queueDepth(s, "sentiment") == 2 })
+	b.release <- struct{}{}
+	recvWithin(t, "first job exit", b.exited)
+	if err := recvWithin(t, "first submit", first); err != nil {
+		t.Fatal(err)
+	}
+	if n := recvWithin(t, "batch in ServeBatch", b.entered); n != 2 {
+		t.Fatalf("queued jobs reached ServeBatch as a batch of %d, want 2", n)
+	}
+	cancel2()
+	if err := recvWithin(t, "leaving submit", leaving); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled batchmate got %v, want context.Canceled", err)
+	}
+	b.release <- struct{}{}
+	if err := recvWithin(t, "batch exit", b.exited); err != nil {
+		t.Fatalf("shared batch saw ctx error %v, want the background ctx", err)
+	}
+	if err := recvWithin(t, "staying submit", staying); err != nil {
+		t.Fatalf("batchmate of a leaving client got %v", err)
+	}
+	if st := s.Snapshot(); st.Failed != 0 || st.Batches != 3 {
+		t.Fatalf("snapshot %+v, want 3 executions and no failure", st)
 	}
 }

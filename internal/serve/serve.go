@@ -16,14 +16,16 @@
 // coarser plan tier — the backend serves them faster at lower fidelity
 // and records the downgrade in the response's tier.
 //
-// Requests are task-typed (pipeline.Request): classify jobs batch into
-// one shared IO/decompress stream exactly as before, while generate
-// jobs dispatch onto the backend's continuous-batching step loops —
-// each leaves its worker immediately (bounded by Options.MaxStreams),
-// decodes batched with the model's other in-flight streams, streams
-// tokens through Request.OnToken, and executes under a context
-// carrying the job's deadline so the step loop's per-token checks
-// stop it the moment the deadline (or the client) goes away.
+// Requests are task-typed (pipeline.Request): every classify job runs
+// through the backend's ServeBatch — queued jobs of one SLO class share
+// one IO/decompress stream, and a lone job is a batch of one — while
+// generate jobs dispatch onto the backend's continuous-batching step
+// loops — each leaves its worker immediately (bounded by
+// Options.MaxStreams), decodes batched with the model's other
+// in-flight streams, streams tokens through Request.OnToken, and
+// executes under a context carrying the job's deadline so the step
+// loop's per-token checks stop it the moment the deadline (or the
+// client) goes away.
 //
 // The scheduler never touches plans itself: replanning (budget or
 // membership changes) happens on the backend fleet, whose RWMutex
@@ -77,11 +79,13 @@ type Backend interface {
 	Names() []string
 	// Target returns the planned latency target of a managed model.
 	Target(name string) (time.Duration, bool)
-	// Serve runs one task-typed request (classify or generate); it
-	// must be safe for concurrent use and honor ctx cancellation.
+	// Serve runs one generate request; it must be safe for concurrent
+	// use and honor ctx cancellation. The scheduler sends every classify
+	// to ServeBatch instead.
 	Serve(ctx context.Context, name string, req pipeline.Request) (*pipeline.Response, error)
-	// ServeBatch runs one batched classify whose single IO/decompress
-	// stream serves every request; it must be safe for concurrent use.
+	// ServeBatch runs one batched classify — of any size, one included —
+	// whose single IO/decompress stream serves every request; it must
+	// be safe for concurrent use and honor ctx cancellation.
 	ServeBatch(ctx context.Context, name string, reqs []pipeline.Request) ([]*pipeline.Response, *pipeline.BatchStats, error)
 
 	// Pressure receives the queue-pressure signal — queue depth and
@@ -177,26 +181,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Result is the outcome of one scheduled request.
+// Result is the outcome of one scheduled request: the backend's
+// Response plus how the scheduler served it. For a batched request
+// Stats describes the shared stream: BytesRead/CacheHits are the whole
+// batch's, so this request's amortized IO is BytesRead/Batch. Tier is
+// nil when the backend resolves no tiers.
 type Result struct {
-	Logits []float32
-	// GeneratedTokens is the full decoded sequence (prompt + new) for
-	// generate requests; nil for classify.
-	GeneratedTokens []int
-	// Gen holds per-step decode stats; non-nil only for generate.
-	Gen *pipeline.GenStats
-	// Stats describes the execution stream that served this request.
-	// For a batched request the stream is shared: BytesRead/CacheHits
-	// are the whole batch's, so this request's amortized IO is
-	// BytesRead/Batch.
-	Stats *pipeline.ExecStats
-	// Batch is how many requests shared the execution stream (1 for an
-	// unbatched request).
+	pipeline.Response
+	// Batch is how many requests shared the execution stream (1 for a
+	// request served alone).
 	Batch int
-	// Tier records the plan tier that served the request: its latency
-	// target, fidelity, plan-cache outcome and whether congestion
-	// downgraded the request. Nil when the backend resolves no tiers.
-	Tier *pipeline.TierInfo
 
 	Queued time.Duration // admission → worker pickup
 	Total  time.Duration // admission → completion
@@ -209,7 +203,7 @@ type job struct {
 	window   time.Duration // Slack × the request's effective target
 	coarsest time.Duration // the model ladder's bottom rung (0.5×default)
 	demoted  bool          // downgraded over-deadline at dequeue
-	picked   bool          // queue-wait recorded (failed batches retry through execSingle)
+	picked   bool          // queue-wait recorded (a failed batch retries each job alone)
 	enqueued time.Time
 	done     chan outcome
 }
@@ -459,8 +453,9 @@ type batchKey struct {
 // first token, and holding the worker for its whole decode would cap
 // concurrent streams at the worker count. A classify job accumulates
 // up to MaxBatch queued jobs (waiting at most BatchWindow after the
-// first), partitions them by plan tier, and serves each tier group
-// with one batched backend call — one IO/decompress stream per group;
+// first), partitions them by plan tier, and serves each tier group —
+// a group of one included — with one batched backend call: one
+// IO/decompress stream per group;
 // any generate jobs the accumulator happened to drain dispatch the
 // same way right after the batches.
 func (s *Scheduler) worker(model string, q *modelQueue) {
@@ -558,7 +553,10 @@ func (s *Scheduler) dispatchGenerate(model string, q *modelQueue, j *job) {
 	go func() {
 		defer s.wg.Done()
 		defer func() { <-s.genSlots }()
-		s.runSingle(model, q, j)
+		// Re-check after the slot wait: the job may have expired in it.
+		if s.admit(model, q, j, time.Now()) {
+			s.execGenerate(model, q, j)
+		}
 		// A finished stream is capacity coming back; let the backend
 		// observe the queue it can now drain into.
 		s.pressure(model, q)
@@ -630,8 +628,8 @@ func (s *Scheduler) runBatch(model string, q *modelQueue, batch []*job) {
 }
 
 // notePickup records a job's queue wait — the stats histogram and the
-// trace span — exactly once, no matter how many retry hops the job
-// makes between the batched and single paths.
+// trace span — exactly once, however many times a failed batch retries
+// the job alone.
 func (s *Scheduler) notePickup(q *modelQueue, j *job, pickup time.Time) {
 	if j.picked {
 		return
@@ -643,28 +641,36 @@ func (s *Scheduler) notePickup(q *modelQueue, j *job, pickup time.Time) {
 	}
 }
 
-// executeBatch serves one tier-consistent batch of admitted jobs.
+// executeBatch serves one tier-consistent group of admitted classify
+// jobs with one ServeBatch call — a group of one included. A lone job
+// runs under its caller's context, so a client that goes away stops
+// the shard stream mid-flight. A shared batch runs under the background
+// context: its stream serves several clients, so no single client's
+// cancellation may abort it (each job's ctx was checked at admission).
+// Neither carries the job's deadline into the execution — deadlines
+// gate admission, not an execution already paid for.
 func (s *Scheduler) executeBatch(model string, q *modelQueue, live []*job, now time.Time) {
+	ctx, tag := context.Background(), "batch"
 	if len(live) == 1 {
-		s.execSingle(model, q, live[0])
-		return
-	}
-
-	for _, j := range live {
-		s.notePickup(q, j, now)
+		ctx, tag = live[0].ctx, ""
 	}
 	execSpans := make([]obs.SpanID, len(live))
 	for i, j := range live {
+		s.notePickup(q, j, now)
 		tr := obs.FromContext(j.ctx)
-		execSpans[i] = tr.Begin(tr.Root(), obs.SpanExecute, "batch")
+		execSpans[i] = tr.Begin(tr.Root(), obs.SpanExecute, tag)
 	}
-	resps, stats, err := s.serveBatch(model, live)
+	resps, stats, err := s.serveBatch(ctx, model, live)
 	for i, j := range live {
 		obs.FromContext(j.ctx).EndSpan(execSpans[i])
 	}
 	if err != nil {
+		if len(live) == 1 {
+			s.settle(model, q, live[0], Result{}, err)
+			return
+		}
 		// One poisoned request must fail alone, not take down its
-		// batchmates: retry each job unbatched.
+		// batchmates: retry each job as a group of one.
 		for _, j := range live {
 			s.runBatch(model, q, []*job{j})
 		}
@@ -672,88 +678,71 @@ func (s *Scheduler) executeBatch(model string, q *modelQueue, live []*job, now t
 	}
 	q.stats.executed(len(live), stats.BytesRead)
 	for i, j := range live {
-		total := time.Since(j.enqueued)
-		q.stats.completed(total)
-		q.stats.servedTier(resps[i].Tier)
-		// An over-deadline job was admitted on the promise of a coarser
-		// tier; if the backend had no rung to demote to, the job was in
-		// fact served past its deadline — account for it.
-		if j.demoted && (resps[i].Tier == nil || !resps[i].Tier.Downgraded) {
-			q.stats.deadlineMiss()
-		}
-		j.done <- outcome{res: Result{
-			Logits: resps[i].Logits, Stats: &stats.ExecStats, Batch: stats.Batch,
-			Tier:   resps[i].Tier,
-			Queued: now.Sub(j.enqueued), Total: total,
-		}}
+		s.settle(model, q, j, Result{
+			Response: *resps[i], Batch: stats.Batch,
+			Queued: now.Sub(j.enqueued), Total: time.Since(j.enqueued),
+		}, nil)
 	}
 }
 
-// runSingle checks one job's context and deadline, then executes it
-// alone.
-func (s *Scheduler) runSingle(model string, q *modelQueue, j *job) {
-	if !s.admit(model, q, j, time.Now()) {
-		return
-	}
-	s.execSingle(model, q, j)
-}
-
-// execSingle runs one already-admitted job and reports its outcome.
-// Every single job executes under the caller's context, so a client
-// that goes away stops the shard stream mid-flight. Only generate
-// additionally carries the job's deadline into the execution (the
-// decode loop re-checks it per token): a classify that was admitted in
-// time runs to completion exactly as the batched path and the pre-v2
-// API did — deadlines gate admission, not an execution already paid
-// for.
-func (s *Scheduler) execSingle(model string, q *modelQueue, j *job) {
+// execGenerate runs one admitted generate job under the caller's
+// context plus the job's deadline, which the decode loop re-checks per
+// token, and reports its outcome.
+func (s *Scheduler) execGenerate(model string, q *modelQueue, j *job) {
 	pickup := time.Now()
 	s.notePickup(q, j, pickup)
-	ctx, cancel := j.ctx, context.CancelFunc(func() {})
-	if j.req.Task == pipeline.TaskGenerate {
-		ctx, cancel = context.WithDeadline(j.ctx, j.deadline)
-	}
+	ctx, cancel := context.WithDeadline(j.ctx, j.deadline)
 	tr := obs.FromContext(j.ctx)
 	ex := tr.Begin(tr.Root(), obs.SpanExecute, "")
 	resp, err := s.serveOne(ctx, model, j)
 	tr.EndSpan(ex)
 	cancel()
 
-	var bytes int64
-	var res Result
+	res := Result{Batch: 1, Queued: pickup.Sub(j.enqueued), Total: time.Since(j.enqueued)}
 	if resp != nil {
-		if resp.Stats != nil {
-			bytes = resp.Stats.BytesRead
-		}
-		res = Result{
-			Logits: resp.Logits, GeneratedTokens: resp.GeneratedTokens,
-			Gen: resp.Gen, Stats: resp.Stats, Batch: 1, Tier: resp.Tier,
-			Queued: pickup.Sub(j.enqueued), Total: time.Since(j.enqueued),
-		}
+		res.Response = *resp
 		if resp.Gen != nil {
 			q.stats.generated(resp.Gen.NewTokens)
 		}
 	}
+	if err == nil {
+		q.stats.executed(1, res.bytesRead())
+	}
+	s.settle(model, q, j, res, err)
+}
 
+// bytesRead is what the stream that served the result read from flash.
+func (r *Result) bytesRead() int64 {
+	if r.Stats == nil {
+		return 0
+	}
+	return r.Stats.BytesRead
+}
+
+// settle accounts for one executed job's outcome and delivers it. A
+// successful execution was already counted by the caller; an error
+// comes only from a job that ran alone, so settle counts the execution
+// itself when the stream did run.
+func (s *Scheduler) settle(model string, q *modelQueue, j *job, res Result, err error) {
 	switch {
 	case err == nil:
-		q.stats.executed(1, bytes)
 		q.stats.completed(res.Total)
 		q.stats.servedTier(res.Tier)
-		// A dequeue demotion that found no coarser rung at the backend
-		// means the job was served past its deadline — account for it.
+		// An over-deadline job was admitted on the promise of a coarser
+		// tier; if the backend had no rung to demote to, the job was in
+		// fact served past its deadline — account for it.
 		if j.demoted && (res.Tier == nil || !res.Tier.Downgraded) {
 			q.stats.deadlineMiss()
 		}
 		j.done <- outcome{res: res}
 	case errors.Is(err, context.Canceled) && j.ctx.Err() != nil:
 		// Client went away mid-execution; nothing is waiting on done.
-		q.stats.executed(1, bytes)
+		q.stats.executed(1, res.bytesRead())
 	case errors.Is(err, context.DeadlineExceeded):
-		// The job's own deadline stopped the execution (generate checks
-		// it per token). Partial decode results ride along — streaming
-		// callers already observed the tokens via OnToken.
-		q.stats.executed(1, bytes)
+		// The execution stopped at a deadline — a generate re-checks the
+		// job's own per token. Partial decode results ride along —
+		// streaming callers already observed the tokens via OnToken.
+		q.stats.executed(1, res.bytesRead())
 		q.stats.deadlineMiss()
 		j.done <- outcome{res: res, err: fmt.Errorf("%w: model %q stopped at deadline", ErrDeadline, model)}
 	default:
@@ -774,10 +763,8 @@ func (s *Scheduler) serveOne(ctx context.Context, model string, j *job) (resp *p
 }
 
 // serveBatch shields the worker from a panicking backend and validates
-// the response shape. Batches execute under the background context: a
-// shared stream serves several clients, so no single client's
-// cancellation may abort it (each job's ctx was checked at admission).
-func (s *Scheduler) serveBatch(model string, live []*job) (resps []*pipeline.Response, stats *pipeline.BatchStats, err error) {
+// the response shape.
+func (s *Scheduler) serveBatch(ctx context.Context, model string, live []*job) (resps []*pipeline.Response, stats *pipeline.BatchStats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			resps, stats, err = nil, nil, fmt.Errorf("serve: model %q panicked: %v", model, r)
@@ -787,7 +774,7 @@ func (s *Scheduler) serveBatch(model string, live []*job) (resps []*pipeline.Res
 	for i, j := range live {
 		reqs[i] = j.req
 	}
-	rs, bs, err := s.backend.ServeBatch(context.Background(), model, reqs)
+	rs, bs, err := s.backend.ServeBatch(ctx, model, reqs)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,10 +22,10 @@ type stubBackend struct {
 	targets   map[string]time.Duration
 	delay     time.Duration
 	stepDelay time.Duration // per generated token, so deadlines can lapse mid-decode
-	gate      chan struct{} // when non-nil, Serve blocks until the gate closes
+	gate      chan struct{} // when non-nil, every execution blocks until the gate closes
 	err       error
 	panics    atomic.Bool
-	poison    atomic.Int64 // when non-zero, Serve panics on tokens[0]==poison
+	poison    atomic.Int64 // when non-zero, a classify panics on tokens[0]==poison
 	calls     atomic.Int64
 
 	mu         sync.Mutex
@@ -46,8 +47,8 @@ func (b *stubBackend) Target(name string) (time.Duration, bool) {
 	return t, ok
 }
 
-// infer is the stub's classify path, shared by Serve and ServeBatch.
-func (b *stubBackend) infer(tokens []int) ([]float32, *pipeline.ExecStats, error) {
+// infer fabricates one classify input's execution.
+func (b *stubBackend) infer(tokens []int) ([]float32, error) {
 	b.calls.Add(1)
 	b.mu.Lock()
 	b.servedTok = append(b.servedTok, append([]int(nil), tokens...))
@@ -65,9 +66,9 @@ func (b *stubBackend) infer(tokens []int) ([]float32, *pipeline.ExecStats, error
 		panic("poisoned request")
 	}
 	if b.err != nil {
-		return nil, nil, b.err
+		return nil, b.err
 	}
-	return []float32{float32(len(tokens)), 0}, &pipeline.ExecStats{Total: b.delay, BytesRead: stubStreamBytes}, nil
+	return []float32{float32(len(tokens)), 0}, nil
 }
 
 // stubStreamBytes is what one stub execution stream "reads", batched or
@@ -88,19 +89,17 @@ func (b *stubBackend) tier(name string, req pipeline.Request) *pipeline.TierInfo
 	return &pipeline.TierInfo{Target: target, Fidelity: 1, CacheHit: true, Downgraded: req.Downgraded}
 }
 
+// Serve takes generate only: the scheduler must send every classify,
+// a lone one included, to ServeBatch, so a classify here fails.
 func (b *stubBackend) Serve(ctx context.Context, name string, req pipeline.Request) (*pipeline.Response, error) {
-	if req.Task == pipeline.TaskGenerate {
-		resp, err := b.generate(ctx, req)
-		if resp != nil {
-			resp.Tier = b.tier(name, req)
-		}
-		return resp, err
+	if req.Task != pipeline.TaskGenerate {
+		return nil, fmt.Errorf("stub: %v request reached Serve; classify must go through ServeBatch", req.Task)
 	}
-	logits, stats, err := b.infer(req.Tokens)
-	if err != nil {
-		return nil, err
+	resp, err := b.generate(ctx, req)
+	if resp != nil {
+		resp.Tier = b.tier(name, req)
 	}
-	return &pipeline.Response{Logits: logits, Stats: stats, Tier: b.tier(name, req)}, nil
+	return resp, err
 }
 
 // generate fabricates a greedy decode: token s of step s, one
@@ -147,7 +146,7 @@ func (b *stubBackend) ServeBatch(ctx context.Context, name string, reqs []pipeli
 		Batch:     len(reqs),
 	}
 	for i, req := range reqs {
-		logits, _, err := b.infer(req.Tokens)
+		logits, err := b.infer(req.Tokens)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -171,6 +170,13 @@ func (b *stubBackend) GenerateStats(string) (pipeline.StepLoopStats, bool) {
 }
 func (b *stubBackend) PredictStats(string) (predict.ModelStats, bool) {
 	return predict.ModelStats{}, false
+}
+
+// batchCalls returns the size of every ServeBatch call so far, in order.
+func (b *stubBackend) batchCalls() []int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([]int(nil), b.batchSizes...)
 }
 
 // classify submits one classify request for tokens and blocks until it
@@ -206,6 +212,18 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// recvWithin receives from ch, failing the test after 5s.
+func recvWithin[T any](t *testing.T, what string, ch <-chan T) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(5 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+		panic("unreachable")
 	}
 }
 

@@ -133,13 +133,10 @@ func TestSchedulerGenerateRunsSingly(t *testing.T) {
 	if nStreamed != 3 {
 		t.Fatalf("OnToken streamed %d tokens, want 3", nStreamed)
 	}
-	// The two classify jobs came out as one batch of 2; the generate job
-	// never joined a batched call.
-	b.mu.Lock()
-	sizes := append([]int(nil), b.batchSizes...)
-	b.mu.Unlock()
-	if len(sizes) != 1 || sizes[0] != 2 {
-		t.Fatalf("batched calls %v, want one classify batch of 2", sizes)
+	// After the lone first job, the two classify jobs came out as one
+	// batch of 2; the generate job never joined a batched call.
+	if sizes := b.batchCalls(); len(sizes) != 2 || sizes[0] != 1 || sizes[1] != 2 {
+		t.Fatalf("batched calls %v, want the lone first job then one classify batch of 2", sizes)
 	}
 	if st := s.Snapshot(); st.GeneratedTokens != 3 {
 		t.Fatalf("snapshot %+v, want 3 generated tokens", st)

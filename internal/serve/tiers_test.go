@@ -209,13 +209,10 @@ func TestSchedulerBatchesGroupByTier(t *testing.T) {
 			t.Fatalf("relaxed result tier %+v, want the 400ms tier", res.Tier)
 		}
 	}
-	// The four jobs drained as two tier-consistent batches of 2, not
-	// one mixed batch of 4.
-	b.mu.Lock()
-	sizes := append([]int(nil), b.batchSizes...)
-	b.mu.Unlock()
-	if len(sizes) != 2 || sizes[0] != 2 || sizes[1] != 2 {
-		t.Fatalf("batched calls %v, want two tier-grouped batches of 2", sizes)
+	// After the lone first job, the four jobs drained as two
+	// tier-consistent batches of 2, not one mixed batch of 4.
+	if sizes := b.batchCalls(); len(sizes) != 3 || sizes[0] != 1 || sizes[1] != 2 || sizes[2] != 2 {
+		t.Fatalf("batched calls %v, want the lone first job then two tier-grouped batches of 2", sizes)
 	}
 	st := s.Snapshot()
 	ms := st.Models[0]

@@ -167,10 +167,10 @@ type gatedBackend struct {
 	calls atomic.Int64
 }
 
-func (g *gatedBackend) Serve(ctx context.Context, name string, req sti.Request) (*sti.Response, error) {
+func (g *gatedBackend) ServeBatch(ctx context.Context, name string, reqs []sti.Request) ([]*sti.Response, *sti.BatchStats, error) {
 	g.calls.Add(1)
 	<-g.gate
-	return g.Fleet.Serve(ctx, name, req)
+	return g.Fleet.ServeBatch(ctx, name, reqs)
 }
 
 // queueDepth reads a model's queue depth from the scheduler snapshot.
