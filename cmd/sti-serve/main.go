@@ -102,7 +102,9 @@ import (
 // replicas permanently idle while their preload buffers hold budget:
 // an explicit -workers below -replicas is a configuration error, and
 // an unset -workers defaults to 2 workers per replica so dispatch can
-// keep every replica busy and still overlap queue drains.
+// keep every replica busy and overlap batch executions. Queue drains do
+// not scale with it: at most min(workers, GOMAXPROCS) workers gather a
+// model's queue at once, so a burst forms one batch per CPU.
 func concurrencyFor(workers int, workersSet bool, replicas int) (int, error) {
 	if replicas < 1 {
 		return 0, fmt.Errorf("-replicas %d: need at least one replica", replicas)
@@ -196,7 +198,7 @@ func main() {
 	deviceName := flag.String("device", "odroid", "device profile: odroid or jetson")
 	budget := flag.Int64("budget", 256<<10, "fleet-wide preload budget in bytes")
 	queue := flag.Int("queue", 64, "admission queue depth per model")
-	workers := flag.Int("workers", 2, "scheduler worker goroutines per model (default 2, or 2x -replicas when -replicas is set; must be >= -replicas)")
+	workers := flag.Int("workers", 2, "scheduler worker goroutines per model (default 2, or 2x -replicas when -replicas is set; must be >= -replicas); all may execute batches, at most min(workers, GOMAXPROCS) gather the queue at once")
 	replicas := flag.Int("replicas", 1, "pipeline-engine replicas per model: each gets its own preload-buffer slice, all share one single-flight shard cache; also the elastic ceiling queue pressure can scale up to")
 	slack := flag.Float64("slack", 4, "request deadline = slack x model target")
 	maxBatch := flag.Int("maxbatch", 8, "max queued requests drained into one batched execution (1 disables batching)")

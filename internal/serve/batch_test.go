@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -61,6 +63,55 @@ func TestSchedulerBatchesQueuedJobs(t *testing.T) {
 	// Two streams served four requests: amortized IO is half a stream.
 	if ms.BytesPerRequest != stubStreamBytes/2 {
 		t.Fatalf("bytes/request %v, want %v", ms.BytesPerRequest, stubStreamBytes/2)
+	}
+}
+
+// TestSchedulerIdleWorkersDoNotSplitABurst: a burst arriving at idle
+// workers is gathered by at most min(Workers, GOMAXPROCS) of them, so
+// it forms one batch per CPU — not one per worker, each reading its own
+// shard stream. GOMAXPROCS is pinned rather than injected so the test
+// exercises the scheduler's own derivation of the seat count.
+func TestSchedulerIdleWorkersDoNotSplitABurst(t *testing.T) {
+	for _, tc := range []struct {
+		procs    int
+		maxCalls int
+	}{{1, 1}, {2, 2}} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", tc.procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			b := &stubBackend{targets: twoModels()}
+			s := New(b, Options{Workers: 4, MaxBatch: 8, BatchWindow: time.Second, Slack: 1000})
+			defer s.Close()
+
+			// A generate spawns the worker pool without opening a batch
+			// window, leaving every worker idle when the burst lands.
+			if _, err := s.Submit(context.Background(), "sentiment", pipeline.Request{
+				Task: pipeline.TaskGenerate, Tokens: []int{1}, MaxNewTokens: 1,
+			}); err != nil {
+				t.Fatal(err)
+			}
+
+			const burst = 8
+			var wg sync.WaitGroup
+			for i := 0; i < burst; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, err := classify(context.Background(), s, "sentiment", []int{1, 2}); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			wg.Wait()
+
+			sizes := b.batchCalls()
+			total := 0
+			for _, n := range sizes {
+				total += n
+			}
+			if len(sizes) > tc.maxCalls || total != burst {
+				t.Fatalf("batched calls %v, want at most %d call(s) serving all %d jobs", sizes, tc.maxCalls, burst)
+			}
+		})
 	}
 }
 
@@ -192,11 +243,22 @@ func TestSchedulerSubmitAfterCloseCreatesNoQueue(t *testing.T) {
 
 // TestSchedulerCloseSubmitRace hammers Submit against Close under
 // -race: no submit may create a queue after Close walked the map, and
-// every submit must either be served, shed, or get ErrClosed.
+// every submit must either be served, shed, or get ErrClosed. The
+// GOMAXPROCS=1 case runs four workers on one gather seat, so Close must
+// also release every worker parked waiting for the seat.
 func TestSchedulerCloseSubmitRace(t *testing.T) {
+	for _, tc := range []struct{ procs, workers int }{{runtime.GOMAXPROCS(0), 1}, {1, 4}} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d/workers=%d", tc.procs, tc.workers), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			closeSubmitRace(t, tc.workers)
+		})
+	}
+}
+
+func closeSubmitRace(t *testing.T, workers int) {
 	for iter := 0; iter < 20; iter++ {
 		b := &stubBackend{targets: twoModels()}
-		s := New(b, Options{QueueDepth: 4, Workers: 1})
+		s := New(b, Options{QueueDepth: 4, Workers: workers})
 		var wg sync.WaitGroup
 		start := make(chan struct{})
 		for c := 0; c < 4; c++ {
@@ -215,11 +277,17 @@ func TestSchedulerCloseSubmitRace(t *testing.T) {
 			}(c)
 		}
 		wg.Add(1)
-		go func() {
+		go func(yields int) {
 			defer wg.Done()
 			<-start
+			// Land Close at a different point among the submits each
+			// iteration: on one CPU it would otherwise always run first
+			// and no queue would ever exist to close.
+			for k := 0; k < yields; k++ {
+				runtime.Gosched()
+			}
 			s.Close()
-		}()
+		}(iter % 5)
 		close(start)
 		wg.Wait()
 		// Whatever queues exist were all created before Close and are

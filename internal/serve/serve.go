@@ -37,6 +37,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -116,6 +117,10 @@ type Options struct {
 	// it shed with ErrQueueFull. Default 64.
 	QueueDepth int
 	// Workers is the number of worker goroutines per model. Default 2.
+	// Every worker may execute a batch, but at most
+	// min(Workers, GOMAXPROCS) of them gather from the queue at once
+	// (the model's gather seats), so workers beyond the CPU count add
+	// execution overlap rather than extra, smaller batches.
 	Workers int
 	// Slack scales a model's latency target into its queue deadline:
 	// a request older than Slack×target at dequeue is dropped with
@@ -126,8 +131,10 @@ type Options struct {
 	Window int
 	// MaxBatch is how many queued classify jobs a worker may drain
 	// into one batched backend call, amortizing the model's
-	// IO/decompress stream across them. 1 disables batching.
-	// Default 1.
+	// IO/decompress stream across them. At most
+	// min(Workers, GOMAXPROCS) workers fill batches at once, so a burst
+	// of up to MaxBatch jobs per CPU forms at most one batch per CPU.
+	// 1 disables batching. Default 1.
 	MaxBatch int
 	// BatchWindow is how long a worker holding one classify job waits
 	// for more to accumulate before executing (only when MaxBatch > 1).
@@ -214,7 +221,11 @@ type outcome struct {
 }
 
 type modelQueue struct {
-	jobs    chan *job
+	jobs chan *job
+	// seats holds one token per worker gathering from jobs; its
+	// capacity, min(Workers, GOMAXPROCS), is fixed at queue creation
+	// (see worker for why).
+	seats   chan struct{}
 	stats   *modelStats
 	started bool // workers spawned (deferred to the first real enqueue)
 }
@@ -422,6 +433,7 @@ func (s *Scheduler) queueLocked(model string) *modelQueue {
 	}
 	q := &modelQueue{
 		jobs:  make(chan *job, s.opts.QueueDepth),
+		seats: make(chan struct{}, min(s.opts.Workers, runtime.GOMAXPROCS(0))),
 		stats: newModelStats(model, s.opts.Window, s.opts.Obs.Registry()),
 	}
 	if reg := s.opts.Obs.Registry(); reg != nil {
@@ -458,10 +470,29 @@ type batchKey struct {
 // IO/decompress stream per group;
 // any generate jobs the accumulator happened to drain dispatch the
 // same way right after the batches.
+//
+// A worker receives from the queue only while holding a gather seat
+// (modelQueue.seats), so at most min(Workers, GOMAXPROCS) workers
+// gather at once and a burst arriving at idle workers forms one batch
+// per CPU instead of one per worker. A batch already spreads its
+// matmuls over GOMAXPROCS, so more concurrent gathers than CPUs would
+// only split a burst into more shard streams, while fewer would
+// serialize requests the CPUs could run side by side. The seat covers
+// the receive and the accumulate window only: it is returned before a
+// generate dispatch (which can block on a stream slot) and before a
+// batch executes, so no worker holds one while executing or waiting
+// for a stream slot.
 func (s *Scheduler) worker(model string, q *modelQueue) {
 	defer s.wg.Done()
-	for j := range q.jobs {
+	for {
+		q.seats <- struct{}{}
+		j, ok := <-q.jobs
+		if !ok {
+			<-q.seats
+			return
+		}
 		if j.req.Task == pipeline.TaskGenerate {
+			<-q.seats
 			s.dispatchGenerate(model, q, j)
 			continue
 		}
@@ -478,6 +509,7 @@ func (s *Scheduler) worker(model string, q *modelQueue) {
 				}
 			}
 		}
+		<-q.seats
 		groups := make(map[batchKey][]*job)
 		var order []batchKey
 		var generate []*job

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,9 +29,10 @@ type stubBackend struct {
 	poison    atomic.Int64 // when non-zero, a classify panics on tokens[0]==poison
 	calls     atomic.Int64
 
-	mu         sync.Mutex
-	batchSizes []int   // size of every batched call, in order
-	servedTok  [][]int // first tokens of every executed request, in order
+	mu           sync.Mutex
+	batchSizes   []int           // size of every batched call, in order
+	batchTargets []time.Duration // first request's TargetLatency of every batched call, in order
+	servedTok    [][]int         // first tokens of every executed request, in order
 }
 
 func (b *stubBackend) Names() []string {
@@ -139,6 +141,7 @@ func (b *stubBackend) generate(ctx context.Context, req pipeline.Request) (*pipe
 func (b *stubBackend) ServeBatch(ctx context.Context, name string, reqs []pipeline.Request) ([]*pipeline.Response, *pipeline.BatchStats, error) {
 	b.mu.Lock()
 	b.batchSizes = append(b.batchSizes, len(reqs))
+	b.batchTargets = append(b.batchTargets, reqs[0].TargetLatency)
 	b.mu.Unlock()
 	out := make([]*pipeline.Response, len(reqs))
 	bs := &pipeline.BatchStats{
@@ -177,6 +180,14 @@ func (b *stubBackend) batchCalls() []int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return append([]int(nil), b.batchSizes...)
+}
+
+// batchCallTargets returns the SLO target of every ServeBatch call so
+// far, in order.
+func (b *stubBackend) batchCallTargets() []time.Duration {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([]time.Duration(nil), b.batchTargets...)
 }
 
 // classify submits one classify request for tokens and blocks until it
@@ -413,10 +424,21 @@ func TestSchedulerCloseDrainsAndRejects(t *testing.T) {
 
 // TestSchedulerStress drives N goroutines × M models through the
 // scheduler; run under -race this is the concurrency audit of the
-// admission path, worker pools and stats.
+// admission path, worker pools and stats. The GOMAXPROCS=1 case runs
+// four workers on one gather seat, so the deferred Close must also
+// release every worker parked waiting for the seat.
 func TestSchedulerStress(t *testing.T) {
+	for _, tc := range []struct{ procs, workers int }{{runtime.GOMAXPROCS(0), 2}, {1, 4}} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d/workers=%d", tc.procs, tc.workers), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			schedulerStress(t, tc.workers)
+		})
+	}
+}
+
+func schedulerStress(t *testing.T, workers int) {
 	b := &stubBackend{targets: twoModels()}
-	s := New(b, Options{QueueDepth: 4, Workers: 2, Slack: 1000})
+	s := New(b, Options{QueueDepth: 4, Workers: workers, Slack: 1000})
 	defer s.Close()
 
 	const clients = 16

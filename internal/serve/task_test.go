@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -242,10 +244,13 @@ func TestSchedulerGenerateDeadlineStopsDecode(t *testing.T) {
 // stream slot.
 type genGateBackend struct {
 	*stubBackend
-	genGate chan struct{}
-	entered chan struct{}
-	once    sync.Once
+	genGate  chan struct{}
+	entered  chan struct{}
+	once     sync.Once
+	arrivals atomic.Int64 // admissions observed, i.e. jobs enqueued
 }
+
+func (b *genGateBackend) ObserveArrival(string, time.Duration, int, int) { b.arrivals.Add(1) }
 
 func (b *genGateBackend) Serve(ctx context.Context, name string, req pipeline.Request) (*pipeline.Response, error) {
 	if req.Task == pipeline.TaskGenerate {
@@ -318,5 +323,59 @@ func TestSchedulerDeadGenerateJobsDontHoldWorker(t *testing.T) {
 	close(b.genGate)
 	if err := <-liveErr; err != nil {
 		t.Fatalf("live generate: %v", err)
+	}
+}
+
+// TestSchedulerStreamCapDoesNotHoldGatherSeat: a worker parked on the
+// MaxStreams cap has given its gather seat back, so with a single seat
+// (GOMAXPROCS 1) the other worker still picks up and serves a classify
+// while the stream slot stays held.
+func TestSchedulerStreamCapDoesNotHoldGatherSeat(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	b := &genGateBackend{
+		stubBackend: &stubBackend{targets: map[string]time.Duration{"m": 50 * time.Millisecond}},
+		genGate:     make(chan struct{}),
+		entered:     make(chan struct{}),
+	}
+	s := New(b, Options{Workers: 2, MaxStreams: 1, QueueDepth: 8, Slack: 1000})
+	releaseGen := sync.OnceFunc(func() { close(b.genGate) })
+	defer s.Close()
+	defer releaseGen() // a failed check must not leave Close waiting on a parked stream
+
+	generate := func(tok int, errs chan<- error) {
+		go func() {
+			_, err := s.Submit(context.Background(), "m", pipeline.Request{
+				Task: pipeline.TaskGenerate, Tokens: []int{tok}, MaxNewTokens: 2,
+			})
+			errs <- err
+		}()
+	}
+	// The first generate holds the only stream slot, parked in the
+	// backend until the gate opens.
+	genErrs := make(chan error, 2)
+	generate(1, genErrs)
+	recvWithin(t, "live generate in backend", b.entered)
+
+	// The second is dequeued by a worker that then parks on the full
+	// stream semaphore.
+	generate(2, genErrs)
+	waitUntil(t, "second generate dequeued", func() bool {
+		return b.arrivals.Load() == 2 && queueDepth(s, "m") == 0
+	})
+
+	classified := make(chan error, 1)
+	go func() {
+		_, err := classify(context.Background(), s, "m", []int{1, 2, 3})
+		classified <- err
+	}()
+	if err := recvWithin(t, "classify beside a worker parked on the stream cap", classified); err != nil {
+		t.Fatalf("classify: %v", err)
+	}
+
+	releaseGen()
+	for i := 0; i < 2; i++ {
+		if err := recvWithin(t, "generate", genErrs); err != nil {
+			t.Fatalf("generate: %v", err)
+		}
 	}
 }

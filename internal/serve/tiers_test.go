@@ -187,11 +187,14 @@ func TestSchedulerBatchesGroupByTier(t *testing.T) {
 			done <- res
 		}()
 	}
+	// The tight jobs are queued before the relaxed ones, so one drain
+	// holds the tight group first.
 	tight := make(chan *Result, 2)
 	relaxed := make(chan *Result, 2)
 	for i := 0; i < 2; i++ {
 		submit(100*time.Millisecond, tight)
 	}
+	waitUntil(t, "two tight queued", func() bool { return queueDepth(s, "sentiment") == 2 })
 	for i := 0; i < 2; i++ {
 		submit(400*time.Millisecond, relaxed)
 	}
@@ -213,6 +216,11 @@ func TestSchedulerBatchesGroupByTier(t *testing.T) {
 	// tier-consistent batches of 2, not one mixed batch of 4.
 	if sizes := b.batchCalls(); len(sizes) != 3 || sizes[0] != 1 || sizes[1] != 2 || sizes[2] != 2 {
 		t.Fatalf("batched calls %v, want the lone first job then two tier-grouped batches of 2", sizes)
+	}
+	// The drain's groups run in drain order: no newer group overtakes
+	// an older one.
+	if targets := b.batchCallTargets(); targets[1] != 100*time.Millisecond || targets[2] != 400*time.Millisecond {
+		t.Fatalf("batched call targets %v, want the tight group before the relaxed one", targets)
 	}
 	st := s.Snapshot()
 	ms := st.Models[0]
