@@ -367,7 +367,9 @@ func StepBatch(decs []*Decoder, tokens []int) (*tensor.Matrix, error) {
 			// Scores over cached positions 0..pos, one scratch buffer
 			// reused across this stream's heads (the attention inner
 			// loop runs per step per stream — per-head allocations are
-			// pure GC tail latency).
+			// pure GC tail latency). Each float32(a*b) below keeps the
+			// compiler from fusing the multiply into the add, so every
+			// architecture rounds the step as amd64 does.
 			scores := make([]float32, pos+1)
 			for h := 0; h < sl.Width; h++ {
 				qh := q.Row(i)[h*hd : (h+1)*hd]
@@ -376,7 +378,7 @@ func StepBatch(decs []*Decoder, tokens []int) (*tensor.Matrix, error) {
 					kj := d.kv.kRow(li, j)[h*hd : (h+1)*hd]
 					var s float32
 					for z := range qh {
-						s += qh[z] * kj[z]
+						s += float32(qh[z] * kj[z])
 					}
 					s *= scale
 					scores[j] = s
@@ -394,7 +396,7 @@ func StepBatch(decs []*Decoder, tokens []int) (*tensor.Matrix, error) {
 					wj := scores[j] / sum
 					vj := d.kv.vRow(li, j)[h*hd : (h+1)*hd]
 					for z := range out {
-						out[z] += wj * vj[z]
+						out[z] += float32(wj * vj[z])
 					}
 				}
 			}

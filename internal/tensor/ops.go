@@ -29,24 +29,28 @@ func MatMul(dst, a, b *Matrix) {
 	parallelRows(a.Rows, func(lo, hi int) { matMulRows(dst, a, b, lo, hi) })
 }
 
-// matMulRows computes rows [lo,hi) of dst = a×b using an ikj loop order
-// that streams b rows sequentially (cache-friendly without an explicit
-// transpose).
+// matMulRows computes rows [lo,hi) of dst = a×b: the AVX2 panels take
+// every whole 16-column strip where the CPU has them, and matMulCols the
+// columns left over (all of them on other builds).
 func matMulRows(dst, a, b *Matrix, lo, hi int) {
-	n := b.Cols
+	matMulCols(dst, a, b, lo, hi, matMulPanels(dst, a, b, lo, hi))
+}
+
+// matMulCols computes columns [c0, b.Cols) of rows [lo,hi) of dst = a×b
+// using an ikj loop order that streams b rows sequentially
+// (cache-friendly without an explicit transpose). Every output is a sum
+// over ascending k, starting from +0, of the rounded products: the
+// explicit conversion keeps a compiler from fusing the multiply and add,
+// and zeros in a are not skipped, so 0×Inf is NaN here as in the panels.
+func matMulCols(dst, a, b *Matrix, lo, hi, c0 int) {
 	for i := lo; i < hi; i++ {
-		out := dst.Row(i)
+		out := dst.Row(i)[c0:]
 		for x := range out {
 			out[x] = 0
 		}
-		ar := a.Row(i)
-		for k, av := range ar {
-			if av == 0 {
-				continue
-			}
-			br := b.Row(k)
-			for j := 0; j < n; j++ {
-				out[j] += av * br[j]
+		for k, av := range a.Row(i) {
+			for j, bv := range b.Row(k)[c0:][:len(out)] {
+				out[j] += float32(av * bv)
 			}
 		}
 	}
@@ -69,7 +73,7 @@ func MatMulBT(dst, a, b *Matrix) {
 				br := b.Row(j)
 				var s float32
 				for k, av := range ar {
-					s += av * br[k]
+					s += float32(av * br[k])
 				}
 				out[j] = s
 			}
@@ -169,7 +173,7 @@ func AXPY(dst *Matrix, s float32, a *Matrix) {
 		panic("tensor: AXPY shape mismatch")
 	}
 	for i := range dst.Data {
-		dst.Data[i] += s * a.Data[i]
+		dst.Data[i] += float32(s * a.Data[i])
 	}
 }
 
@@ -233,7 +237,7 @@ func LayerNormRows(m *Matrix, gamma, beta []float32, mean, invStd []float32) {
 		var va float32
 		for _, v := range row {
 			d := v - mu
-			va += d * d
+			va += float32(d * d)
 		}
 		va /= n
 		is := 1 / float32(math.Sqrt(float64(va)+LayerNormEps))
@@ -244,7 +248,7 @@ func LayerNormRows(m *Matrix, gamma, beta []float32, mean, invStd []float32) {
 			invStd[r] = is
 		}
 		for i, v := range row {
-			row[i] = (v-mu)*is*gamma[i] + beta[i]
+			row[i] = float32((v-mu)*is*gamma[i]) + beta[i]
 		}
 	}
 }
@@ -264,7 +268,7 @@ const (
 
 func geluScalar(x float32) float32 {
 	x64 := float64(x)
-	return float32(0.5 * x64 * (1 + math.Tanh(geluC0*(x64+geluC1*x64*x64*x64))))
+	return float32(0.5 * x64 * (1 + math.Tanh(geluC0*(x64+float64(geluC1*x64*x64*x64)))))
 }
 
 // GELUGrad returns d gelu(x) / dx for a scalar input.

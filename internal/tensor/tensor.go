@@ -1,12 +1,15 @@
 // Package tensor provides the hand-rolled float32 linear-algebra kernels
 // that every other part of the STI reproduction computes with.
 //
-// The paper runs on PyTorch's ATen kernels; this package is the pure-Go
-// substitute. It implements exactly the operations a BERT-style
-// transformer encoder needs — dense matmul (optionally parallel),
-// bias/add/scale, row softmax, layer normalization, GELU and tanh — plus
-// the transposed matmul variants required by the backprop trainer in
-// internal/train.
+// The paper runs on PyTorch's ATen kernels; this package is the
+// substitute: an AVX2 assembly matmul on amd64, and portable Go loops that
+// every build falls back to (all of them under -tags purego). Every build
+// computes the same inference bits: those kernels never fuse a multiply
+// into an add, and matmul sums run over ascending k. It implements exactly
+// the operations a BERT-style transformer encoder needs — dense matmul
+// (optionally parallel), bias/add/scale, row softmax, layer normalization,
+// GELU and tanh — plus the transposed matmul variants required by the
+// backprop trainer in internal/train.
 //
 // A Matrix is a dense row-major float32 buffer. Matrices are plain
 // values: methods that write results take an explicit destination so
