@@ -121,6 +121,95 @@ type SubLayer struct {
 	LN2G, LN2B []float32
 }
 
+// NewSubLayer allocates a sub-layer shaped for width shards. Prepare
+// reshapes it, within that capacity, for any assembly up to width
+// shards wide, so one allocation can be reused across layers.
+func NewSubLayer(cfg Config, width int) *SubLayer {
+	hd, fs, d := cfg.HeadDim(), cfg.FFNSlice(), cfg.Hidden
+	return &SubLayer{
+		Width: width,
+		Q:     tensor.New(d, width*hd), K: tensor.New(d, width*hd), V: tensor.New(d, width*hd),
+		O:    tensor.New(width*hd, d),
+		FFN1: tensor.New(d, width*fs), FFN2: tensor.New(width*fs, d),
+		QB: make([]float32, width*hd), KB: make([]float32, width*hd), VB: make([]float32, width*hd),
+		FFN1B: make([]float32, width*fs),
+	}
+}
+
+// Prepare shapes sl, which NewSubLayer allocated at least len(slices)
+// wide, as the width-len(slices) assembly of one layer. It reshapes
+// sl's matrices within their capacity, gathers the resident biases of
+// the given slices in order, and attaches the layer's full-width biases
+// and layernorms. It leaves the shard weights alone: the caller writes
+// the shard at position i through ShardSegments(cfg, i), and the
+// segments of all positions cover every weight of the new shape exactly
+// once.
+func (sl *SubLayer) Prepare(cfg Config, resident *LayerWeights, slices []int) error {
+	m := len(slices)
+	if m == 0 || m > cfg.Heads {
+		return fmt.Errorf("model: assemble with %d shards (heads=%d)", m, cfg.Heads)
+	}
+	hd, fs, d := cfg.HeadDim(), cfg.FFNSlice(), cfg.Hidden
+	for _, s := range slices {
+		if s < 0 || s >= cfg.Heads {
+			return fmt.Errorf("model: shard slice %d outside %d heads", s, cfg.Heads)
+		}
+	}
+	sl.Width = m
+	reshape(sl.Q, d, m*hd)
+	reshape(sl.K, d, m*hd)
+	reshape(sl.V, d, m*hd)
+	reshape(sl.O, m*hd, d)
+	reshape(sl.FFN1, d, m*fs)
+	reshape(sl.FFN2, m*fs, d)
+	sl.QB, sl.KB, sl.VB, sl.FFN1B = sl.QB[:m*hd], sl.KB[:m*hd], sl.VB[:m*hd], sl.FFN1B[:m*fs]
+	for i, s := range slices {
+		copy(sl.QB[i*hd:(i+1)*hd], resident.QB[s*hd:(s+1)*hd])
+		copy(sl.KB[i*hd:(i+1)*hd], resident.KB[s*hd:(s+1)*hd])
+		copy(sl.VB[i*hd:(i+1)*hd], resident.VB[s*hd:(s+1)*hd])
+		copy(sl.FFN1B[i*fs:(i+1)*fs], resident.FFN1B[s*fs:(s+1)*fs])
+	}
+	sl.OB, sl.FFN2B = resident.OB, resident.FFN2B
+	sl.LN1G, sl.LN1B, sl.LN2G, sl.LN2B = resident.LN1G, resident.LN1B, resident.LN2G, resident.LN2B
+	return nil
+}
+
+func reshape(m *tensor.Matrix, rows, cols int) {
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
+}
+
+// ShardSegment places one of a shard's six matrices in an assembled
+// sub-layer: the shard's flat weights [Off, Off+Rows*Cols) (Flatten
+// order) land in Dst as Rows runs of Cols values, Stride apart.
+type ShardSegment struct {
+	Off, Rows, Cols, Stride int
+	Dst                     []float32
+}
+
+// Write copies src, the segment's Rows*Cols flat weights, into place.
+func (g ShardSegment) Write(src []float32) {
+	for r := 0; r < g.Rows; r++ {
+		copy(g.Dst[r*g.Stride:r*g.Stride+g.Cols], src[r*g.Cols:(r+1)*g.Cols])
+	}
+}
+
+// ShardSegments returns where the shard at position i of a prepared
+// sub-layer lands, in Flatten order (Q, K, V, O, FFN1, FFN2). Q, K, V
+// and FFN1 take a block of columns, one run per row; O and FFN2 take a
+// block of whole rows, which is a single run.
+func (sl *SubLayer) ShardSegments(cfg Config, i int) [6]ShardSegment {
+	hd, fs, d := cfg.HeadDim(), cfg.FFNSlice(), cfg.Hidden
+	m, qkv := sl.Width, d*hd
+	return [6]ShardSegment{
+		{Off: 0, Rows: d, Cols: hd, Stride: m * hd, Dst: sl.Q.Data[i*hd:]},
+		{Off: qkv, Rows: d, Cols: hd, Stride: m * hd, Dst: sl.K.Data[i*hd:]},
+		{Off: 2 * qkv, Rows: d, Cols: hd, Stride: m * hd, Dst: sl.V.Data[i*hd:]},
+		{Off: 3 * qkv, Rows: 1, Cols: hd * d, Stride: hd * d, Dst: sl.O.Data[i*hd*d:]},
+		{Off: 4 * qkv, Rows: d, Cols: fs, Stride: m * fs, Dst: sl.FFN1.Data[i*fs:]},
+		{Off: 4*qkv + d*fs, Rows: 1, Cols: fs * d, Stride: fs * d, Dst: sl.FFN2.Data[i*fs*d:]},
+	}
+}
+
 // AssembleSubLayer builds an executable layer of width len(shards) from
 // shard payloads (in any fidelity — callers pass dequantized weights)
 // plus the resident miscellaneous parameters of the original layer.
@@ -131,34 +220,25 @@ func AssembleSubLayer(cfg Config, resident *LayerWeights, shards []*ShardWeights
 	if m == 0 || m > cfg.Heads {
 		return nil, fmt.Errorf("model: assemble with %d shards (heads=%d)", m, cfg.Heads)
 	}
-	hd, fs, d := cfg.HeadDim(), cfg.FFNSlice(), cfg.Hidden
-	sl := &SubLayer{
-		Width: m,
-		Q:     tensor.New(d, m*hd), K: tensor.New(d, m*hd), V: tensor.New(d, m*hd),
-		O:    tensor.New(m*hd, d),
-		FFN1: tensor.New(d, m*fs), FFN2: tensor.New(m*fs, d),
-		QB: make([]float32, m*hd), KB: make([]float32, m*hd), VB: make([]float32, m*hd),
-		OB: resident.OB, FFN1B: make([]float32, m*fs), FFN2B: resident.FFN2B,
-		LN1G: resident.LN1G, LN1B: resident.LN1B, LN2G: resident.LN2G, LN2B: resident.LN2B,
-	}
-	layer := shards[0].Layer
+	slices := make([]int, m)
 	for i, s := range shards {
-		if s.Layer != layer {
-			return nil, fmt.Errorf("model: assembling shards from layers %d and %d", layer, s.Layer)
+		if s.Layer != shards[0].Layer {
+			return nil, fmt.Errorf("model: assembling shards from layers %d and %d", shards[0].Layer, s.Layer)
 		}
-		if s.Slice < 0 || s.Slice >= cfg.Heads {
-			return nil, fmt.Errorf("model: shard slice %d outside %d heads", s.Slice, cfg.Heads)
+		slices[i] = s.Slice
+	}
+	sl := NewSubLayer(cfg, m)
+	if err := sl.Prepare(cfg, resident, slices); err != nil {
+		return nil, err
+	}
+	for i, s := range shards {
+		segs := sl.ShardSegments(cfg, i)
+		for k, src := range [6]*tensor.Matrix{s.Q, s.K, s.V, s.O, s.FFN1, s.FFN2} {
+			if len(src.Data) != segs[k].Rows*segs[k].Cols {
+				return nil, fmt.Errorf("model: shard (%d,%d) matrix %d has %d weights, want %d", s.Layer, s.Slice, k, len(src.Data), segs[k].Rows*segs[k].Cols)
+			}
+			segs[k].Write(src.Data)
 		}
-		sl.Q.SetColSlice(i*hd, s.Q)
-		sl.K.SetColSlice(i*hd, s.K)
-		sl.V.SetColSlice(i*hd, s.V)
-		sl.O.SetRowSlice(i*hd, s.O)
-		sl.FFN1.SetColSlice(i*fs, s.FFN1)
-		sl.FFN2.SetRowSlice(i*fs, s.FFN2)
-		copy(sl.QB[i*hd:], resident.QB[s.Slice*hd:(s.Slice+1)*hd])
-		copy(sl.KB[i*hd:], resident.KB[s.Slice*hd:(s.Slice+1)*hd])
-		copy(sl.VB[i*hd:], resident.VB[s.Slice*hd:(s.Slice+1)*hd])
-		copy(sl.FFN1B[i*fs:], resident.FFN1B[s.Slice*fs:(s.Slice+1)*fs])
 	}
 	return sl, nil
 }

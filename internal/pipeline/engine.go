@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -35,6 +36,15 @@ type Engine struct {
 	// flash/cache/peer/prefetch origin.
 	src  store.PayloadReader
 	osrc store.OriginReader
+	// verified reports that src checks payload checksums itself (a
+	// store.SharedCache verifies every flight it fills); otherwise the
+	// engine's own reads are the ingress and verify each payload once.
+	verified bool
+
+	// free is the workspace free list: full-width sub-layers that
+	// ExecuteBatch assembles every layer into. Its capacity,
+	// GOMAXPROCS, caps the bytes it retains outside the budget.
+	free chan *model.SubLayer
 
 	mu          sync.Mutex
 	cache       map[shard.Version][]byte
@@ -76,25 +86,65 @@ func NewEngine(st *store.Store, cacheBudget int64) (*Engine, error) {
 // of N×. Each engine still owns its own preload buffer under its own
 // byte budget.
 func NewReplicaEngine(st *store.Store, res *model.Weights, src store.PayloadReader, cacheBudget int64) *Engine {
-	if src == nil {
-		src = st
-	}
-	osrc, _ := src.(store.OriginReader)
-	return &Engine{
-		Store: st, Resident: res, src: src, osrc: osrc,
+	e := &Engine{
+		Store: st, Resident: res,
 		cache: make(map[shard.Version][]byte), cacheBudget: cacheBudget,
+		free: make(chan *model.SubLayer, runtime.GOMAXPROCS(0)),
 	}
+	e.SetPayloadSource(src)
+	return e
 }
 
 // SetPayloadSource redirects the engine's shard reads (e.g. through a
-// shared single-flight cache). It must be called before the engine
-// serves traffic — the source is not synchronized with executions.
+// shared single-flight cache); nil reads the store directly. It must be
+// called before the engine serves traffic — the source is not
+// synchronized with executions.
 func (e *Engine) SetPayloadSource(src store.PayloadReader) {
 	if src == nil {
 		src = e.Store
 	}
 	e.src = src
 	e.osrc, _ = src.(store.OriginReader)
+	_, e.verified = src.(*store.SharedCache)
+}
+
+// read fetches one shard payload from the engine's source and reports
+// its origin. Unless the source verified it already, the payload's
+// checksum is checked here, once: this is where the bytes enter the
+// engine, and nothing downstream (preload-buffer hits, assembly) hashes
+// them again.
+func (e *Engine) read(v shard.Version) (payload []byte, origin string, err error) {
+	if e.osrc != nil {
+		payload, origin, err = e.osrc.ReadShardPayloadOrigin(v.Layer, v.Slice, v.Bits)
+	} else {
+		origin = store.OriginFlash
+		payload, err = e.src.ReadShardPayload(v.Layer, v.Slice, v.Bits)
+	}
+	if err == nil && !e.verified {
+		err = store.VerifyPayload(payload)
+	}
+	return payload, origin, err
+}
+
+// workspace takes a sub-layer from the free list, or allocates one wide
+// enough for any plan of the model.
+func (e *Engine) workspace() *model.SubLayer {
+	select {
+	case ws := <-e.free:
+		return ws
+	default:
+		cfg := e.Resident.Cfg
+		return model.NewSubLayer(cfg, cfg.Heads)
+	}
+}
+
+// release returns a workspace to the free list, or drops it for the GC
+// when GOMAXPROCS workspaces are already idle there.
+func (e *Engine) release(ws *model.SubLayer) {
+	select {
+	case e.free <- ws:
+	default:
+	}
 }
 
 // SetAccessObserver installs (or, with nil, removes) the engine's
@@ -270,7 +320,7 @@ func (e *Engine) WarmSet(plans []*planner.Plan) error {
 		if e.cached(v) != nil {
 			continue
 		}
-		payload, err := e.src.ReadShardPayload(v.Layer, v.Slice, v.Bits)
+		payload, _, err := e.read(v)
 		if err != nil {
 			return fmt.Errorf("pipeline: warm %v: %w", v, err)
 		}
@@ -394,7 +444,9 @@ func (e *Engine) ExecuteBatch(ctx context.Context, p *planner.Plan, inputs []Bat
 		masks[i] = in.Mask
 	}
 	x, seqLens := sm.EmbedBatch(batch)
-	err := e.streamLayers(ctx, p, &stats.ExecStats, func(l int, sub *model.SubLayer) error {
+	ws := e.workspace()
+	defer e.release(ws)
+	err := e.streamLayers(ctx, p, &stats.ExecStats, ws, func(l int, sub *model.SubLayer) error {
 		x = model.ForwardLayerBatch(cfg, sub, x, seqLens, masks)
 		return nil
 	})
@@ -409,11 +461,13 @@ func (e *Engine) ExecuteBatch(ctx context.Context, p *planner.Plan, inputs []Bat
 // streamLayers runs the plan's IO/decompress stream once: the IO
 // goroutine streams each layer's shards while this goroutine
 // decompresses and assembles them, handing each sub-layer to visit in
-// layer order. stats (whose per-layer slices the caller sizes to
-// p.Depth) accumulates the stream's costs; visit's time is part of the
-// layer's compute. Cancellation is checked between layers on both
-// sides.
-func (e *Engine) streamLayers(ctx context.Context, p *planner.Plan, stats *ExecStats, visit func(l int, sub *model.SubLayer) error) error {
+// layer order. Every layer assembles into ws when it is non-nil, so
+// visit must be done with the sub-layer when it returns; a nil ws
+// assembles each layer into a fresh sub-layer visit may keep. stats
+// (whose per-layer slices the caller sizes to p.Depth) accumulates the
+// stream's costs; visit's time is part of the layer's compute.
+// Cancellation is checked between layers on both sides.
+func (e *Engine) streamLayers(ctx context.Context, p *planner.Plan, stats *ExecStats, ws *model.SubLayer, visit func(l int, sub *model.SubLayer) error) error {
 	deliveries := make(chan layerDelivery, p.Depth)
 	go e.ioWorker(ctx, p, deliveries)
 	for l := 0; l < p.Depth; l++ {
@@ -434,8 +488,11 @@ func (e *Engine) streamLayers(ctx context.Context, p *planner.Plan, stats *ExecS
 		stats.CacheHits += d.hits
 
 		compStart := time.Now()
-		sub, err := e.assemble(p, l, d.payloads)
-		if err != nil {
+		sub := ws
+		if sub == nil {
+			sub = model.NewSubLayer(e.Resident.Cfg, p.Width)
+		}
+		if err := e.assemble(p, l, d.payloads, sub); err != nil {
 			return err
 		}
 		if err := visit(l, sub); err != nil {
@@ -480,16 +537,8 @@ func (e *Engine) ioWorker(ctx context.Context, p *planner.Plan, out chan<- layer
 				origin = worseOrigin(origin, store.OriginCache)
 				continue
 			}
-			var payload []byte
-			var err error
-			if e.osrc != nil {
-				var o string
-				payload, o, err = e.osrc.ReadShardPayloadOrigin(l, s, v.Bits)
-				origin = worseOrigin(origin, o)
-			} else {
-				payload, err = e.src.ReadShardPayload(l, s, v.Bits)
-				origin = worseOrigin(origin, store.OriginFlash)
-			}
+			payload, o, err := e.read(v)
+			origin = worseOrigin(origin, o)
 			if err != nil {
 				d.err = fmt.Errorf("pipeline: layer %d shard %v: %w", l, v, err)
 				out <- d
@@ -532,32 +581,45 @@ func worseOrigin(a, b string) string {
 	return a
 }
 
-// assemble decompresses a layer's payloads concurrently and builds the
-// executable sub-layer with the resident miscellaneous parameters.
-func (e *Engine) assemble(p *planner.Plan, l int, payloads [][]byte) (*model.SubLayer, error) {
+// assemble decodes a layer's payloads straight into sub. It prepares
+// sub at the plan's width, parses each payload into a read-only view —
+// without a checksum, since its bytes were verified where they entered
+// memory — and writes every shard's segments in place, each shard on
+// its own goroutine like the paper's parallel decompressor.
+func (e *Engine) assemble(p *planner.Plan, l int, payloads [][]byte, sub *model.SubLayer) error {
 	cfg := e.Resident.Cfg
-	shards := make([]*model.ShardWeights, p.Width)
-	errs := make([]error, p.Width)
+	if err := sub.Prepare(cfg, e.Resident.Layers[l], p.Slices[l]); err != nil {
+		return err
+	}
 	var wg sync.WaitGroup
-	for j := range payloads {
+	for j, data := range payloads {
+		v, err := store.ParsePayload(data)
+		if err == nil && v.Count != cfg.ShardParams() {
+			err = fmt.Errorf("shard payload has %d weights, want %d", v.Count, cfg.ShardParams())
+		}
+		if err != nil {
+			wg.Wait()
+			return fmt.Errorf("pipeline: layer %d slice %d: %w", l, p.Slices[l][j], err)
+		}
+		if j == len(payloads)-1 {
+			decodeShard(cfg, sub, j, &v)
+			break
+		}
 		wg.Add(1)
-		go func(j int) {
+		go func() {
 			defer wg.Done()
-			payload, err := store.DecodePayload(payloads[j])
-			if err != nil {
-				errs[j] = err
-				return
-			}
-			shards[j], errs[j] = model.UnflattenShard(cfg, l, p.Slices[l][j], payload.Weights())
-		}(j)
+			decodeShard(cfg, sub, j, &v)
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	return nil
+}
+
+// decodeShard writes one parsed shard at position i of sub.
+func decodeShard(cfg model.Config, sub *model.SubLayer, i int, v *store.PayloadView) {
+	for _, seg := range sub.ShardSegments(cfg, i) {
+		v.DecodeInto(seg)
 	}
-	return model.AssembleSubLayer(cfg, e.Resident.Layers[l], shards)
 }
 
 // Retain implements the post-execution eviction policy (§5.5): cache
@@ -608,7 +670,7 @@ retain:
 	// have landed while the payload was being read, and inserting anyway
 	// would overfill.
 	for _, v := range missing {
-		payload, err := e.src.ReadShardPayload(v.Layer, v.Slice, v.Bits)
+		payload, _, err := e.read(v)
 		if err != nil {
 			return err
 		}

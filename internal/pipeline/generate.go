@@ -72,7 +72,7 @@ func (e *Engine) Materialize(ctx context.Context, p *planner.Plan) (*model.Submo
 		LayerCompute: make([]time.Duration, p.Depth),
 	}
 	sm := &model.Submodel{Cfg: cfg, Parent: e.Resident}
-	err := e.streamLayers(ctx, p, stats, func(l int, sub *model.SubLayer) error {
+	err := e.streamLayers(ctx, p, stats, nil, func(l int, sub *model.SubLayer) error {
 		sm.Layers = append(sm.Layers, sub)
 		return nil
 	})

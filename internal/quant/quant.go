@@ -19,6 +19,7 @@
 package quant
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -210,20 +211,98 @@ func (b *Block) Dequantize() []float32 {
 }
 
 // DequantizeInto reconstructs into dst (length ≥ b.Count) and returns
-// dst[:b.Count]. The pipeline's working buffer calls this to avoid
-// per-layer allocation.
+// dst[:b.Count].
 func (b *Block) DequantizeInto(dst []float32) []float32 {
 	if len(dst) < b.Count {
 		panic("quant: DequantizeInto dst too short")
 	}
-	idx := bitpack.Unpack(b.Packed, b.Count, b.Bits)
-	for i, ci := range idx {
-		dst[i] = b.Centroids[ci]
-	}
-	for i, pos := range b.OutlierPos {
-		dst[pos] = b.OutlierVal[i]
-	}
+	b.DequantizeRows(dst, 0, 1, b.Count, b.Count)
 	return dst[:b.Count]
+}
+
+// DequantizeRows reconstructs weights [off, off+rows*cols) of the block
+// into dst as rows runs of cols values, stride apart: weight
+// off+r*cols+c lands at dst[r*stride+c]. The packed indexes are read in
+// place, so a shard's row segments dequantize straight into the columns
+// of an assembled sub-layer with no intermediate slice. OutlierPos must
+// be ascending, as Quantize writes it.
+func (b *Block) DequantizeRows(dst []float32, off, rows, cols, stride int) {
+	if b.Bits < MinBits || b.Bits > MaxBits {
+		panic(fmt.Sprintf("quant: bits %d outside [%d,%d]", b.Bits, MinBits, MaxBits))
+	}
+	if off < 0 || rows < 0 || cols < 0 || off+rows*cols > b.Count {
+		panic(fmt.Sprintf("quant: DequantizeRows [%d,+%dx%d) outside %d weights", off, rows, cols, b.Count))
+	}
+	if rows == 0 || cols == 0 {
+		return
+	}
+	if stride < cols || (rows-1)*stride+cols > len(dst) {
+		panic("quant: DequantizeRows dst too short")
+	}
+	if len(b.Packed) < bitpack.PackedLen(b.Count, b.Bits) {
+		panic("quant: packed indexes too short")
+	}
+	var table [1 << MaxBits]float32
+	copy(table[:], b.Centroids)
+	for r := 0; r < rows; r++ {
+		lookupRun(dst[r*stride:r*stride+cols], b.Packed, off+r*cols, b.Bits, &table)
+	}
+	// Outliers overwrite their inlier slots: binary-search the first one
+	// at or past off, then walk forward until the range ends.
+	end := off + rows*cols
+	lo, hi := 0, len(b.OutlierPos)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); int(b.OutlierPos[mid]) < off {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for i := lo; i < len(b.OutlierPos) && int(b.OutlierPos[i]) < end; i++ {
+		rel := int(b.OutlierPos[i]) - off
+		dst[rel/cols*stride+rel%cols] = b.OutlierVal[i]
+	}
+}
+
+// lookupRun writes len(dst) dictionary entries whose bits-wide indexes
+// start at element idx of the packed stream. Eight indexes span exactly
+// bits bytes, so the body reads them with one 64-bit load (a bit offset
+// of up to 7 plus 8×7 bits still fits; 8-bit indexes are always byte
+// aligned); the tail falls back to the per-index cursor of
+// bitpack.Unpack.
+func lookupRun(dst []float32, packed []byte, idx, bits int, table *[1 << MaxBits]float32) {
+	mask := uint8(1<<bits - 1)
+	bitPos := idx * bits
+	i := 0
+	for ; i+8 <= len(dst) && bitPos>>3+8 <= len(packed); i += 8 {
+		w := binary.LittleEndian.Uint64(packed[bitPos>>3:]) >> (bitPos & 7)
+		d := dst[i : i+8 : i+8]
+		d[0] = table[uint8(w)&mask]
+		w >>= bits
+		d[1] = table[uint8(w)&mask]
+		w >>= bits
+		d[2] = table[uint8(w)&mask]
+		w >>= bits
+		d[3] = table[uint8(w)&mask]
+		w >>= bits
+		d[4] = table[uint8(w)&mask]
+		w >>= bits
+		d[5] = table[uint8(w)&mask]
+		w >>= bits
+		d[6] = table[uint8(w)&mask]
+		w >>= bits
+		d[7] = table[uint8(w)&mask]
+		bitPos += 8 * bits
+	}
+	for ; i < len(dst); i++ {
+		byteIdx, shift := bitPos>>3, bitPos&7
+		v := uint16(packed[byteIdx]) >> shift
+		if shift+bits > 8 {
+			v |= uint16(packed[byteIdx+1]) << (8 - shift)
+		}
+		dst[i] = table[uint8(v)&mask]
+		bitPos += bits
+	}
 }
 
 // OutlierFraction returns the fraction of weights stored verbatim.

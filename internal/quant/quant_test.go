@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"sti/internal/bitpack"
 )
 
 func gaussianWeights(n int, std float64, seed int64) []float32 {
@@ -269,5 +271,80 @@ func TestLloydZeroIterationsEqualsBase(t *testing.T) {
 		if ra[i] != rb[i] {
 			t.Fatal("zero-iteration refinement must match Quantize")
 		}
+	}
+}
+
+// unpackDequantize is the reference reconstruction: unpack every index,
+// substitute centroids, then overwrite the outliers.
+func unpackDequantize(b *Block) []float32 {
+	out := make([]float32, b.Count)
+	for i, ci := range bitpack.Unpack(b.Packed, b.Count, b.Bits) {
+		out[i] = b.Centroids[ci]
+	}
+	for i, pos := range b.OutlierPos {
+		out[pos] = b.OutlierVal[i]
+	}
+	return out
+}
+
+// TestDequantizeRowsMatchesDequantize: any strided window of a block
+// dequantized in place equals the same weights of the unpack-then-
+// substitute reference, bit for bit, at every width — with outliers
+// inside, before and after the window, and row lengths that do and do
+// not fill whole 64-bit loads. Dequantize itself matches it too.
+func TestDequantizeRowsMatchesDequantize(t *testing.T) {
+	w := gaussianWeights(2000, 0.05, 7)
+	for i := 0; i < len(w); i += 97 {
+		w[i] *= 40 // outliers
+	}
+	rng := rand.New(rand.NewSource(8))
+	for bits := MinBits; bits <= MaxBits; bits++ {
+		b := Quantize(w, bits)
+		if len(b.OutlierPos) == 0 {
+			t.Fatalf("bits=%d: no outliers to exercise", bits)
+		}
+		full := unpackDequantize(b)
+		for i, v := range b.Dequantize() {
+			if math.Float32bits(v) != math.Float32bits(full[i]) {
+				t.Fatalf("bits=%d: Dequantize[%d] = %v, want %v", bits, i, v, full[i])
+			}
+		}
+		for trial := 0; trial < 50; trial++ {
+			cols := 1 + rng.Intn(40)
+			rows := 1 + rng.Intn(len(w)/cols)
+			off := rng.Intn(len(w) - rows*cols + 1)
+			stride := cols + rng.Intn(5)
+			dst := make([]float32, (rows-1)*stride+cols)
+			b.DequantizeRows(dst, off, rows, cols, stride)
+			for r := 0; r < rows; r++ {
+				for c := 0; c < cols; c++ {
+					got, want := dst[r*stride+c], full[off+r*cols+c]
+					if math.Float32bits(got) != math.Float32bits(want) {
+						t.Fatalf("bits=%d off=%d %dx%d stride %d: [%d,%d] = %v, want %v", bits, off, rows, cols, stride, r, c, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDequantizeRowsRejectsBadWindows: a window past the block or a
+// destination too short for the stride panics instead of writing out of
+// bounds.
+func TestDequantizeRowsRejectsBadWindows(t *testing.T) {
+	b := Quantize(gaussianWeights(64, 0.05, 9), 3)
+	for name, f := range map[string]func(){
+		"past end":  func() { b.DequantizeRows(make([]float32, 64), 60, 1, 8, 8) },
+		"short dst": func() { b.DequantizeRows(make([]float32, 10), 0, 2, 8, 8) },
+		"negative":  func() { b.DequantizeRows(make([]float32, 64), -1, 1, 8, 8) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
 	}
 }

@@ -9,10 +9,17 @@ import (
 // payloads through. *Store implements it by reading flash directly;
 // SharedCache implements it by deduplicating reads across many engines
 // of the same store.
+//
+// Returned bytes are read-only for every caller and for as long as
+// anyone holds them: engines parse them into PayloadViews that alias
+// the bytes in place, the preload buffer and the SharedCache share
+// one copy among all their readers, and a SharedCache serves its
+// retained bytes to peers. A reader must never hand out bytes it will
+// later modify, and a caller must never write through them.
 type PayloadReader interface {
 	// ReadShardPayload reads the serialized payload of one shard
-	// version. The returned bytes are shared and must be treated as
-	// immutable by every caller.
+	// version, CRC trailer included. Only a SharedCache verifies the
+	// checksum; callers reading another source verify once on receipt.
 	ReadShardPayload(layer, slice, bits int) ([]byte, error)
 }
 
@@ -35,6 +42,19 @@ type flight struct {
 	done    chan struct{}
 	payload []byte
 	err     error
+}
+
+// verify is the cache's ingress check, run once per filled flight
+// before any waiter sees the bytes: a payload that fails its checksum
+// becomes the flight's error, so it is neither served nor retained,
+// and retained or coalesced hits never hash the bytes again.
+func (f *flight) verify() {
+	if f.err != nil {
+		return
+	}
+	if err := VerifyPayload(f.payload); err != nil {
+		f.payload, f.err = nil, err
+	}
 }
 
 // CacheStats is a point-in-time snapshot of a SharedCache's
@@ -99,9 +119,11 @@ func (s CacheStats) Hits() uint64 {
 // retained under the same byte budget, so the peer level inherits both
 // disciplines for free; Peek is the donor-side read peers use.
 //
-// A SharedCache is safe for concurrent use. Failed reads are never
-// cached: every waiter of a failed flight observes the error and the
-// next call retries the flash.
+// A SharedCache is safe for concurrent use. Every flight checks the
+// payload's CRC once, whether flash or a peer filled it, so the bytes
+// it serves and retains are verified. Failed reads — checksum
+// mismatches included — are never cached: every waiter of a failed
+// flight observes the error and the next call retries.
 //
 // Retention is segmented in two classes sharing the one retain budget.
 // Demand-retained payloads (completed ReadShardPayload results) live on
@@ -319,6 +341,7 @@ func (c *SharedCache) ReadShardPayloadOrigin(layer, slice, bits int) ([]byte, st
 	if !fromPeer {
 		f.payload, f.err = c.src.ReadShardPayload(layer, slice, bits)
 	}
+	f.verify()
 	close(f.done)
 
 	c.mu.Lock()
@@ -406,6 +429,7 @@ func (c *SharedCache) PrefetchShardPayload(layer, slice, bits int) (bool, error)
 	c.mu.Unlock()
 
 	f.payload, f.err = c.src.ReadShardPayload(layer, slice, bits)
+	f.verify()
 	close(f.done)
 
 	c.mu.Lock()

@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -10,6 +12,15 @@ import (
 
 	"sti/internal/model"
 )
+
+// fakeLen is the size of countingReader's payloads: a 3-byte body that
+// names the key, plus the CRC32 trailer the cache verifies on fill.
+const fakeLen = 7
+
+// fake frames body as a payload that passes VerifyPayload.
+func fake(body ...byte) []byte {
+	return binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body))
+}
 
 // countingReader is a PayloadReader that counts real reads and can
 // block them so tests control flight overlap.
@@ -32,7 +43,7 @@ func (r *countingReader) ReadShardPayload(layer, slice, bits int) ([]byte, error
 		return r.payload, nil
 	}
 	// Distinct payload per key so callers can verify routing.
-	return []byte{byte(layer), byte(slice), byte(bits)}, nil
+	return fake(byte(layer), byte(slice), byte(bits)), nil
 }
 
 func TestSharedCacheSingleFlightCoalesces(t *testing.T) {
@@ -67,7 +78,7 @@ func TestSharedCacheSingleFlightCoalesces(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("caller %d: %v", i, errs[i])
 		}
-		if !bytes.Equal(results[i], []byte{1, 2, 4}) {
+		if !bytes.Equal(results[i], fake(1, 2, 4)) {
 			t.Fatalf("caller %d got %v", i, results[i])
 		}
 	}
@@ -75,8 +86,8 @@ func TestSharedCacheSingleFlightCoalesces(t *testing.T) {
 	if st.FlashReads != 1 || st.SingleflightHits != callers-1 {
 		t.Fatalf("stats %+v: want 1 flash read, %d singleflight hits", st, callers-1)
 	}
-	if st.BytesSaved != int64((callers-1)*3) {
-		t.Fatalf("BytesSaved %d, want %d", st.BytesSaved, (callers-1)*3)
+	if st.BytesSaved != int64((callers-1)*fakeLen) {
+		t.Fatalf("BytesSaved %d, want %d", st.BytesSaved, (callers-1)*fakeLen)
 	}
 
 	// Retention is off: a later read goes back to the store.
@@ -90,7 +101,8 @@ func TestSharedCacheSingleFlightCoalesces(t *testing.T) {
 
 func TestSharedCacheRetainsWithinBudget(t *testing.T) {
 	src := &countingReader{}
-	c := NewSharedCache(src, 8) // room for two 3-byte payloads, not three
+	const budget = 2*fakeLen + 2 // room for two payloads, not three
+	c := NewSharedCache(src, budget)
 
 	read := func(l int) {
 		t.Helper()
@@ -106,8 +118,8 @@ func TestSharedCacheRetainsWithinBudget(t *testing.T) {
 	read(1)
 	read(2) // evicts the LRU entry (layer 0)
 	st := c.Stats()
-	if st.RetainedBytes > 8 {
-		t.Fatalf("retained %d bytes over budget 8", st.RetainedBytes)
+	if st.RetainedBytes > budget {
+		t.Fatalf("retained %d bytes over budget %d", st.RetainedBytes, budget)
 	}
 	if st.Evictions == 0 {
 		t.Fatal("expected an LRU eviction past the retention budget")
@@ -120,7 +132,7 @@ func TestSharedCacheRetainsWithinBudget(t *testing.T) {
 
 func TestSharedCacheLRUTouchOnHit(t *testing.T) {
 	src := &countingReader{}
-	c := NewSharedCache(src, 6) // exactly two 3-byte payloads
+	c := NewSharedCache(src, 2*fakeLen) // exactly two payloads
 
 	mustRead := func(l int) {
 		t.Helper()
@@ -150,12 +162,12 @@ func TestSharedCacheSetRetainAndDrop(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := c.Stats(); st.RetainedBytes != 12 {
-		t.Fatalf("retained %d bytes, want 12 (4x3)", st.RetainedBytes)
+	if st := c.Stats(); st.RetainedBytes != 4*fakeLen {
+		t.Fatalf("retained %d bytes, want %d (4 payloads)", st.RetainedBytes, 4*fakeLen)
 	}
-	c.SetRetain(6)
-	if st := c.Stats(); st.RetainedBytes > 6 {
-		t.Fatalf("retained %d bytes after SetRetain(6)", st.RetainedBytes)
+	c.SetRetain(2 * fakeLen)
+	if st := c.Stats(); st.RetainedBytes > 2*fakeLen {
+		t.Fatalf("retained %d bytes after SetRetain(%d)", st.RetainedBytes, 2*fakeLen)
 	}
 	c.Drop()
 	if st := c.Stats(); st.RetainedBytes != 0 {
@@ -165,8 +177,8 @@ func TestSharedCacheSetRetainAndDrop(t *testing.T) {
 	if _, err := c.ReadShardPayload(0, 0, 4); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.RetainedBytes != 3 {
-		t.Fatalf("retained %d bytes after post-Drop read, want 3", st.RetainedBytes)
+	if st := c.Stats(); st.RetainedBytes != fakeLen {
+		t.Fatalf("retained %d bytes after post-Drop read, want %d", st.RetainedBytes, fakeLen)
 	}
 }
 
@@ -183,7 +195,7 @@ func TestSharedCacheErrorNotCached(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retry after transient error: %v", err)
 	}
-	if !bytes.Equal(p, []byte{0, 0, 4}) {
+	if !bytes.Equal(p, fake(0, 0, 4)) {
 		t.Fatalf("retry payload %v", p)
 	}
 	if got := src.reads.Load(); got != 2 {

@@ -3,10 +3,14 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
+	"unsafe"
 
+	"sti/internal/bitpack"
+	"sti/internal/model"
 	"sti/internal/quant"
 	"sti/internal/shard"
 )
@@ -17,24 +21,31 @@ const payloadMagic = 0x53544950 // "STIP"
 // finishPayload appends the CRC32 trailer over everything written so
 // far. Flash on cheap edge devices corrupts; a shard substituted with
 // garbage weights would silently destroy accuracy, so every payload is
-// integrity-checked on decode.
+// verified once, where its bytes enter process memory (VerifyPayload
+// at the SharedCache fill or the engine's direct read), and parsed
+// without re-hashing after that.
 func finishPayload(buf *bytes.Buffer) []byte {
 	sum := crc32.ChecksumIEEE(buf.Bytes())
 	_ = binary.Write(buf, binary.LittleEndian, sum)
 	return buf.Bytes()
 }
 
-// verifyPayload checks and strips the CRC32 trailer.
-func verifyPayload(data []byte) ([]byte, error) {
+// ErrChecksum marks a payload whose bytes fail their CRC32 trailer.
+var ErrChecksum = errors.New("store: payload checksum mismatch")
+
+// VerifyPayload checks a serialized payload's CRC32 trailer. It is the
+// ingress check: readers call it once on bytes fresh from flash or a
+// peer, and every later parse of the same bytes skips it.
+func VerifyPayload(data []byte) error {
 	if len(data) < 4 {
-		return nil, fmt.Errorf("store: payload too short for checksum")
+		return fmt.Errorf("%w: %d bytes, too short for the trailer", ErrChecksum, len(data))
 	}
 	body, trailer := data[:len(data)-4], data[len(data)-4:]
 	want := binary.LittleEndian.Uint32(trailer)
 	if got := crc32.ChecksumIEEE(body); got != want {
-		return nil, fmt.Errorf("store: payload checksum mismatch (%#x != %#x)", got, want)
+		return fmt.Errorf("%w (%#x != %#x)", ErrChecksum, got, want)
 	}
-	return body, nil
+	return nil
 }
 
 // Payload is one decoded shard fidelity version: either a quantized
@@ -54,16 +65,6 @@ func (p *Payload) Weights() []float32 {
 		return p.Raw
 	}
 	return p.Block.Dequantize()
-}
-
-// WeightsInto decompresses into dst (length ≥ Count), reusing the
-// pipeline's working buffer.
-func (p *Payload) WeightsInto(dst []float32) []float32 {
-	if p.Bits == shard.FullBits {
-		copy(dst, p.Raw)
-		return dst[:p.Count]
-	}
-	return p.Block.DequantizeInto(dst)
 }
 
 // EncodePayload serializes a quantized block into the store's on-disk
@@ -103,97 +104,154 @@ func EncodeRawPayload(weights []float32) []byte {
 	return finishPayload(&buf)
 }
 
-// DecodePayload parses a serialized shard payload, verifying its
-// integrity checksum first.
+// DecodePayload verifies a serialized shard payload's checksum and
+// parses it. The returned payload aliases data like ParsePayload's
+// view does; treat both as read-only.
 func DecodePayload(data []byte) (*Payload, error) {
-	body, err := verifyPayload(data)
+	if err := VerifyPayload(data); err != nil {
+		return nil, err
+	}
+	v, err := ParsePayload(data)
 	if err != nil {
 		return nil, err
 	}
-	r := &byteReader{data: body}
-	magic, err := r.u32()
-	if err != nil {
-		return nil, err
+	p := &Payload{Bits: v.Bits, Count: v.Count, Raw: v.Raw}
+	if v.Bits != shard.FullBits {
+		blk := v.Block
+		p.Block = &blk
 	}
-	if magic != payloadMagic {
-		return nil, fmt.Errorf("store: bad payload magic %#x", magic)
-	}
-	bits, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	count, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	p := &Payload{Bits: int(bits), Count: int(count)}
-	if p.Bits == shard.FullBits {
-		raw := make([]float32, count)
-		for i := range raw {
-			v, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			raw[i] = math.Float32frombits(v)
-		}
-		p.Raw = raw
-		return p, nil
-	}
-	if p.Bits < quant.MinBits || p.Bits > quant.MaxBits {
-		return nil, fmt.Errorf("store: payload bitwidth %d invalid", p.Bits)
-	}
-	nc, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	blk := &quant.Block{Bits: p.Bits, Count: p.Count, Centroids: make([]float32, nc)}
-	for i := range blk.Centroids {
-		v, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		blk.Centroids[i] = math.Float32frombits(v)
-	}
-	no, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	blk.OutlierPos = make([]uint32, no)
-	blk.OutlierVal = make([]float32, no)
-	for i := range blk.OutlierPos {
-		if blk.OutlierPos[i], err = r.u32(); err != nil {
-			return nil, err
-		}
-	}
-	for i := range blk.OutlierVal {
-		v, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		blk.OutlierVal[i] = math.Float32frombits(v)
-	}
-	np, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if int(np) > len(r.data)-r.off {
-		return nil, fmt.Errorf("store: truncated packed section (%d of %d bytes)", len(r.data)-r.off, np)
-	}
-	blk.Packed = append([]byte(nil), r.data[r.off:r.off+int(np)]...)
-	p.Block = blk
 	return p, nil
 }
 
-type byteReader struct {
-	data []byte
-	off  int
+// PayloadView is a parsed, read-only view of one serialized shard
+// payload. Its sections alias the payload bytes: on a little-endian
+// host with 4-byte-aligned bytes the float32 and uint32 sections are
+// reinterpreted in place, and only otherwise copied; Packed always
+// aliases. Writing through a view corrupts every reader sharing the
+// bytes (the preload buffer, the SharedCache, its peers).
+type PayloadView struct {
+	Bits  int
+	Count int
+	Raw   []float32   // the weights when Bits == shard.FullBits
+	Block quant.Block // the quantized sections otherwise
 }
 
-func (r *byteReader) u32() (uint32, error) {
-	if r.off+4 > len(r.data) {
-		return 0, fmt.Errorf("store: truncated payload at offset %d", r.off)
+// ParsePayload parses a serialized payload (CRC trailer included)
+// without re-verifying its checksum: it is for bytes VerifyPayload
+// already accepted at ingress. It still bounds-checks every section,
+// so arbitrary bytes yield an error, never a panic or a view whose
+// decode could index out of range.
+func ParsePayload(data []byte) (PayloadView, error) {
+	if len(data) < 4 {
+		return PayloadView{}, fmt.Errorf("store: payload too short for checksum")
 	}
-	v := binary.LittleEndian.Uint32(r.data[r.off:])
-	r.off += 4
+	body, off := data[:len(data)-4], 0
+	var err error
+	// take returns the next n bytes; once a section overruns the body
+	// every later take returns nil and err names the first overrun.
+	take := func(n int) []byte {
+		if err != nil {
+			return nil
+		}
+		if n < 0 || n > len(body)-off {
+			err = fmt.Errorf("store: truncated payload at offset %d", off)
+			return nil
+		}
+		s := body[off : off+n]
+		off += n
+		return s
+	}
+	u32 := func() int {
+		if b := take(4); b != nil {
+			return int(binary.LittleEndian.Uint32(b))
+		}
+		return 0
+	}
+	magic, bits, count := u32(), u32(), u32()
+	if err != nil {
+		return PayloadView{}, err
+	}
+	if magic != payloadMagic {
+		return PayloadView{}, fmt.Errorf("store: bad payload magic %#x", magic)
+	}
+	v := PayloadView{Bits: bits, Count: count}
+	if bits == shard.FullBits {
+		raw := take(4 * count)
+		if err != nil {
+			return PayloadView{}, err
+		}
+		v.Raw = float32s(raw)
+		return v, nil
+	}
+	if bits < quant.MinBits || bits > quant.MaxBits {
+		return PayloadView{}, fmt.Errorf("store: payload bitwidth %d invalid", bits)
+	}
+	nc := u32()
+	cent := take(4 * nc)
+	no := u32()
+	pos, val := take(4*no), take(4*no)
+	np := u32()
+	packed := take(np)
+	switch {
+	case err != nil:
+		return PayloadView{}, err
+	case nc != 1<<bits:
+		return PayloadView{}, fmt.Errorf("store: %d centroids for %d-bit payload", nc, bits)
+	case np < bitpack.PackedLen(count, bits):
+		return PayloadView{}, fmt.Errorf("store: packed section %d bytes, %d %d-bit indexes need %d", np, count, bits, bitpack.PackedLen(count, bits))
+	}
+	v.Block = quant.Block{
+		Bits: bits, Count: count, Packed: packed,
+		Centroids: float32s(cent), OutlierPos: uint32s(pos), OutlierVal: float32s(val),
+	}
+	// Dequantization trusts outliers to be ascending positions inside
+	// the block; a payload that breaks this must not reach it.
+	last := -1
+	for _, p := range v.Block.OutlierPos {
+		if int(p) <= last || int(p) >= count {
+			return PayloadView{}, fmt.Errorf("store: outlier position %d out of order or past %d weights", p, count)
+		}
+		last = int(p)
+	}
 	return v, nil
 }
+
+// DecodeInto writes the view's weights [seg.Off, seg.Off+seg.Rows*seg.Cols)
+// into seg.Dst at the segment's stride — copying raw weights, or
+// dequantizing packed indexes in a single pass. Segment bounds are the
+// caller's contract: a view whose Count differs from the shard geometry
+// the segment was cut for must be rejected before decoding.
+func (v *PayloadView) DecodeInto(seg model.ShardSegment) {
+	if v.Bits != shard.FullBits {
+		v.Block.DequantizeRows(seg.Dst, seg.Off, seg.Rows, seg.Cols, seg.Stride)
+		return
+	}
+	seg.Write(v.Raw[seg.Off : seg.Off+seg.Rows*seg.Cols])
+}
+
+// littleEndian reports whether the host stores words least significant
+// byte first, the payload's byte order — the precondition for
+// reinterpreting payload sections in place.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// words views little-endian 4-byte words as []T: in place when the
+// host byte order and b's alignment allow it, else as a copy decoded by
+// conv.
+func words[T float32 | uint32](b []byte, conv func(uint32) T) []T {
+	n := len(b) / 4
+	if n == 0 {
+		return nil
+	}
+	if littleEndian && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
+		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
+	}
+	out := make([]T, n)
+	for i := range out {
+		out[i] = conv(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return out
+}
+
+func float32s(b []byte) []float32 { return words(b, math.Float32frombits) }
+
+func uint32s(b []byte) []uint32 { return words(b, func(v uint32) uint32 { return v }) }

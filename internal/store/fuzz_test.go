@@ -1,14 +1,28 @@
 package store
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"sti/internal/model"
 	"sti/internal/quant"
 )
 
+// decodeAll decodes every weight of a view through the serving path's
+// segment writer.
+func decodeAll(v *PayloadView) []float32 {
+	dst := make([]float32, v.Count)
+	v.DecodeInto(model.ShardSegment{Rows: 1, Cols: v.Count, Stride: v.Count, Dst: dst})
+	return dst
+}
+
 // FuzzDecodePayload ensures arbitrary bytes never panic the decoder —
-// a corrupted flash block must surface as an error, not a crash.
+// a corrupted flash block must surface as an error, not a crash. The
+// serving path parses views without re-checking the checksum, so
+// ParsePayload must hold up on its own: it is fuzzed at every offset
+// mod 4, where odd offsets force the copy fallback, and every offset
+// must decode the same bits.
 func FuzzDecodePayload(f *testing.F) {
 	w := make([]float32, 500)
 	rng := rand.New(rand.NewSource(1))
@@ -20,16 +34,53 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x50, 0x49, 0x54, 0x53})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := DecodePayload(data)
-		if err != nil {
-			return
+		p, decodeErr := DecodePayload(data)
+		if decodeErr == nil {
+			// A successfully decoded payload must be internally consistent.
+			if got := p.Weights(); len(got) != p.Count {
+				t.Fatalf("decoded %d weights, header says %d", len(got), p.Count)
+			}
 		}
-		// A successfully decoded payload must be internally consistent.
-		got := p.Weights()
-		if len(got) != p.Count {
-			t.Fatalf("decoded %d weights, header says %d", len(got), p.Count)
+		var ref []float32
+		var refErr error
+		for off := 0; off < 4; off++ {
+			buf := make([]byte, off+len(data))[off:]
+			copy(buf, data)
+			v, err := ParsePayload(buf)
+			if off == 0 {
+				refErr = err
+				if decodeErr == nil && err != nil {
+					t.Fatalf("DecodePayload accepted what ParsePayload rejects: %v", err)
+				}
+			} else if (err == nil) != (refErr == nil) {
+				t.Fatalf("offset %d: parse error %v, offset 0: %v", off, err, refErr)
+			}
+			if err != nil {
+				continue
+			}
+			got := decodeAll(&v)
+			if off == 0 {
+				ref = got
+				if decodeErr == nil && !sameFloatBits(got, p.Weights()) {
+					t.Fatal("view decode differs from DecodePayload's weights")
+				}
+			} else if !sameFloatBits(got, ref) {
+				t.Fatalf("offset %d decodes different bits than offset 0", off)
+			}
 		}
 	})
+}
+
+func sameFloatBits(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestDecodeDetectsBitflips(t *testing.T) {

@@ -28,19 +28,19 @@ func TestSharedCachePeerLevelHitAvoidsFlash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(p, []byte{1, 2, 4}) {
+	if !bytes.Equal(p, fake(1, 2, 4)) {
 		t.Fatalf("payload %v", p)
 	}
 	if got := localSrc.reads.Load(); got != 0 {
 		t.Fatalf("local flash read %d times on a peer hit, want 0", got)
 	}
 	st := local.Stats()
-	if st.PeerFetches != 1 || st.PeerHits != 1 || st.PeerBytes != 3 || st.FlashReads != 0 {
-		t.Fatalf("local stats %+v: want 1 peer fetch = 1 hit, 3 bytes, 0 flash reads", st)
+	if st.PeerFetches != 1 || st.PeerHits != 1 || st.PeerBytes != fakeLen || st.FlashReads != 0 {
+		t.Fatalf("local stats %+v: want 1 peer fetch = 1 hit, %d bytes, 0 flash reads", st, fakeLen)
 	}
 	ds := donor.Stats()
-	if ds.PeerServed != 1 || ds.PeerServedBytes != 3 {
-		t.Fatalf("donor stats %+v: want 1 payload / 3 bytes served to peers", ds)
+	if ds.PeerServed != 1 || ds.PeerServedBytes != fakeLen {
+		t.Fatalf("donor stats %+v: want 1 payload / %d bytes served to peers", ds, fakeLen)
 	}
 
 	// The peer-fetched payload was demanded, so it is retained: the
@@ -81,7 +81,7 @@ func TestSharedCachePeerLevelSingleFlight(t *testing.T) {
 		mu.Unlock()
 		fetches.Store([3]int{layer, slice, bits}, true)
 		<-gate
-		return []byte{7, 7, 7}, true
+		return fake(7, 7, 7), true
 	})
 
 	const callers = 6
@@ -107,7 +107,7 @@ func TestSharedCachePeerLevelSingleFlight(t *testing.T) {
 		t.Fatalf("peer asked %d times for %d concurrent readers, want 1", got, callers)
 	}
 	for i := range results {
-		if !bytes.Equal(results[i], []byte{7, 7, 7}) {
+		if !bytes.Equal(results[i], fake(7, 7, 7)) {
 			t.Fatalf("caller %d got %v", i, results[i])
 		}
 	}
@@ -121,7 +121,7 @@ func TestSharedCachePeerLevelSingleFlight(t *testing.T) {
 // retained under the same byte budget as everything else — a payload
 // larger than the budget is served but never retained past it.
 func TestSharedCachePeerLevelBudgetSubordinate(t *testing.T) {
-	big := make([]byte, 128)
+	big := fake(make([]byte, 124)...) // 128 bytes framed
 	local := NewSharedCache(&countingReader{}, 64)
 	local.SetPeerFetch(func(layer, slice, bits int) ([]byte, bool) { return big, true })
 
@@ -153,7 +153,7 @@ func TestSharedCachePeekIsInert(t *testing.T) {
 	reads := src.reads.Load()
 
 	p, ok := c.Peek(5, 0, 4)
-	if !ok || !bytes.Equal(p, []byte{5, 0, 4}) {
+	if !ok || !bytes.Equal(p, fake(5, 0, 4)) {
 		t.Fatalf("Peek = %v, %v", p, ok)
 	}
 	if src.reads.Load() != reads {

@@ -10,7 +10,7 @@ import (
 // drains them before touching a single demand-retained payload.
 func TestSharedCachePrefetchEvictsBeforeDemand(t *testing.T) {
 	src := &countingReader{}
-	c := NewSharedCache(src, 12) // four 3-byte payloads
+	c := NewSharedCache(src, 4*fakeLen) // four payloads
 
 	demand := func(l int) {
 		t.Helper()
@@ -33,15 +33,15 @@ func TestSharedCachePrefetchEvictsBeforeDemand(t *testing.T) {
 		t.Fatal("prefetches within budget were not kept")
 	}
 	st := c.Stats()
-	if st.PrefetchedBytes != 6 || st.RetainedBytes != 12 {
-		t.Fatalf("segments: prefetched=%d retained=%d, want 6/12", st.PrefetchedBytes, st.RetainedBytes)
+	if st.PrefetchedBytes != 2*fakeLen || st.RetainedBytes != 4*fakeLen {
+		t.Fatalf("segments: prefetched=%d retained=%d, want %d/%d", st.PrefetchedBytes, st.RetainedBytes, 2*fakeLen, 4*fakeLen)
 	}
 
 	// Shrink by one payload: a prefetched entry must go, never demand.
-	c.SetRetain(9)
+	c.SetRetain(3 * fakeLen)
 	st = c.Stats()
-	if st.PrefetchedBytes != 3 {
-		t.Fatalf("after shrink to 9: prefetched=%d, want 3 (one prefetch evicted)", st.PrefetchedBytes)
+	if st.PrefetchedBytes != fakeLen {
+		t.Fatalf("after shrink to three payloads: prefetched=%d, want %d (one prefetch evicted)", st.PrefetchedBytes, fakeLen)
 	}
 	if st.PrefetchWasted != 1 {
 		t.Fatalf("PrefetchWasted=%d, want 1", st.PrefetchWasted)
@@ -55,13 +55,13 @@ func TestSharedCachePrefetchEvictsBeforeDemand(t *testing.T) {
 
 	// Shrink below the demand residency: remaining prefetch drains
 	// first, then demand LRU order applies.
-	c.SetRetain(3)
+	c.SetRetain(fakeLen)
 	st = c.Stats()
 	if st.PrefetchedBytes != 0 {
-		t.Fatalf("after shrink to 3: prefetched=%d, want 0", st.PrefetchedBytes)
+		t.Fatalf("after shrink to one payload: prefetched=%d, want 0", st.PrefetchedBytes)
 	}
-	if st.RetainedBytes > 3 {
-		t.Fatalf("RetainedBytes=%d over budget 3", st.RetainedBytes)
+	if st.RetainedBytes > fakeLen {
+		t.Fatalf("RetainedBytes=%d over budget %d", st.RetainedBytes, fakeLen)
 	}
 	before = src.reads.Load()
 	demand(1) // most recently used demand entry must have survived
@@ -75,7 +75,7 @@ func TestSharedCachePrefetchEvictsBeforeDemand(t *testing.T) {
 // promotes the entry to the demand segment (first-class from then on).
 func TestSharedCachePrefetchPromoteOnDemandHit(t *testing.T) {
 	src := &countingReader{}
-	c := NewSharedCache(src, 12)
+	c := NewSharedCache(src, 4*fakeLen)
 
 	if kept, err := c.PrefetchShardPayload(5, 0, 4); err != nil || !kept {
 		t.Fatalf("prefetch kept=%v err=%v", kept, err)
@@ -98,7 +98,7 @@ func TestSharedCachePrefetchPromoteOnDemandHit(t *testing.T) {
 	if kept, err := c.PrefetchShardPayload(6, 0, 4); err != nil || !kept {
 		t.Fatalf("prefetch kept=%v err=%v", kept, err)
 	}
-	c.SetRetain(3)
+	c.SetRetain(fakeLen)
 	before = src.reads.Load()
 	if _, err := c.ReadShardPayload(5, 0, 4); err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestSharedCachePrefetchPromoteOnDemandHit(t *testing.T) {
 // budget — the strict subordination the predictor relies on.
 func TestSharedCachePrefetchNeverDisplacesDemand(t *testing.T) {
 	src := &countingReader{}
-	c := NewSharedCache(src, 6) // exactly two 3-byte payloads
+	c := NewSharedCache(src, 2*fakeLen) // exactly two payloads
 
 	for l := 0; l < 2; l++ {
 		if _, err := c.ReadShardPayload(l, 0, 4); err != nil {
@@ -129,8 +129,8 @@ func TestSharedCachePrefetchNeverDisplacesDemand(t *testing.T) {
 		t.Fatal("prefetch claimed to be kept with the budget full of demand payloads")
 	}
 	st := c.Stats()
-	if st.RetainedBytes > 6 {
-		t.Fatalf("RetainedBytes=%d exceeds budget 6 after refused prefetch", st.RetainedBytes)
+	if st.RetainedBytes > 2*fakeLen {
+		t.Fatalf("RetainedBytes=%d exceeds budget %d after refused prefetch", st.RetainedBytes, 2*fakeLen)
 	}
 	if st.PrefetchWasted == 0 {
 		t.Fatal("refused prefetch not counted as wasted")
