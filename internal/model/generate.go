@@ -98,7 +98,7 @@ func (sm *Submodel) NextTokenLogits(tokens []int) []float32 {
 	x := sm.CausalForward(tokens)
 	last := tensor.FromSlice(1, sm.Cfg.Hidden, x.Row(x.Rows-1))
 	logits := tensor.New(1, sm.Cfg.Vocab)
-	tensor.MatMulBT(logits, last, sm.Parent.Emb.Token)
+	tensor.MatMul(logits, last, sm.Parent.Emb.head())
 	return logits.Row(0)
 }
 

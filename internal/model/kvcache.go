@@ -468,7 +468,7 @@ func StepLogits(decs []*Decoder, tokens []int) (*tensor.Matrix, error) {
 	}
 	sm := decs[0].SM
 	logits := tensor.New(x.Rows, sm.Cfg.Vocab)
-	tensor.MatMulBT(logits, x, sm.Parent.Emb.Token)
+	tensor.MatMul(logits, x, sm.Parent.Emb.head())
 	return logits, nil
 }
 

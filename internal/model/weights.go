@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"sti/internal/tensor"
 )
@@ -31,6 +32,22 @@ type Embeddings struct {
 	Token    *tensor.Matrix // vocab×d
 	Position *tensor.Matrix // maxseq×d
 	LNG, LNB []float32      // embedding layernorm, length d
+
+	// tokenT is Tokenᵀ (d×vocab), the weight-tied LM head laid out for
+	// tensor.MatMul. It is built on the first decode, so classify-only
+	// models never hold it, and every Submodel and replica over these
+	// embeddings shares it. Being unexported, it is not part of the gob
+	// store format. Token must not change once it is built.
+	headOnce sync.Once
+	tokenT   *tensor.Matrix
+}
+
+// head returns the LM head Tokenᵀ, building it on first use. MatMul(x,
+// head()) has the bits of MatMulBT(x, Token): both sum float32(x·t) over
+// ascending k from +0, and MatMul runs on the AVX2 panels.
+func (e *Embeddings) head() *tensor.Matrix {
+	e.headOnce.Do(func() { e.tokenT = e.Token.Transpose() })
+	return e.tokenT
 }
 
 // Weights is a complete model: embeddings, N full layers, and the

@@ -60,7 +60,7 @@ func FitGaussian(values []float32) Gaussian {
 	var ss float64
 	for _, v := range values {
 		d := float64(v) - mean
-		ss += d * d
+		ss += float64(d * d) // no fused multiply-add: arm64 rounds as amd64
 	}
 	std := math.Sqrt(ss / float64(len(values)))
 	if std == 0 {
@@ -73,7 +73,9 @@ func FitGaussian(values []float32) Gaussian {
 // LogLikelihood returns the log of the normal pdf at x.
 func (g Gaussian) LogLikelihood(x float64) float64 {
 	d := (x - g.Mean) / g.Std
-	return -0.5*math.Log(2*math.Pi) - math.Log(g.Std) - 0.5*d*d
+	// The conversions keep arm64 from fusing a product into a subtraction,
+	// so every architecture rounds the same way.
+	return float64(-0.5*math.Log(2*math.Pi)) - math.Log(g.Std) - float64(0.5*d*d)
 }
 
 // Block is one quantized weight tensor: k-bit centroid indexes for the
@@ -328,7 +330,7 @@ func (b *Block) MeanSquaredError(original []float32) float64 {
 	var mse float64
 	for i, v := range original {
 		d := float64(rec[i]) - float64(v)
-		mse += d * d
+		mse += float64(d * d) // no fused multiply-add: arm64 rounds as amd64
 	}
 	return mse / float64(b.Count)
 }

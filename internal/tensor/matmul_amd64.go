@@ -44,9 +44,19 @@ func matMul4x16(dst, a, b *float32, k, n, n16 int)
 //go:noescape
 func matMul1x16(dst, a, b *float32, k, n, n16 int)
 
+// matMul1x64 is matMul1x16 over 64-column blocks: columns [0, n64) of one
+// row, n64 a positive multiple of 64, at most n. Eight accumulators keep
+// a one-row product from waiting on the latency of its adds.
+//
+//go:noescape
+func matMul1x64(dst, a, b *float32, k, n, n64 int)
+
 // matMulPanels computes the columns of rows [lo, hi) of dst = a×b that
-// fill whole 16-float strips, four rows at a time, and returns how many
-// columns it computed; the portable loop computes the rest.
+// fill whole 16-float strips and returns how many columns it computed; the
+// portable loop computes the rest. Rows go four at a time; each row left
+// over takes its 64-column blocks in one panel and its remaining strips in
+// another. Every panel sums a column over the same ascending k, so the
+// split does not change a bit.
 func matMulPanels(dst, a, b *Matrix, lo, hi int) int {
 	k, n := a.Cols, b.Cols
 	n16 := n &^ 15
@@ -59,8 +69,14 @@ func matMulPanels(dst, a, b *Matrix, lo, hi int) int {
 	for ; i+4 <= hi; i += 4 {
 		matMul4x16(&dst.Data[i*n], &a.Data[i*k], &b.Data[0], k, n, n16)
 	}
+	n64 := n &^ 63
 	for ; i < hi; i++ {
-		matMul1x16(&dst.Data[i*n], &a.Data[i*k], &b.Data[0], k, n, n16)
+		if n64 > 0 {
+			matMul1x64(&dst.Data[i*n], &a.Data[i*k], &b.Data[0], k, n, n64)
+		}
+		if n16 > n64 {
+			matMul1x16(&dst.Data[i*n+n64], &a.Data[i*k], &b.Data[n64], k, n, n16-n64)
+		}
 	}
 	return n16
 }

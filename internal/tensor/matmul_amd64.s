@@ -20,9 +20,10 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-4
 	MOVL AX, eax+0(FP)
 	RET
 
-// Both kernels walk dst in 16-float strips. For one strip they hold the
-// strip of every row in YMM accumulators across the whole k loop; each k
-// step loads b's 16 floats at row k once and broadcasts a[r][k] per row.
+// The kernels walk dst in 16-float strips (matMul1x64 four at a time).
+// For one strip they hold the strip of every row in YMM accumulators
+// across the whole k loop; each k step loads b's floats at row k once and
+// broadcasts a[r][k] per row.
 // A term is VMULPS then VADDPS (never a fused multiply-add), so every
 // output rounds exactly like the portable loop's out[j] += a*b.
 //
@@ -143,5 +144,71 @@ k1:
 	ADDQ $64, BX
 	SUBQ $16, R9
 	JNZ  strip1
+	VZEROUPPER
+	RET
+
+// matMul1x64 is matMul1x16 with four strips in flight: eight accumulators
+// cover 64 columns, so the VADDPS chains of one row overlap instead of
+// waiting on each other. Each column still sums over ascending k from +0.
+//
+// func matMul1x64(dst, a, b *float32, k, n, n64 int)
+TEXT ·matMul1x64(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ k+24(FP), CX
+	MOVQ n+32(FP), R8
+	MOVQ n64+40(FP), R9
+	SHLQ $2, R8
+	XORQ BX, BX
+
+strip64:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	LEAQ   (DX)(BX*1), R12
+	MOVQ   SI, R13
+	MOVQ   CX, AX
+
+k64:
+	VBROADCASTSS (R13), Y10
+	VMULPS       (R12), Y10, Y11
+	VMULPS       32(R12), Y10, Y12
+	VMULPS       64(R12), Y10, Y13
+	VMULPS       96(R12), Y10, Y14
+	VADDPS       Y11, Y0, Y0
+	VADDPS       Y12, Y1, Y1
+	VADDPS       Y13, Y2, Y2
+	VADDPS       Y14, Y3, Y3
+	VMULPS       128(R12), Y10, Y11
+	VMULPS       160(R12), Y10, Y12
+	VMULPS       192(R12), Y10, Y13
+	VMULPS       224(R12), Y10, Y14
+	VADDPS       Y11, Y4, Y4
+	VADDPS       Y12, Y5, Y5
+	VADDPS       Y13, Y6, Y6
+	VADDPS       Y14, Y7, Y7
+	ADDQ         $4, R13
+	ADDQ         R8, R12
+	DECQ         AX
+	JNZ          k64
+
+	VMOVUPS Y0, (DI)(BX*1)
+	VMOVUPS Y1, 32(DI)(BX*1)
+	VMOVUPS Y2, 64(DI)(BX*1)
+	VMOVUPS Y3, 96(DI)(BX*1)
+	VMOVUPS Y4, 128(DI)(BX*1)
+	VMOVUPS Y5, 160(DI)(BX*1)
+	VMOVUPS Y6, 192(DI)(BX*1)
+	VMOVUPS Y7, 224(DI)(BX*1)
+
+	ADDQ $256, BX
+	SUBQ $64, R9
+	JNZ  strip64
 	VZEROUPPER
 	RET

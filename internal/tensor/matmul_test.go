@@ -49,60 +49,78 @@ func sameBits(t *testing.T, name string, got, want *Matrix) {
 
 // TestMatMulPanelsMatchPortable checks that the kernel MatMul runs equals
 // the portable loop bit for bit over odd shapes: row counts off the 4-row
-// panel, column counts off the 16-column strip, and zeros in a. With
-// k = 0 the product is all +0.
+// panel, column counts off the 16-column strip and the 64-column block of
+// the one-row panel (so a leftover row splits 1×64, 1×16, portable), and
+// zeros in a. With k = 0 the product is all +0.
 func TestMatMulPanelsMatchPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	check := func(m, k, n int) {
+		a, b := randWithZeros(m, k, rng), NewRand(k, n, 1, rng)
+		got, want := matMulBoth(a, b)
+		sameBits(t, fmt.Sprintf("%dx%dx%d", m, k, n), got, want)
+
+		par := New(m, n)
+		garbage(par)
+		MatMul(par, a, b)
+		sameBits(t, fmt.Sprintf("MatMul %dx%dx%d", m, k, n), par, want)
+		if k == 0 {
+			sameBits(t, fmt.Sprintf("MatMul %dx0x%d", m, n), par, New(m, n))
+		}
+	}
 	for _, m := range []int{0, 1, 3, 4, 5, 33} {
 		for _, k := range []int{0, 1, 17, 192} {
 			for _, n := range []int{1, 2, 15, 16, 17, 48, 200} {
-				a, b := randWithZeros(m, k, rng), NewRand(k, n, 1, rng)
-				got, want := matMulBoth(a, b)
-				sameBits(t, fmt.Sprintf("%dx%dx%d", m, k, n), got, want)
-
-				par := New(m, n)
-				garbage(par)
-				MatMul(par, a, b)
-				sameBits(t, fmt.Sprintf("MatMul %dx%dx%d", m, k, n), par, want)
-				if k == 0 {
-					sameBits(t, fmt.Sprintf("MatMul %dx0x%d", m, n), par, New(m, n))
-				}
+				check(m, k, n)
+			}
+		}
+	}
+	for _, m := range []int{1, 2, 3, 5} {
+		for _, k := range []int{0, 1, 17, 192} {
+			for _, n := range []int{63, 64, 65, 80, 127, 128, 192, 2048} {
+				check(m, k, n)
 			}
 		}
 	}
 }
 
 // TestMatMulUnalignedOperands runs the kernel over matrices that start one
-// float into their backing arrays, so no operand is 32-byte aligned.
+// float into their backing arrays, so no operand is 32-byte aligned. The
+// wide shape sends the leftover row through all three one-row paths.
 func TestMatMulUnalignedOperands(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	const m, k, n = 9, 33, 40
-	a := FromSlice(m, k, randWithZeros(1, m*k+1, rng).Data[1:])
-	b := FromSlice(k, n, NewRand(1, k*n+1, 1, rng).Data[1:])
-	got := FromSlice(m, n, make([]float32, m*n+1)[1:])
-	garbage(got)
-	matMulRows(got, a, b, 0, m)
-	want := New(m, n)
-	matMulCols(want, a, b, 0, m, 0)
-	sameBits(t, "unaligned", got, want)
+	for _, s := range []struct{ m, k, n int }{{9, 33, 40}, {9, 33, 150}} {
+		m, k, n := s.m, s.k, s.n
+		a := FromSlice(m, k, randWithZeros(1, m*k+1, rng).Data[1:])
+		b := FromSlice(k, n, NewRand(1, k*n+1, 1, rng).Data[1:])
+		got := FromSlice(m, n, make([]float32, m*n+1)[1:])
+		garbage(got)
+		matMulRows(got, a, b, 0, m)
+		want := New(m, n)
+		matMulCols(want, a, b, 0, m, 0)
+		sameBits(t, fmt.Sprintf("unaligned %dx%dx%d", m, k, n), got, want)
+	}
 }
 
 // TestMatMulZeroTimesInf checks that a zero in a meeting an Inf in b
-// yields NaN in both the panel columns and the portable tail: neither path
-// skips zeros.
+// yields NaN in every path: the 4-row panel, the one-row 1×64 and 1×16
+// panels, and the portable tail. None of them skips zeros.
 func TestMatMulZeroTimesInf(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	const m, k, n = 5, 8, 18 // columns 16 and 17 are the portable tail
+	// Row 4 is left over from the 4-row panel, so it runs 1×64 on
+	// columns [0, 64), 1×16 on [64, 80) and the portable loop on 80 and 81.
+	const m, k, n = 5, 8, 82
 	a, b := NewRand(m, k, 1, rng), NewRand(k, n, 1, rng)
 	for i := 0; i < m; i++ {
 		a.Set(i, 3, 0)
 	}
-	b.Set(3, 2, float32(math.Inf(1)))
-	b.Set(3, 17, float32(math.Inf(-1)))
+	infCols := []int{2, 63, 70, 81}
+	for x, j := range infCols {
+		b.Set(3, j, float32(math.Inf(1-2*(x%2))))
+	}
 	got, want := matMulBoth(a, b)
 	sameBits(t, "0×Inf", got, want)
 	for i := 0; i < m; i++ {
-		for _, j := range []int{2, 17} {
+		for _, j := range infCols {
 			if v := got.At(i, j); !math.IsNaN(float64(v)) {
 				t.Fatalf("row %d col %d = %v, want NaN", i, j, v)
 			}
@@ -111,11 +129,12 @@ func TestMatMulZeroTimesInf(t *testing.T) {
 }
 
 // BenchmarkMatMul times MatMul at the serving shapes of the bench-6x6
-// model: a 48-row batch through the 192-wide projections and FFN1, and a
-// one-row decode step through FFN1.
+// model: a 48-row batch through the 192-wide projections and FFN1, and
+// decode steps of one and two rows through FFN1 and the 2048-word LM head.
 func BenchmarkMatMul(b *testing.B) {
 	for _, s := range []struct{ m, k, n int }{
 		{48, 192, 192}, {48, 192, 576}, {48, 192, 768}, {1, 192, 768},
+		{2, 192, 768}, {1, 192, 2048},
 	} {
 		b.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(7))

@@ -3,10 +3,14 @@
 //
 // The paper runs on PyTorch's ATen kernels; this package is the
 // substitute: an AVX2 assembly matmul on amd64, and portable Go loops that
-// every build falls back to (all of them under -tags purego). Every build
+// every build falls back to (all of them under -tags purego). The AVX2
+// matmul is a set of row panels: 4×16 for each four rows, and for a row
+// left over (a decode step's one to three rows) 1×64 blocks, then 1×16
+// strips, with the portable loop on the last n mod 16 columns. Every build
 // computes the same inference bits: those kernels never fuse a multiply
-// into an add, and matmul sums run over ascending k. It implements exactly
-// the operations a BERT-style transformer encoder needs — dense matmul
+// into an add, and every panel sums a column over ascending k from +0, so
+// how a product splits across them does not change a bit. It implements
+// exactly the operations a BERT-style transformer encoder needs — dense matmul
 // (optionally parallel), bias/add/scale, row softmax, layer normalization,
 // GELU and tanh — plus the transposed matmul variants required by the
 // backprop trainer in internal/train.
