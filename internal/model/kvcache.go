@@ -386,11 +386,7 @@ func StepBatch(decs []*Decoder, tokens []int) (*tensor.Matrix, error) {
 						max = s
 					}
 				}
-				var sum float32
-				for j := range scores {
-					scores[j] = float32(math.Exp(float64(scores[j] - max)))
-					sum += scores[j]
-				}
+				sum := tensor.ExpShiftSum(scores, max)
 				out := concat.Row(i)[h*hd : (h+1)*hd]
 				for j := 0; j <= pos; j++ {
 					wj := scores[j] / sum

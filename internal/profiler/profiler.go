@@ -56,14 +56,15 @@ func MeasureDevice(st *store.Store, seqLen int) (*device.Profile, error) {
 
 	// Compute: dry-run one layer at widths 1 and full to fit the
 	// fixed + incremental model.
-	t1, err := timeLayer(st, res, seqLen, 1)
+	narrow, err := assembleLayer(st, res, 1)
 	if err != nil {
 		return nil, err
 	}
-	tM, err := timeLayer(st, res, seqLen, cfg.Heads)
+	full, err := assembleLayer(st, res, cfg.Heads)
 	if err != nil {
 		return nil, err
 	}
+	t1, tM := timeLayers(cfg, narrow, full, seqLen)
 	incr := (tM - t1) / time.Duration(cfg.Heads-1)
 	fixed := t1 - incr
 	if fixed < 0 {
@@ -78,41 +79,48 @@ func MeasureDevice(st *store.Store, seqLen int) (*device.Profile, error) {
 	}, nil
 }
 
-// timeLayer assembles an m-wide layer from the store and times one
-// forward pass over a random input.
-func timeLayer(st *store.Store, res *model.Weights, seqLen, m int) (time.Duration, error) {
+// assembleLayer assembles layer 0 at width m from full-fidelity shards.
+func assembleLayer(st *store.Store, res *model.Weights, m int) (*model.SubLayer, error) {
 	cfg := st.Man.Config
 	shards := make([]*model.ShardWeights, m)
 	for j := 0; j < m; j++ {
 		p, err := st.ReadShard(0, j, shard.FullBits)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		sw, err := model.UnflattenShard(cfg, 0, j, p.Weights())
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		shards[j] = sw
 	}
-	sl, err := model.AssembleSubLayer(cfg, res.Layers[0], shards)
-	if err != nil {
-		return 0, err
-	}
+	return model.AssembleSubLayer(cfg, res.Layers[0], shards)
+}
+
+// timeLayers times forward passes of the two layers over the same random
+// input and returns the fastest pass of each. The passes alternate, so
+// that load from elsewhere on a shared host, which comes and goes on the
+// scale of a pass, slows both widths alike instead of whichever was timed
+// second.
+func timeLayers(cfg model.Config, a, b *model.SubLayer, seqLen int) (ta, tb time.Duration) {
 	x := tensor.New(seqLen, cfg.Hidden)
 	for i := range x.Data {
 		x.Data[i] = float32(i%13) * 0.01
 	}
-	// Warm up once, then time the median of three runs.
-	model.ForwardLayer(cfg, sl, x, nil)
-	best := time.Duration(1 << 62)
-	for i := 0; i < 3; i++ {
+	pass := func(sl *model.SubLayer) time.Duration {
 		start := time.Now()
 		model.ForwardLayer(cfg, sl, x, nil)
-		if d := time.Since(start); d < best {
-			best = d
-		}
+		return time.Since(start)
 	}
-	return best, nil
+	// Warm up once each, then keep the fastest of five passes each.
+	pass(a)
+	pass(b)
+	ta, tb = time.Duration(1<<62), time.Duration(1<<62)
+	for i := 0; i < 5; i++ {
+		ta = min(ta, pass(a))
+		tb = min(tb, pass(b))
+	}
+	return ta, tb
 }
 
 // RealEvaluator scores bitwidth assignments of a real model on a real

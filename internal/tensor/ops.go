@@ -201,17 +201,27 @@ func SoftmaxRows(m *Matrix) {
 				mx = v
 			}
 		}
-		var sum float32
-		for i, v := range row {
-			e := float32(math.Exp(float64(v - mx)))
-			row[i] = e
-			sum += e
-		}
-		inv := 1 / sum
+		inv := 1 / ExpShiftSum(row, mx)
 		for i := range row {
 			row[i] *= inv
 		}
 	}
+}
+
+// ExpShiftSum sets every x[i] to float32(math.Exp(float64(x[i] - shift)))
+// and returns their float32 sum, added in index order from +0: the
+// numerator and denominator of a softmax row shifted by its maximum. The
+// shift is a float32 subtraction, as in the softmax it serves. Where the
+// four-lane kernels run they compute the prefix of x whose length is a
+// multiple of 4, bit for bit as this loop would.
+func ExpShiftSum(x []float32, shift float32) float32 {
+	n, sum := expShiftKernel(x, shift)
+	for i := n; i < len(x); i++ {
+		e := float32(math.Exp(float64(x[i] - shift)))
+		x[i] = e
+		sum += e
+	}
+	return sum
 }
 
 // LayerNormEps is the variance epsilon used by LayerNormRows, matching
@@ -256,8 +266,8 @@ func LayerNormRows(m *Matrix, gamma, beta []float32, mean, invStd []float32) {
 // GELU applies the Gaussian error linear unit to every element of m in
 // place, using the tanh approximation BERT uses.
 func GELU(m *Matrix) {
-	for i, v := range m.Data {
-		m.Data[i] = geluScalar(v)
+	for i := geluKernel(m.Data); i < len(m.Data); i++ {
+		m.Data[i] = geluScalar(m.Data[i])
 	}
 }
 

@@ -7,9 +7,17 @@
 // matmul is a set of row panels: 4×16 for each four rows, and for a row
 // left over (a decode step's one to three rows) 1×64 blocks, then 1×16
 // strips, with the portable loop on the last n mod 16 columns. Every build
-// computes the same inference bits: those kernels never fuse a multiply
-// into an add, and every panel sums a column over ascending k from +0, so
-// how a product splits across them does not change a bit. It implements
+// computes the same matmul bits: those kernels never fuse a multiply into
+// an add, and every panel sums a column over ascending k from +0, so how a
+// product splits across them does not change a bit.
+//
+// GELU and the softmax exponentials (SoftmaxRows, ExpShiftSum) run four
+// float64 lanes per YMM register on amd64. The lanes replay math.Exp's
+// FMA branch and math.tanh operation for operation, so they change no
+// bit; they run only where math.Exp is seen to take that branch, and the
+// scalar loops everywhere else. Their bits are therefore pinned on amd64
+// hosts with FMA; arm64 and non-FMA hosts round math.Exp and math.Tanh
+// differently, and so compute other GELU and softmax bits. It implements
 // exactly the operations a BERT-style transformer encoder needs — dense matmul
 // (optionally parallel), bias/add/scale, row softmax, layer normalization,
 // GELU and tanh — plus the transposed matmul variants required by the
