@@ -23,28 +23,36 @@ var goldenGeometry = sti.ModelConfig{Layers: 6, Heads: 6, Hidden: 192, FFN: 768,
 var (
 	goldenLengths = []int{8, 33, 64}
 	goldenTiers   = []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond}
+	// goldenPadded is the fourth classify input: goldenPadded[0] real
+	// tokens followed by goldenPadded[1] padding positions that its mask
+	// leaves out of attention.
+	goldenPadded = [2]int{24, 16}
 )
 
 // The golden values were captured from the scalar Go matmul before the
 // AVX2 kernel existed; every build must reproduce them bit for bit.
 var (
 	// goldenLogits holds math.Float32bits of every classify logit,
-	// indexed [tier][input], in goldenTiers × goldenLengths order.
+	// indexed [tier][input], in goldenTiers × goldenLengths order, then
+	// the padded input.
 	goldenLogits = [][][]uint32{
 		{ // 50ms, depth 5
 			{0x3c94f117, 0xbe5eedd1},
 			{0x3f389839, 0x3e7726fa},
 			{0x3ec1e4af, 0x3f00965d},
+			{0x3e9a1fd4, 0x3e5cc0d8},
 		},
 		{ // 100ms, depth 6
 			{0x40028e02, 0x3e9b15ac},
 			{0x3fbff81b, 0x3e11e8d6},
 			{0x3f6e77c8, 0x3e2b6e81},
+			{0x3facccf0, 0x3db65f5c},
 		},
 		{ // 200ms, depth 6
 			{0x3e98e938, 0x3f591aa3},
 			{0xbf6417b1, 0x3e3ce669},
 			{0xbfc37e66, 0x3d4ef155},
+			{0xbecd5d2c, 0x3dc247f2},
 		},
 	}
 	// goldenTokens is the prompt plus the greedy continuation at the
@@ -63,6 +71,17 @@ func goldenInput(n int) []int {
 		toks[i] = 1 + (i*761+17*n)%(goldenGeometry.Vocab-1)
 	}
 	return toks
+}
+
+// goldenPaddedInput is goldenInput(n) followed by pad zero tokens, with
+// a mask marking the first n positions valid.
+func goldenPaddedInput(n, pad int) ([]int, []bool) {
+	toks := append(goldenInput(n), make([]int, pad)...)
+	mask := make([]bool, n+pad)
+	for i := 0; i < n; i++ {
+		mask[i] = true
+	}
+	return toks, mask
 }
 
 // goldenSubmodel plans the fixture at a tier on the Odroid profile with a
@@ -106,8 +125,9 @@ func goldenSubmodel(t *testing.T, w *model.Weights, tier time.Duration, quantize
 
 // TestGoldenBench6x6Outputs pins the classify logits and the generated
 // tokens of the bench-6x6 fixture bit for bit, so a change to a compute
-// kernel that moves any rounding fails here. Classify runs the three
-// inputs as one stacked batch, the way the pipeline serves them; generate
+// kernel that moves any rounding fails here. Classify runs the four
+// inputs (one padded, with a partial mask) as one stacked batch, the way
+// the pipeline serves them; generate
 // runs the paged-KV decoder one row at a time. It must pass on every
 // build: the default amd64 build runs the AVX2 matmul, -tags purego the
 // portable loop.
@@ -119,6 +139,9 @@ func TestGoldenBench6x6Outputs(t *testing.T) {
 		inputs[i] = goldenInput(n)
 	}
 	masks := make([][]bool, len(inputs))
+	padded, padMask := goldenPaddedInput(goldenPadded[0], goldenPadded[1])
+	inputs = append(inputs, padded)
+	masks = append(masks, padMask)
 
 	var got strings.Builder
 	mismatch := len(goldenLogits) != len(goldenTiers)
