@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -249,6 +250,54 @@ func TestServerBatchedInferValidatesInputs(t *testing.T) {
 	status, data = postJSON(t, ts.URL+"/v2/infer", inferRequest{Model: "sentiment", Inputs: huge})
 	if status != http.StatusBadRequest {
 		t.Fatalf("oversized input list: status %d (want 400): %s", status, data)
+	}
+}
+
+// TestServerEmptyMaskMatchesMaskless sends "mask": [] (which the
+// omitempty wire type never marshals, so the bodies are raw JSON) alone
+// and next to a maskless input in one body. An empty mask means all
+// positions are valid: every input must return 200 with the maskless
+// request's logits, and must not fail the batch it joins.
+func TestServerEmptyMaskMatchesMaskless(t *testing.T) {
+	ts, _ := buildServer(t, sti.ServeOptions{
+		Slack: 1000, Workers: 1, MaxBatch: 8, BatchWindow: 20 * time.Millisecond,
+	})
+	logits := func(body string) [][]float32 {
+		t.Helper()
+		status, data := postJSON(t, ts.URL+"/v2/infer", json.RawMessage(body))
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", body, status, data)
+		}
+		var br batchResponse
+		if err := json.Unmarshal(data, &br); err != nil {
+			t.Fatal(err)
+		}
+		if br.Results == nil {
+			var ir inferResponse
+			if err := json.Unmarshal(data, &ir); err != nil {
+				t.Fatal(err)
+			}
+			br.Results = []inferResult{ir.inferResult}
+		}
+		out := make([][]float32, len(br.Results))
+		for i, res := range br.Results {
+			if res.Error != "" {
+				t.Fatalf("%s: result %d error: %s", body, i, res.Error)
+			}
+			out[i] = res.Logits
+		}
+		return out
+	}
+	want := logits(`{"model":"sentiment","tokens":[1,5,6,2]}`)[0]
+	for _, body := range []string{
+		`{"model":"sentiment","tokens":[1,5,6,2],"mask":[]}`,
+		`{"model":"sentiment","inputs":[{"tokens":[1,5,6,2],"mask":[]},{"tokens":[1,5,6,2]}]}`,
+	} {
+		for i, got := range logits(body) {
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: result %d logits %v, want the maskless %v", body, i, got, want)
+			}
+		}
 	}
 }
 

@@ -7,14 +7,17 @@ import (
 	"strings"
 )
 
-// HotAlloc (report-only) flags per-step allocations in the decode hot
-// path: make/new-slice/new-map expressions, fresh tensor constructions,
-// slice-clone appends, and closure captures inside the per-step and
-// per-layer loops (StepBatch/StepLogits, the ExecuteBatch layer loop,
-// batcher stepOnce, decompress paths). Each finding is a candidate for
-// the zero-copy ROADMAP item: hoist the buffer to a reused scratch
-// field. Findings never fail the build; the checked-in baseline keeps
-// known ones out of CI output. //sti:allocok <why> suppresses a finding.
+// HotAlloc (report-only) flags per-step and per-layer allocations on
+// the serving hot path: make/new-slice/new-map expressions, fresh tensor
+// constructions, slice-clone appends, and closure captures in the code
+// serving runs per layer or per decode step (the layer body forwardLayer
+// and the project/finish helpers it shares with StepBatch/StepLogits,
+// the ExecuteBatch layer loop and assembly, the shard decode into the
+// workspace via DecodeInto/DequantizeRows, batcher stepOnce). Each
+// finding is a candidate for the zero-copy ROADMAP item: hoist the
+// buffer to a reused scratch field. Findings never fail the build; the
+// checked-in baseline keeps known ones out of CI output.
+// //sti:allocok <why> suppresses a finding.
 var HotAlloc = &Analyzer{
 	Name:       "hotalloc",
 	Doc:        "report allocations and closure captures in per-step/per-layer hot loops",
@@ -26,17 +29,20 @@ var HotAlloc = &Analyzer{
 // treated as hot. Matching is by function name so testdata and future
 // call sites participate without configuration.
 var hotFuncNames = map[string]bool{
-	"StepBatch":     true,
-	"StepLogits":    true,
-	"stepOnce":      true,
-	"preemptFor":    true,
-	"ExecuteBatch":  true,
-	"streamLayers":  true,
-	"assemble":      true,
-	"eachStream":    true,
-	"DecodePayload": true,
-	"Decompress":    true,
-	"ForwardLayer":  true,
+	"StepBatch":      true,
+	"StepLogits":     true,
+	"stepOnce":       true,
+	"preemptFor":     true,
+	"ExecuteBatch":   true,
+	"streamLayers":   true,
+	"assemble":       true,
+	"eachStream":     true,
+	"DecodeInto":     true,
+	"DequantizeRows": true,
+	// The layer body and the two helpers it shares with StepBatch.
+	"forwardLayer": true,
+	"project":      true,
+	"finish":       true,
 	// Predictor observe/lookup paths: the serving-side taps run on
 	// every request and every streamed layer, and the training/lookup
 	// loop runs per observation at tick rate — allocations here leak

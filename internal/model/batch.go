@@ -1,11 +1,6 @@
 package model
 
-import (
-	"fmt"
-	"math"
-
-	"sti/internal/tensor"
-)
+import "sti/internal/tensor"
 
 // Batched forward path: B sequences stacked row-wise into one activation
 // matrix so each layer's position-wise matmuls (Q/K/V/O projections,
@@ -42,82 +37,10 @@ func (sm *Submodel) EmbedBatch(batch [][]int) (*tensor.Matrix, []int) {
 // ForwardLayerBatch runs one assembled sub-layer over B stacked
 // sequences. x holds the sequences' activations stacked row-wise
 // (rows = sum of seqLens); masks[i] marks sequence i's valid positions
-// (nil = all valid). Results are byte-identical to calling ForwardLayer
-// on each sequence separately.
+// (nil or empty = all valid). Each sequence's rows are byte-identical
+// to running it alone, as a batch of one.
 func ForwardLayerBatch(cfg Config, sl *SubLayer, x *tensor.Matrix, seqLens []int, masks [][]bool) *tensor.Matrix {
-	total := 0
-	for _, l := range seqLens {
-		total += l
-	}
-	if total != x.Rows {
-		panic(fmt.Sprintf("model: batch rows %d != sum of seqLens %d", x.Rows, total))
-	}
-	if len(masks) != len(seqLens) {
-		panic(fmt.Sprintf("model: %d masks for %d sequences", len(masks), len(seqLens)))
-	}
-	hd := cfg.HeadDim()
-	mw := sl.Width * hd
-
-	q := tensor.New(x.Rows, mw)
-	k := tensor.New(x.Rows, mw)
-	v := tensor.New(x.Rows, mw)
-	tensor.MatMul(q, x, sl.Q)
-	tensor.AddBias(q, sl.QB)
-	tensor.MatMul(k, x, sl.K)
-	tensor.AddBias(k, sl.KB)
-	tensor.MatMul(v, x, sl.V)
-	tensor.AddBias(v, sl.VB)
-
-	concat := tensor.New(x.Rows, mw)
-	scale := float32(1 / math.Sqrt(float64(hd)))
-	for h := 0; h < sl.Width; h++ {
-		qh := q.ColSlice(h*hd, (h+1)*hd)
-		kh := k.ColSlice(h*hd, (h+1)*hd)
-		vh := v.ColSlice(h*hd, (h+1)*hd)
-		off := 0
-		for s, l := range seqLens {
-			qs := qh.RowSlice(off, off+l)
-			ks := kh.RowSlice(off, off+l)
-			vs := vh.RowSlice(off, off+l)
-			scores := tensor.New(l, l)
-			tensor.MatMulBT(scores, qs, ks)
-			tensor.Scale(scores, scale)
-			if mask := masks[s]; mask != nil {
-				for i := 0; i < l; i++ {
-					row := scores.Row(i)
-					for j := range row {
-						if !mask[j] {
-							row[j] = maskedScore
-						}
-					}
-				}
-			}
-			tensor.SoftmaxRows(scores)
-			head := tensor.New(l, hd)
-			tensor.MatMul(head, scores, vs)
-			for r := 0; r < l; r++ {
-				copy(concat.Row(off + r)[h*hd:(h+1)*hd], head.Row(r))
-			}
-			off += l
-		}
-	}
-
-	attn := tensor.New(x.Rows, cfg.Hidden)
-	tensor.MatMul(attn, concat, sl.O)
-	tensor.AddBias(attn, sl.OB)
-	tensor.Add(attn, attn, x)
-	tensor.LayerNormRows(attn, sl.LN1G, sl.LN1B, nil, nil)
-
-	inner := tensor.New(x.Rows, sl.Width*cfg.FFNSlice())
-	tensor.MatMul(inner, attn, sl.FFN1)
-	tensor.AddBias(inner, sl.FFN1B)
-	tensor.GELU(inner)
-	out := tensor.New(x.Rows, cfg.Hidden)
-	tensor.MatMul(out, inner, sl.FFN2)
-	tensor.AddBias(out, sl.FFN2B)
-	tensor.Add(out, out, attn)
-	tensor.LayerNormRows(out, sl.LN2G, sl.LN2B, nil, nil)
-	return out
+	return forwardLayer(cfg, sl, x, seqLens, masks, false)
 }
 
 // ClassifyBatch applies the CLS pooler and classifier to each sequence

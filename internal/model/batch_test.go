@@ -17,21 +17,23 @@ func batchSubmodel(t *testing.T) *Submodel {
 	return sm
 }
 
-// batchInputs returns varied-length sequences with mixed nil/padding
-// masks — the shapes the serving layer actually batches.
+// batchInputs returns varied-length sequences with mixed nil, empty and
+// padding masks — the shapes the serving layer actually batches. An
+// empty mask, like nil, marks every position valid.
 func batchInputs(maxSeq int) (batch [][]int, masks [][]bool) {
 	seqs := [][]int{
 		{1, 9, 8, 7, 2},
 		{1, 5, 2},
 		{1, 4, 4, 4, 4, 4, 2, 0},
 		{1, 2},
+		{1, 6, 3, 2},
 	}
 	padded := seqs[2]
 	mask := make([]bool, len(padded))
 	for i := range mask {
 		mask[i] = padded[i] != 0
 	}
-	return seqs, [][]bool{nil, nil, mask, nil}
+	return seqs, [][]bool{nil, nil, mask, nil, {}}
 }
 
 func TestEmbedBatchMatchesEmbed(t *testing.T) {
@@ -58,7 +60,8 @@ func TestEmbedBatchMatchesEmbed(t *testing.T) {
 
 // TestForwardLayerBatchByteIdentical is the core batched-execution
 // guarantee: stacking B sequences through one layer produces exactly
-// the activations of B single forwards — bit-for-bit, not just close.
+// the activations of B single forwards (batches of one, via Logits) —
+// bit-for-bit, not just close.
 func TestForwardLayerBatchByteIdentical(t *testing.T) {
 	sm := batchSubmodel(t)
 	batch, masks := batchInputs(sm.Cfg.MaxSeq)

@@ -67,60 +67,107 @@ func (sm *Submodel) Embed(tokens []int) *tensor.Matrix {
 	return x
 }
 
-// ForwardLayer runs one assembled sub-layer over activations x in place
-// semantics: it returns the new activations (l×d). mask marks valid
-// (non-padding) positions; nil means all valid.
-func ForwardLayer(cfg Config, sl *SubLayer, x *tensor.Matrix, mask []bool) *tensor.Matrix {
-	l := x.Rows
+// forwardLayer is the one full-sequence layer body. It runs one
+// assembled sub-layer over B sequences stacked row-wise in x (rows =
+// sum of seqLens) and returns the new activations. masks[s] marks
+// sequence s's valid (non-padding) positions; a nil or empty mask means
+// all valid. causal also hides every later position from each position,
+// the generative mask of §3.4. Attention is the only part of the layer
+// that differs from the decode step (StepBatch), which shares project
+// and finish.
+func forwardLayer(cfg Config, sl *SubLayer, x *tensor.Matrix, seqLens []int, masks [][]bool, causal bool) *tensor.Matrix {
+	total := 0
+	for _, l := range seqLens {
+		total += l
+	}
+	if total != x.Rows {
+		panic(fmt.Sprintf("model: batch rows %d != sum of seqLens %d", x.Rows, total))
+	}
+	if len(masks) != len(seqLens) {
+		panic(fmt.Sprintf("model: %d masks for %d sequences", len(masks), len(seqLens)))
+	}
 	hd := cfg.HeadDim()
-	mw := sl.Width * hd
+	q, k, v := project(cfg, sl, x)
+	concat := tensor.New(x.Rows, sl.Width*hd)
+	scale := float32(1 / math.Sqrt(float64(hd)))
+	for h := 0; h < sl.Width; h++ {
+		qh := q.ColSlice(h*hd, (h+1)*hd)
+		kh := k.ColSlice(h*hd, (h+1)*hd)
+		vh := v.ColSlice(h*hd, (h+1)*hd)
+		off := 0
+		for s, l := range seqLens {
+			scores := tensor.New(l, l)
+			tensor.MatMulBT(scores, qh.RowSlice(off, off+l), kh.RowSlice(off, off+l))
+			tensor.Scale(scores, scale)
+			maskScores(scores, masks[s], causal)
+			tensor.SoftmaxRows(scores)
+			head := tensor.New(l, hd)
+			tensor.MatMul(head, scores, vh.RowSlice(off, off+l))
+			for r := 0; r < l; r++ {
+				copy(concat.Row(off + r)[h*hd:(h+1)*hd], head.Row(r))
+			}
+			off += l
+		}
+	}
+	return finish(cfg, sl, x, concat)
+}
 
-	q := tensor.New(l, mw)
-	k := tensor.New(l, mw)
-	v := tensor.New(l, mw)
+// maskScores sets to maskedScore every score of one sequence's l×l
+// block that its position may not attend to: padding columns (mask[j]
+// false) and, when causal, the columns after the row's own position.
+// An empty mask hides no column.
+func maskScores(scores *tensor.Matrix, mask []bool, causal bool) {
+	if len(mask) == 0 && !causal {
+		return
+	}
+	for i := 0; i < scores.Rows; i++ {
+		row := scores.Row(i)
+		if len(mask) != 0 {
+			for j := range row {
+				if !mask[j] {
+					row[j] = maskedScore
+				}
+			}
+		}
+		if causal {
+			for j := i + 1; j < len(row); j++ {
+				row[j] = maskedScore
+			}
+		}
+	}
+}
+
+// project returns the query, key and value projections of x's rows,
+// biases added.
+func project(cfg Config, sl *SubLayer, x *tensor.Matrix) (q, k, v *tensor.Matrix) {
+	mw := sl.Width * cfg.HeadDim()
+	q = tensor.New(x.Rows, mw)
+	k = tensor.New(x.Rows, mw)
+	v = tensor.New(x.Rows, mw)
 	tensor.MatMul(q, x, sl.Q)
 	tensor.AddBias(q, sl.QB)
 	tensor.MatMul(k, x, sl.K)
 	tensor.AddBias(k, sl.KB)
 	tensor.MatMul(v, x, sl.V)
 	tensor.AddBias(v, sl.VB)
+	return q, k, v
+}
 
-	concat := tensor.New(l, mw)
-	scale := float32(1 / math.Sqrt(float64(hd)))
-	scores := tensor.New(l, l)
-	for h := 0; h < sl.Width; h++ {
-		qh := q.ColSlice(h*hd, (h+1)*hd)
-		kh := k.ColSlice(h*hd, (h+1)*hd)
-		vh := v.ColSlice(h*hd, (h+1)*hd)
-		tensor.MatMulBT(scores, qh, kh)
-		tensor.Scale(scores, scale)
-		if mask != nil {
-			for i := 0; i < l; i++ {
-				row := scores.Row(i)
-				for j := range row {
-					if !mask[j] {
-						row[j] = maskedScore
-					}
-				}
-			}
-		}
-		tensor.SoftmaxRows(scores)
-		head := tensor.New(l, hd)
-		tensor.MatMul(head, scores, vh)
-		concat.SetColSlice(h*hd, head)
-	}
-
-	attn := tensor.New(l, cfg.Hidden)
+// finish runs the rest of the layer on the heads' concatenated
+// attention outputs: the O projection, the residual with the layer
+// input x and LN1, the FFN with GELU, and the residual with LN2.
+func finish(cfg Config, sl *SubLayer, x, concat *tensor.Matrix) *tensor.Matrix {
+	attn := tensor.New(x.Rows, cfg.Hidden)
 	tensor.MatMul(attn, concat, sl.O)
 	tensor.AddBias(attn, sl.OB)
 	tensor.Add(attn, attn, x)
 	tensor.LayerNormRows(attn, sl.LN1G, sl.LN1B, nil, nil)
 
-	inner := tensor.New(l, sl.Width*cfg.FFNSlice())
+	inner := tensor.New(x.Rows, sl.Width*cfg.FFNSlice())
 	tensor.MatMul(inner, attn, sl.FFN1)
 	tensor.AddBias(inner, sl.FFN1B)
 	tensor.GELU(inner)
-	out := tensor.New(l, cfg.Hidden)
+	out := tensor.New(x.Rows, cfg.Hidden)
 	tensor.MatMul(out, inner, sl.FFN2)
 	tensor.AddBias(out, sl.FFN2B)
 	tensor.Add(out, out, attn)
@@ -129,11 +176,11 @@ func ForwardLayer(cfg Config, sl *SubLayer, x *tensor.Matrix, mask []bool) *tens
 }
 
 // Logits runs the full submodel on a token sequence and returns the
-// class logits. mask marks valid positions (nil = all valid).
+// class logits. mask marks valid positions (nil or empty = all valid).
 func (sm *Submodel) Logits(tokens []int, mask []bool) []float32 {
 	x := sm.Embed(tokens)
 	for _, sl := range sm.Layers {
-		x = ForwardLayer(sm.Cfg, sl, x, mask)
+		x = ForwardLayerBatch(sm.Cfg, sl, x, []int{len(tokens)}, [][]bool{mask})
 	}
 	return sm.Classify(x)
 }

@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"math"
 
 	"sti/internal/tensor"
 )
@@ -15,75 +14,13 @@ import (
 // head ties weights with the token embedding (as GPT-2 does), so no
 // additional shards are needed.
 
-// forwardLayerMasked is ForwardLayer with an arbitrary attention
-// predicate: allowed(i, j) reports whether position i may attend to
-// position j.
-func forwardLayerMasked(cfg Config, sl *SubLayer, x *tensor.Matrix, allowed func(i, j int) bool) *tensor.Matrix {
-	l := x.Rows
-	hd := cfg.HeadDim()
-	mw := sl.Width * hd
-
-	q := tensor.New(l, mw)
-	k := tensor.New(l, mw)
-	v := tensor.New(l, mw)
-	tensor.MatMul(q, x, sl.Q)
-	tensor.AddBias(q, sl.QB)
-	tensor.MatMul(k, x, sl.K)
-	tensor.AddBias(k, sl.KB)
-	tensor.MatMul(v, x, sl.V)
-	tensor.AddBias(v, sl.VB)
-
-	concat := tensor.New(l, mw)
-	scale := float32(1 / math.Sqrt(float64(hd)))
-	scores := tensor.New(l, l)
-	for h := 0; h < sl.Width; h++ {
-		qh := q.ColSlice(h*hd, (h+1)*hd)
-		kh := k.ColSlice(h*hd, (h+1)*hd)
-		vh := v.ColSlice(h*hd, (h+1)*hd)
-		tensor.MatMulBT(scores, qh, kh)
-		tensor.Scale(scores, scale)
-		if allowed != nil {
-			for i := 0; i < l; i++ {
-				row := scores.Row(i)
-				for j := range row {
-					if !allowed(i, j) {
-						row[j] = maskedScore
-					}
-				}
-			}
-		}
-		tensor.SoftmaxRows(scores)
-		head := tensor.New(l, hd)
-		tensor.MatMul(head, scores, vh)
-		concat.SetColSlice(h*hd, head)
-	}
-
-	attn := tensor.New(l, cfg.Hidden)
-	tensor.MatMul(attn, concat, sl.O)
-	tensor.AddBias(attn, sl.OB)
-	tensor.Add(attn, attn, x)
-	tensor.LayerNormRows(attn, sl.LN1G, sl.LN1B, nil, nil)
-
-	inner := tensor.New(l, sl.Width*cfg.FFNSlice())
-	tensor.MatMul(inner, attn, sl.FFN1)
-	tensor.AddBias(inner, sl.FFN1B)
-	tensor.GELU(inner)
-	out := tensor.New(l, cfg.Hidden)
-	tensor.MatMul(out, inner, sl.FFN2)
-	tensor.AddBias(out, sl.FFN2B)
-	tensor.Add(out, out, attn)
-	tensor.LayerNormRows(out, sl.LN2G, sl.LN2B, nil, nil)
-	return out
-}
-
 // CausalForward runs the submodel with a causal (autoregressive)
 // attention mask and returns the final hidden states: position i
 // attends only to positions ≤ i.
 func (sm *Submodel) CausalForward(tokens []int) *tensor.Matrix {
 	x := sm.Embed(tokens)
-	causal := func(i, j int) bool { return j <= i }
 	for _, sl := range sm.Layers {
-		x = forwardLayerMasked(sm.Cfg, sl, x, causal)
+		x = forwardLayer(sm.Cfg, sl, x, []int{len(tokens)}, [][]bool{nil}, true)
 	}
 	return x
 }

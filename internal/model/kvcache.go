@@ -291,9 +291,10 @@ func (d *Decoder) Append(token int) ([]float32, error) {
 
 // StepBatch feeds one token to each of B decoders through one batched
 // forward — the decode-side analogue of ForwardLayerBatch. The
-// position-wise kernels (embedding, Q/K/V/O projections, FFN,
-// layernorm, GELU, residuals) run once over B stacked rows, while
-// attention — the only cross-position operation — reads each
+// position-wise kernels (embedding, and the layer body's project and
+// finish: Q/K/V/O projections, FFN, layernorm, GELU, residuals) run
+// once over B stacked rows, while attention — the only cross-position
+// operation, and the only part of the layer it runs itself — reads each
 // sequence's own paged KV cache at its own position, so the sequences
 // may be at arbitrary, ragged lengths. Every kernel computes output
 // rows independently, so row i is byte-identical to decs[i].Append
@@ -339,17 +340,7 @@ func StepBatch(decs []*Decoder, tokens []int) (*tensor.Matrix, error) {
 
 	hd := cfg.HeadDim()
 	for li, sl := range sm.Layers {
-		mw := sl.Width * hd
-
-		q := tensor.New(B, mw)
-		tensor.MatMul(q, x, sl.Q)
-		tensor.AddBias(q, sl.QB)
-		kRow := tensor.New(B, mw)
-		tensor.MatMul(kRow, x, sl.K)
-		tensor.AddBias(kRow, sl.KB)
-		vRow := tensor.New(B, mw)
-		tensor.MatMul(vRow, x, sl.V)
-		tensor.AddBias(vRow, sl.VB)
+		q, kRow, vRow := project(cfg, sl, x)
 		for i, d := range decs {
 			copy(d.kv.kRow(li, d.length), kRow.Row(i))
 			copy(d.kv.vRow(li, d.length), vRow.Row(i))
@@ -359,7 +350,7 @@ func StepBatch(decs []*Decoder, tokens []int) (*tensor.Matrix, error) {
 		// own decoder's KV pages and writes only its own concat row),
 		// so wide batches split across cores like the matmuls do —
 		// batched step wall time stays sublinear in stream count.
-		concat := tensor.New(B, mw)
+		concat := tensor.New(B, sl.Width*hd)
 		scale := float32(1 / math.Sqrt(float64(hd)))
 		eachStream(B, func(i int) {
 			d := decs[i]
@@ -398,22 +389,7 @@ func StepBatch(decs []*Decoder, tokens []int) (*tensor.Matrix, error) {
 			}
 		})
 
-		attn := tensor.New(B, cfg.Hidden)
-		tensor.MatMul(attn, concat, sl.O)
-		tensor.AddBias(attn, sl.OB)
-		tensor.Add(attn, attn, x)
-		tensor.LayerNormRows(attn, sl.LN1G, sl.LN1B, nil, nil)
-
-		inner := tensor.New(B, sl.Width*cfg.FFNSlice())
-		tensor.MatMul(inner, attn, sl.FFN1)
-		tensor.AddBias(inner, sl.FFN1B)
-		tensor.GELU(inner)
-		out := tensor.New(B, cfg.Hidden)
-		tensor.MatMul(out, inner, sl.FFN2)
-		tensor.AddBias(out, sl.FFN2B)
-		tensor.Add(out, out, attn)
-		tensor.LayerNormRows(out, sl.LN2G, sl.LN2B, nil, nil)
-		x = out
+		x = finish(cfg, sl, x, concat)
 	}
 	for _, d := range decs {
 		d.length++

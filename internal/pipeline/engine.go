@@ -384,7 +384,7 @@ type layerDelivery struct {
 // BatchInput is one sequence of a batched execution.
 type BatchInput struct {
 	Tokens []int
-	Mask   []bool // valid positions; nil = all valid
+	Mask   []bool // valid positions; nil or empty = all valid
 }
 
 // BatchStats reports what one batched pipelined execution did. The

@@ -40,7 +40,7 @@ func (t Task) String() string {
 type Request struct {
 	Task   Task
 	Tokens []int
-	Mask   []bool // classify: valid positions, nil = all valid
+	Mask   []bool // classify: valid positions, nil or empty = all valid
 
 	// MaxNewTokens bounds greedy decoding for TaskGenerate (the decode
 	// also stops at the model's MaxSeq). Must be >= 0; ignored by

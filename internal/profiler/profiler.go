@@ -109,7 +109,7 @@ func timeLayers(cfg model.Config, a, b *model.SubLayer, seqLen int) (ta, tb time
 	}
 	pass := func(sl *model.SubLayer) time.Duration {
 		start := time.Now()
-		model.ForwardLayer(cfg, sl, x, nil)
+		model.ForwardLayerBatch(cfg, sl, x, []int{seqLen}, [][]bool{nil})
 		return time.Since(start)
 	}
 	// Warm up once each, then keep the fastest of five passes each.
