@@ -16,102 +16,39 @@ import (
 	"sti/internal/obs"
 )
 
-// clusterNode is one in-process cluster member: a real fleet +
-// scheduler + serving mux with the /cluster endpoints mounted — the
-// exact composition -mode node runs.
-type clusterNode struct {
-	name  string
-	ts    *httptest.Server
-	url   string
-	fleet *sti.Fleet
-	sched *sti.Scheduler
-	node  *sti.ClusterNode
-	hub   *obs.Hub
-}
-
-// buildModelDirs preprocesses one store per model. Every node of a
-// cluster loads the same dir, so shard payloads are byte-identical
-// across nodes and a peer's retained copy substitutes exactly for a
-// local flash read.
-func buildModelDirs(t testing.TB, names ...string) map[string]string {
+// buildCluster runs nodeNames as real -mode node servers on loopback
+// listeners, each serving every store in dirs with args, fronts them
+// with a router, and waits until the router's health poll sees every
+// node up. The router's 20 ms health poll is a setting no flag has, so
+// it is built directly. Listeners are allocated before any node starts
+// so the static peer list (identical everywhere, like -peers) carries
+// real URLs. Every node starts draining at once when the test ends, so
+// their -draingrace windows overlap.
+func buildCluster(t testing.TB, nodeNames []string, dirs map[string]string, args ...string) (*httptest.Server, map[string]*testServer) {
 	t.Helper()
-	dirs := make(map[string]string, len(names))
-	for i, name := range names {
-		dir := t.TempDir()
-		w := sti.NewRandomModel(sti.TinyConfig(), int64(i+1))
-		if _, err := sti.Preprocess(dir, w, []int{2, 4}); err != nil {
-			t.Fatal(err)
-		}
-		dirs[name] = dir
+	addrs := make(map[string]string, len(nodeNames))
+	var spec []string
+	for _, name := range nodeNames {
+		addrs[name] = freeAddr(t)
+		spec = append(spec, name+"=http://"+addrs[name])
 	}
-	return dirs
-}
-
-func buildClusterFleet(t testing.TB, dirs map[string]string) *sti.Fleet {
-	t.Helper()
-	names := make([]string, 0, len(dirs))
-	for name := range dirs {
-		names = append(names, name)
+	peers := strings.Join(spec, ",")
+	nodes := make(map[string]*testServer, len(nodeNames))
+	for _, name := range nodeNames {
+		nodeArgs := append(modelArgs(dirs), "-mode", "node", "-node", name, "-peers", peers,
+			"-addr", addrs[name], "-tracering", "32")
+		nodes[name] = startServer(t, append(nodeArgs, args...)...)
 	}
-	sort.Strings(names)
-	fleet := sti.NewFleet(256 << 10)
-	for _, name := range names {
-		sys, err := sti.Load(dirs[name], sti.Odroid(), 0)
-		if err != nil {
-			t.Fatal(err)
+	t.Cleanup(func() {
+		for _, n := range nodes {
+			n.cancel()
 		}
-		if err := fleet.Add(name, sys, 200*time.Millisecond, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := fleet.SetSharedCacheRetain(name, 1<<20); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fleet.Replan(); err != nil {
+	})
+	parsed, err := sti.ParseClusterPeers(peers)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return fleet
-}
-
-// buildCluster stands up a router and nodeNames real nodes on loopback
-// listeners and waits until the router's health poll sees every node
-// up. Listeners are allocated before any node is built so the static
-// peer list (identical everywhere, like -peers) can carry real URLs.
-func buildCluster(t testing.TB, nodeNames []string, dirs map[string]string, opts sti.ServeOptions) (*httptest.Server, map[string]*clusterNode) {
-	t.Helper()
-	nodes := make(map[string]*clusterNode, len(nodeNames))
-	peers := make([]sti.ClusterPeer, 0, len(nodeNames))
-	for _, name := range nodeNames {
-		ts := httptest.NewUnstartedServer(nil)
-		cn := &clusterNode{name: name, ts: ts, url: "http://" + ts.Listener.Addr().String()}
-		nodes[name] = cn
-		peers = append(peers, sti.ClusterPeer{Name: name, URL: cn.url})
-	}
-	for _, name := range nodeNames {
-		cn := nodes[name]
-		cn.fleet = buildClusterFleet(t, dirs)
-		// Every member runs with full observability, like -mode node:
-		// traced requests, registered metrics, exemplar rings.
-		cn.hub = obs.NewHub(32)
-		cn.fleet.SetObservability(cn.hub)
-		nopts := opts
-		nopts.Obs = cn.hub
-		cn.sched = sti.NewScheduler(cn.fleet, nopts)
-		t.Cleanup(cn.sched.Close)
-		node, err := sti.NewClusterNode(cn.fleet, name, peers, sti.ClusterNodeOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cn.node = node
-		t.Cleanup(node.Close)
-		mux := http.NewServeMux()
-		mux.Handle("/cluster/", node.Handler())
-		mux.Handle("/", newServer(cn.fleet, cn.sched, cn.hub))
-		cn.ts.Config.Handler = mux
-		cn.ts.Start()
-		t.Cleanup(cn.ts.Close)
-	}
-	rt, err := sti.NewClusterRouter(peers, sti.ClusterRouterOptions{HealthInterval: 20 * time.Millisecond, Obs: obs.NewHub(32)})
+	rt, err := sti.NewClusterRouter(parsed, sti.ClusterRouterOptions{HealthInterval: 20 * time.Millisecond, Obs: obs.NewHub(32)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,29 +98,33 @@ func waitForStates(t testing.TB, routerURL string, want map[string]string) {
 	}
 }
 
-// homeNodeOf finds which node the cluster routed a model's traffic to
+// homeNodeOf names the node the cluster routed a model's traffic to,
 // by completed-request counters after at least one request was served.
-func homeNodeOf(t testing.TB, nodes map[string]*clusterNode, model string) *clusterNode {
+func homeNodeOf(t testing.TB, nodes map[string]*testServer, model string) string {
 	t.Helper()
-	for _, cn := range nodes {
-		for _, ms := range cn.sched.Snapshot().Models {
+	for name, n := range nodes {
+		for _, ms := range statsOf(t, n.url).Models {
 			if ms.Model == model && ms.Completed > 0 {
-				return cn
+				return name
 			}
 		}
 	}
 	t.Fatalf("no node served model %q", model)
-	return nil
+	return ""
 }
 
-func otherNode(nodes map[string]*clusterNode, not *clusterNode) *clusterNode {
-	for _, cn := range nodes {
-		if cn != not {
-			return cn
+func otherNode(nodes map[string]*testServer, not string) string {
+	for name := range nodes {
+		if name != not {
+			return name
 		}
 	}
-	return nil
+	return ""
 }
+
+// drainGrace is the -draingrace of a node a test drains: long enough
+// that the node still answers the test's checks after its drain began.
+const drainGrace = "3s"
 
 // TestClusterMatchesStandalone pins the acceptance contract: a
 // two-node cluster behind the router serves classify and streamed
@@ -192,19 +133,12 @@ func otherNode(nodes map[string]*clusterNode, not *clusterNode) *clusterNode {
 // token sequence, tokens relayed in order.
 func TestClusterMatchesStandalone(t *testing.T) {
 	dirs := buildModelDirs(t, "sentiment", "nextword")
-	opts := sti.ServeOptions{Slack: 1000}
-
-	sfleet := buildClusterFleet(t, dirs)
-	ssched := sti.NewScheduler(sfleet, opts)
-	t.Cleanup(ssched.Close)
-	standalone := httptest.NewServer(newServer(sfleet, ssched, nil))
-	t.Cleanup(standalone.Close)
-
-	router, _ := buildCluster(t, []string{"alpha", "beta"}, dirs, opts)
+	standalone := startServer(t, append(modelArgs(dirs), "-slack", "1000")...)
+	router, _ := buildCluster(t, []string{"alpha", "beta"}, dirs, "-slack", "1000", "-draingrace", "0")
 
 	for _, model := range []string{"sentiment", "nextword"} {
 		body := map[string]any{"model": model, "task": "classify", "text": "wonderful gripping story"}
-		st1, d1 := postJSON(t, standalone.URL+"/v2/infer", body)
+		st1, d1 := postJSON(t, standalone.url+"/v2/infer", body)
 		st2, d2 := postJSON(t, router.URL+"/v2/infer", body)
 		if st1 != http.StatusOK || st2 != http.StatusOK {
 			t.Fatalf("%s: standalone %d (%s), cluster %d (%s)", model, st1, d1, st2, d2)
@@ -228,7 +162,7 @@ func TestClusterMatchesStandalone(t *testing.T) {
 
 	const maxNew = 6
 	gen := map[string]any{"model": "sentiment", "task": "generate", "text": "once upon a time", "max_new_tokens": maxNew}
-	st1, ct1, ev1 := postSSE(t, standalone.URL+"/v2/infer", gen)
+	st1, ct1, ev1 := postSSE(t, standalone.url+"/v2/infer", gen)
 	st2, ct2, ev2 := postSSE(t, router.URL+"/v2/infer", gen)
 	if st1 != http.StatusOK || st2 != http.StatusOK {
 		t.Fatalf("generate: standalone %d, cluster %d", st1, st2)
@@ -274,8 +208,7 @@ func TestClusterMatchesStandalone(t *testing.T) {
 // the same workload.
 func TestClusterPeerCacheServesSharedModel(t *testing.T) {
 	dirs := buildModelDirs(t, "sentiment")
-	opts := sti.ServeOptions{Slack: 1000}
-	router, nodes := buildCluster(t, []string{"alpha", "beta"}, dirs, opts)
+	router, nodes := buildCluster(t, []string{"alpha", "beta"}, dirs, "-slack", "1000", "-draingrace", drainGrace)
 
 	body := map[string]any{"model": "sentiment", "task": "classify", "text": "wonderful gripping story"}
 	if st, d := postJSON(t, router.URL+"/v2/infer", body); st != http.StatusOK {
@@ -284,11 +217,12 @@ func TestClusterPeerCacheServesSharedModel(t *testing.T) {
 	home := homeNodeOf(t, nodes, "sentiment")
 	cold := otherNode(nodes, home)
 
-	// Drain the home: the router reroutes to the cold holder, whose
-	// misses should hit the draining peer's retained payloads instead of
-	// flash. (Draining stops routing, not the /cluster donor endpoint.)
-	home.sched.SetDraining(true)
-	waitForStates(t, router.URL, map[string]string{home.name: "draining", cold.name: "up"})
+	// Drain the home, as SIGTERM does: the router reroutes to the cold
+	// holder, whose misses should hit the draining peer's retained
+	// payloads instead of flash. (Draining stops routing, not the
+	// /cluster donor endpoint, for the whole -draingrace.)
+	nodes[home].cancel()
+	waitForStates(t, router.URL, map[string]string{home: "draining", cold: "up"})
 	const rerouted = 4
 	for i := 0; i < rerouted; i++ {
 		if st, d := postJSON(t, router.URL+"/v2/infer", body); st != http.StatusOK {
@@ -296,8 +230,8 @@ func TestClusterPeerCacheServesSharedModel(t *testing.T) {
 		}
 	}
 
-	coldStats := cold.sched.Snapshot()
-	homeStats := home.sched.Snapshot()
+	coldStats := statsOf(t, nodes[cold].url)
+	homeStats := statsOf(t, nodes[home].url)
 	if coldStats.Completed < rerouted {
 		t.Fatalf("cold node completed %d, want >= %d rerouted requests", coldStats.Completed, rerouted)
 	}
@@ -311,13 +245,9 @@ func TestClusterPeerCacheServesSharedModel(t *testing.T) {
 	// The same workload against a cold standalone server bounds the
 	// cluster node's flash IO from above: every peer hit is a flash read
 	// the cold node did not pay.
-	sfleet := buildClusterFleet(t, dirs)
-	ssched := sti.NewScheduler(sfleet, opts)
-	t.Cleanup(ssched.Close)
-	standalone := httptest.NewServer(newServer(sfleet, ssched, nil))
-	t.Cleanup(standalone.Close)
+	standalone := startServer(t, append(modelArgs(dirs), "-slack", "1000")...)
 	for i := 0; i < rerouted+1; i++ {
-		if st, d := postJSON(t, standalone.URL+"/v2/infer", body); st != http.StatusOK {
+		if st, d := postJSON(t, standalone.url+"/v2/infer", body); st != http.StatusOK {
 			t.Fatalf("standalone request %d: %d %s", i, st, d)
 		}
 	}
@@ -325,7 +255,7 @@ func TestClusterPeerCacheServesSharedModel(t *testing.T) {
 	for _, ms := range coldStats.Models {
 		coldFlash += ms.FlashReads
 	}
-	for _, ms := range ssched.Snapshot().Models {
+	for _, ms := range statsOf(t, standalone.url).Models {
 		aloneFlash += ms.FlashReads
 	}
 	if coldFlash > aloneFlash {
@@ -340,8 +270,7 @@ func TestClusterPeerCacheServesSharedModel(t *testing.T) {
 // no request anywhere is shed.
 func TestClusterDrainMidTrafficZeroSheds(t *testing.T) {
 	dirs := buildModelDirs(t, "sentiment")
-	opts := sti.ServeOptions{Slack: 1000}
-	router, nodes := buildCluster(t, []string{"alpha", "beta"}, dirs, opts)
+	router, nodes := buildCluster(t, []string{"alpha", "beta"}, dirs, "-slack", "1000", "-draingrace", drainGrace)
 
 	body := map[string]any{"model": "sentiment", "task": "classify", "text": "quick check"}
 	if st, d := postJSON(t, router.URL+"/v2/infer", body); st != http.StatusOK {
@@ -379,8 +308,8 @@ func TestClusterDrainMidTrafficZeroSheds(t *testing.T) {
 		}
 		if tokens == 1 && !drained {
 			drained = true
-			home.sched.SetDraining(true)
-			waitForStates(t, router.URL, map[string]string{home.name: "draining", survivor.name: "up"})
+			nodes[home].cancel()
+			waitForStates(t, router.URL, map[string]string{home: "draining", survivor: "up"})
 			// New traffic reroutes to the survivor while the stream runs.
 			for i := 0; i < 3; i++ {
 				if st, d := postJSON(t, router.URL+"/v2/infer", body); st != http.StatusOK {
@@ -405,7 +334,7 @@ func TestClusterDrainMidTrafficZeroSheds(t *testing.T) {
 		OK       bool `json:"ok"`
 		Draining bool `json:"draining"`
 	}
-	hresp, err := http.Get(home.ts.URL + "/healthz")
+	hresp, err := http.Get(nodes[home].url + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,10 +343,10 @@ func TestClusterDrainMidTrafficZeroSheds(t *testing.T) {
 	if err != nil || !hz.OK || !hz.Draining {
 		t.Fatalf("draining node /healthz = %+v (err %v), want ok+draining", hz, err)
 	}
-	if st := home.sched.Snapshot(); !st.Draining {
+	if st := statsOf(t, nodes[home].url); !st.Draining {
 		t.Fatal("draining node /v1/stats does not report draining")
 	}
-	if st := survivor.sched.Snapshot(); st.Draining {
+	if st := statsOf(t, nodes[survivor].url); st.Draining {
 		t.Fatal("survivor reports draining")
 	}
 
@@ -443,16 +372,16 @@ func TestClusterDrainMidTrafficZeroSheds(t *testing.T) {
 	for _, n := range rstats.Nodes {
 		states[n.Name] = n.State
 	}
-	if states[home.name] != "draining" || states[survivor.name] != "up" {
+	if states[home] != "draining" || states[survivor] != "up" {
 		t.Fatalf("router sees %v", states)
 	}
-	if p := rstats.Placements["sentiment"]; len(p) != 1 || p[0] != survivor.name {
-		t.Fatalf("placement %v, want [%s]", p, survivor.name)
+	if p := rstats.Placements["sentiment"]; len(p) != 1 || p[0] != survivor {
+		t.Fatalf("placement %v, want [%s]", p, survivor)
 	}
 
 	// Zero sheds anywhere: the whole drain cost nothing in-flight.
-	for name, cn := range nodes {
-		st := cn.sched.Snapshot()
+	for name, n := range nodes {
+		st := statsOf(t, n.url)
 		if st.Shed != 0 || st.Failed != 0 {
 			t.Fatalf("node %s shed=%d failed=%d during drain, want 0/0", name, st.Shed, st.Failed)
 		}
@@ -489,23 +418,16 @@ func BenchmarkClusterServe(b *testing.B) {
 			b.ReportMetric(float64(lat[(n*99)/100].Microseconds())/1e3, "p99-ms")
 		}
 	}
-	opts := sti.ServeOptions{Slack: 1000}
-
 	b.Run("standalone", func(b *testing.B) {
-		dirs := buildModelDirs(b, "sentiment")
-		fleet := buildClusterFleet(b, dirs)
-		sched := sti.NewScheduler(fleet, opts)
-		defer sched.Close()
-		ts := httptest.NewServer(newServer(fleet, sched, nil))
-		defer ts.Close()
+		ts := startServer(b, append(modelArgs(buildModelDirs(b, "sentiment")), "-slack", "1000")...)
 		lat := make([]time.Duration, 0, b.N)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			lat = append(lat, post(b, ts.URL))
+			lat = append(lat, post(b, ts.url))
 		}
 		b.StopTimer()
 		report(b, lat)
-		st := sched.Snapshot()
+		st := statsOf(b, ts.url)
 		if st.Completed > 0 {
 			b.ReportMetric(float64(st.BytesRead)/float64(st.Completed), "flashB/req")
 		}
@@ -513,7 +435,7 @@ func BenchmarkClusterServe(b *testing.B) {
 
 	b.Run("cluster-2node", func(b *testing.B) {
 		dirs := buildModelDirs(b, "sentiment")
-		router, _ := buildCluster(b, []string{"alpha", "beta"}, dirs, opts)
+		router, _ := buildCluster(b, []string{"alpha", "beta"}, dirs, "-slack", "1000", "-draingrace", "0")
 		lat := make([]time.Duration, 0, b.N)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -527,11 +449,11 @@ func BenchmarkClusterServe(b *testing.B) {
 	// surviving node serves everything through the peer cache level.
 	b.Run("cluster-failover-peercache", func(b *testing.B) {
 		dirs := buildModelDirs(b, "sentiment")
-		router, nodes := buildCluster(b, []string{"alpha", "beta"}, dirs, opts)
+		router, nodes := buildCluster(b, []string{"alpha", "beta"}, dirs, "-slack", "1000", "-draingrace", drainGrace)
 		post(b, router.URL)
 		home := homeNodeOf(b, nodes, "sentiment")
-		home.sched.SetDraining(true)
-		waitForStates(b, router.URL, map[string]string{home.name: "draining"})
+		nodes[home].cancel()
+		waitForStates(b, router.URL, map[string]string{home: "draining"})
 		b.ResetTimer()
 		lat := make([]time.Duration, 0, b.N)
 		for i := 0; i < b.N; i++ {
@@ -539,7 +461,7 @@ func BenchmarkClusterServe(b *testing.B) {
 		}
 		b.StopTimer()
 		report(b, lat)
-		st := otherNode(nodes, home).sched.Snapshot()
+		st := statsOf(b, nodes[otherNode(nodes, home)].url)
 		if st.Completed > 0 {
 			b.ReportMetric(float64(st.BytesRead)/float64(st.Completed), "flashB/req")
 		}
@@ -580,7 +502,7 @@ func getJSON(t testing.TB, url string, out any) int {
 // never an error.
 func TestClusterStitchedTrace(t *testing.T) {
 	dirs := buildModelDirs(t, "sentiment")
-	rts, nodes := buildCluster(t, []string{"a", "b"}, dirs, sti.ServeOptions{Slack: 1000})
+	rts, nodes := buildCluster(t, []string{"a", "b"}, dirs, "-slack", "1000", "-draingrace", "0")
 
 	resp, err := http.Post(rts.URL+"/v2/infer", "application/json",
 		strings.NewReader(`{"model":"sentiment","task":"generate","tokens":[1,9,8],"max_new_tokens":6}`))
@@ -698,11 +620,11 @@ func TestClusterStitchedTrace(t *testing.T) {
 		t.Fatalf("garbage traceparent => %d, want 200 (ignored, not an error)", dresp.StatusCode)
 	}
 	freshRoot := func() bool {
-		for _, m := range nodes["a"].hub.Models() {
-			for _, ex := range nodes["a"].hub.Ring(m).Snapshot() {
-				if ex.RemoteParent < 0 && ex.Err == "" {
-					return true
-				}
+		var listed []obs.Exemplar
+		getJSON(t, nodes["a"].url+"/v1/debug/trace?format=json", &listed)
+		for _, ex := range listed {
+			if ex.RemoteParent < 0 && ex.Err == "" {
+				return true
 			}
 		}
 		return false
@@ -723,7 +645,7 @@ func TestClusterStitchedTrace(t *testing.T) {
 // fails here, not in a dashboard.
 func TestClusterObservabilitySmoke(t *testing.T) {
 	dirs := buildModelDirs(t, "sentiment")
-	rts, nodes := buildCluster(t, []string{"a", "b"}, dirs, sti.ServeOptions{Slack: 1000})
+	rts, nodes := buildCluster(t, []string{"a", "b"}, dirs, "-slack", "1000", "-draingrace", "0")
 
 	for i := 0; i < 3; i++ {
 		st, body := postJSON(t, rts.URL+"/v2/infer",

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
-
-	"sti"
 )
 
 // TestServerTargetMSSelectsTier drives per-request SLOs through the
@@ -14,11 +12,11 @@ import (
 // that served it, and /v1/stats exposes plan-cache counters and
 // per-tier served counts.
 func TestServerTargetMSSelectsTier(t *testing.T) {
-	ts, _ := buildServer(t, sti.ServeOptions{Slack: 1000})
+	ts := startFleet(t, "-slack", "1000")
 
 	post := func(targetMS float64) inferResponse {
 		t.Helper()
-		status, data := postJSON(t, ts.URL+"/v2/infer", map[string]any{
+		status, data := postJSON(t, ts.url+"/v2/infer", map[string]any{
 			"model": "sentiment", "task": "classify",
 			"text": "wonderful gripping story", "target_ms": targetMS,
 		})
@@ -56,7 +54,7 @@ func TestServerTargetMSSelectsTier(t *testing.T) {
 	}
 
 	// A negative SLO is a client error.
-	if status, _ := postJSON(t, ts.URL+"/v2/infer", map[string]any{
+	if status, _ := postJSON(t, ts.url+"/v2/infer", map[string]any{
 		"model": "sentiment", "text": "x", "target_ms": -1,
 	}); status != http.StatusBadRequest {
 		t.Fatalf("negative target_ms status %d, want 400", status)
@@ -64,18 +62,7 @@ func TestServerTargetMSSelectsTier(t *testing.T) {
 
 	// Stats expose the tier traffic: hits for the three ladder-served
 	// requests, one miss for the on-demand tier, per-tier counts.
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stats status %d", resp.StatusCode)
-	}
-	var st sti.ServeStats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
+	st := statsOf(t, ts.url)
 	if st.PlanCacheHits != 3 || st.PlanCacheMisses != 1 {
 		t.Fatalf("plan cache %d hits / %d misses, want 3/1", st.PlanCacheHits, st.PlanCacheMisses)
 	}

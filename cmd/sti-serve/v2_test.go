@@ -4,10 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"sti"
 	"sti/internal/model"
@@ -20,7 +20,7 @@ type sseEvent struct {
 }
 
 // postSSE posts a JSON body and parses the SSE response stream.
-func postSSE(t *testing.T, url string, body any) (int, string, []sseEvent) {
+func postSSE(t testing.TB, url string, body any) (int, string, []sseEvent) {
 	t.Helper()
 	buf, err := json.Marshal(body)
 	if err != nil {
@@ -31,9 +31,15 @@ func postSSE(t *testing.T, url string, body any) (int, string, []sseEvent) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	return resp.StatusCode, resp.Header.Get("Content-Type"), readSSE(t, resp.Body)
+}
+
+// readSSE parses a server-sent event stream to its end.
+func readSSE(t testing.TB, r io.Reader) []sseEvent {
+	t.Helper()
 	var events []sseEvent
 	var cur sseEvent
-	sc := bufio.NewScanner(resp.Body)
+	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
 		switch {
@@ -49,16 +55,16 @@ func postSSE(t *testing.T, url string, body any) (int, string, []sseEvent) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, resp.Header.Get("Content-Type"), events
+	return events
 }
 
 // TestServerV2GenerateSSE drives the acceptance curl end-to-end:
 // task=generate streams one SSE token event per decoded token followed
 // by a done event carrying the full sequence and stream stats.
 func TestServerV2GenerateSSE(t *testing.T) {
-	ts, _ := buildServer(t, sti.ServeOptions{Slack: 1000})
+	ts := startFleet(t, "-slack", "1000")
 	const maxNew = 6
-	status, ctype, events := postSSE(t, ts.URL+"/v2/infer", map[string]any{
+	status, ctype, events := postSSE(t, ts.url+"/v2/infer", map[string]any{
 		"model": "sentiment", "task": "generate",
 		"text": "once upon a time", "max_new_tokens": maxNew,
 	})
@@ -107,7 +113,7 @@ func TestServerV2GenerateSSE(t *testing.T) {
 	}
 	// A second identical request decodes the identical sequence (greedy
 	// decoding from the same shards is deterministic).
-	_, _, events2 := postSSE(t, ts.URL+"/v2/infer", map[string]any{
+	_, _, events2 := postSSE(t, ts.url+"/v2/infer", map[string]any{
 		"model": "sentiment", "task": "generate",
 		"text": "once upon a time", "max_new_tokens": maxNew,
 	})
@@ -122,22 +128,14 @@ func TestServerV2GenerateSSE(t *testing.T) {
 	}
 
 	// Generated tokens are visible in the stats snapshot.
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st sti.ServeStats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
+	st := statsOf(t, ts.url)
 	if st.GeneratedTokens != 2*maxNew {
 		t.Fatalf("stats generated_tokens %d, want %d", st.GeneratedTokens, 2*maxNew)
 	}
 }
 
 func TestServerV2GenerateValidation(t *testing.T) {
-	ts, _ := buildServer(t, sti.ServeOptions{Slack: 1000})
+	ts := startFleet(t, "-slack", "1000")
 	for _, tc := range []struct {
 		name string
 		body map[string]any
@@ -148,7 +146,7 @@ func TestServerV2GenerateValidation(t *testing.T) {
 		{"missing prompt", map[string]any{"model": "sentiment", "task": "generate"}, http.StatusBadRequest},
 		{"unknown model", map[string]any{"model": "absent", "task": "generate", "text": "hi"}, http.StatusNotFound},
 	} {
-		if status, data := postJSON(t, ts.URL+"/v2/infer", tc.body); status != tc.want {
+		if status, data := postJSON(t, ts.url+"/v2/infer", tc.body); status != tc.want {
 			t.Errorf("%s: status %d (want %d): %s", tc.name, status, tc.want, data)
 		}
 	}
@@ -165,20 +163,7 @@ func BenchmarkGenerateServe(b *testing.B) {
 	if _, err := sti.Preprocess(dir, w, []int{2, 4}); err != nil {
 		b.Fatal(err)
 	}
-	sys, err := sti.Load(dir, sti.Odroid(), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fleet := sti.NewFleet(256 << 10)
-	if err := fleet.Add("m", sys, 200*time.Millisecond, 1); err != nil {
-		b.Fatal(err)
-	}
-	if err := fleet.Replan(); err != nil {
-		b.Fatal(err)
-	}
-	sched := sti.NewScheduler(fleet, sti.ServeOptions{Slack: 1000})
-	defer sched.Close()
-	srv := newServer(fleet, sched, nil)
+	ts := startServer(b, "-model", "m="+dir, "-slack", "1000")
 
 	const maxNew = 8
 	prompt := []int{1, 17, 23}
@@ -189,14 +174,14 @@ func BenchmarkGenerateServe(b *testing.B) {
 	b.Run("v2-kvcached", func(b *testing.B) {
 		var tokens int
 		for i := 0; i < b.N; i++ {
-			req, err := http.NewRequest("POST", "/v2/infer", bytes.NewReader(body))
+			resp, err := http.Post(ts.url+"/v2/infer", "application/json", bytes.NewReader(body))
 			if err != nil {
 				b.Fatal(err)
 			}
-			rec := newBenchRecorder()
-			srv.ServeHTTP(rec, req)
-			if rec.status != http.StatusOK {
-				b.Fatalf("status %d: %s", rec.status, rec.buf.String())
+			_, err = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				b.Fatalf("status %d: %v", resp.StatusCode, err)
 			}
 			tokens += maxNew
 		}
@@ -220,21 +205,3 @@ func BenchmarkGenerateServe(b *testing.B) {
 		b.ReportMetric(float64(tokens)/b.Elapsed().Seconds(), "tok/s")
 	})
 }
-
-// benchRecorder is a minimal flushable ResponseWriter for benchmarks
-// (httptest.ResponseRecorder allocates per-flush bookkeeping we don't
-// want in the measured loop).
-type benchRecorder struct {
-	hdr    http.Header
-	buf    bytes.Buffer
-	status int
-}
-
-func newBenchRecorder() *benchRecorder {
-	return &benchRecorder{hdr: make(http.Header), status: http.StatusOK}
-}
-
-func (r *benchRecorder) Header() http.Header         { return r.hdr }
-func (r *benchRecorder) WriteHeader(code int)        { r.status = code }
-func (r *benchRecorder) Write(p []byte) (int, error) { return r.buf.Write(p) }
-func (r *benchRecorder) Flush()                      {}

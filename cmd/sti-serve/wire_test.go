@@ -3,45 +3,12 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"sti"
-	"sti/internal/obs"
 )
-
-// TestStatusFor pins the HTTP status of every typed serving error,
-// wrapped or bare: retryable refusals are 503, a generate the KV
-// budget cannot hold is 507, and the caller's own context errors never
-// read as server faults.
-func TestStatusFor(t *testing.T) {
-	for _, tc := range []struct {
-		err  error
-		want int
-	}{
-		{sti.ErrQueueFull, http.StatusServiceUnavailable},
-		{sti.ErrDeadline, http.StatusGatewayTimeout},
-		{sti.ErrUnknownModel, http.StatusNotFound},
-		{sti.ErrServerClosed, http.StatusServiceUnavailable},
-		{sti.ErrBatcherClosed, http.StatusServiceUnavailable},
-		{sti.ErrKVBudget, http.StatusInsufficientStorage},
-		{fmt.Errorf("model %q: %w", "m", sti.ErrKVBudget), http.StatusInsufficientStorage},
-		{context.DeadlineExceeded, http.StatusGatewayTimeout},
-		{context.Canceled, statusClientClosedRequest},
-		{errors.New("boom"), http.StatusInternalServerError},
-	} {
-		if got := statusFor(tc.err); got != tc.want {
-			t.Errorf("statusFor(%v) = %d, want %d", tc.err, got, tc.want)
-		}
-	}
-}
 
 // getBody fetches url and returns its body, failing on a non-200.
 func getBody(t *testing.T, url string) []byte {
@@ -66,28 +33,21 @@ func getBody(t *testing.T, url string) []byte {
 // classify and one generate: renaming or dropping one fails here
 // instead of silently zeroing a benchmark metric.
 func TestServerWireShape(t *testing.T) {
-	fleet := buildFleet(t, 256<<10)
-	hub := obs.NewHub(8)
-	obs.RegisterRuntimeMetrics(hub.Registry())
-	fleet.SetObservability(hub)
-	sched := sti.NewScheduler(fleet, sti.ServeOptions{Slack: 1000, Obs: hub})
-	t.Cleanup(sched.Close)
-	ts := httptest.NewServer(newServer(fleet, sched, hub))
-	t.Cleanup(ts.Close)
+	ts := startFleet(t, "-slack", "1000")
 
-	if status, data := postJSON(t, ts.URL+"/v2/infer", map[string]any{
+	if status, data := postJSON(t, ts.url+"/v2/infer", map[string]any{
 		"model": "sentiment", "task": "classify", "text": "wonderful gripping story",
 	}); status != http.StatusOK {
 		t.Fatalf("classify status %d: %s", status, data)
 	}
-	if status, _, events := postSSE(t, ts.URL+"/v2/infer", map[string]any{
+	if status, _, events := postSSE(t, ts.url+"/v2/infer", map[string]any{
 		"model": "sentiment", "task": "generate", "text": "once upon", "max_new_tokens": 2,
 	}); status != http.StatusOK || len(events) == 0 || events[len(events)-1].name != "done" {
 		t.Fatalf("generate status %d, events %v", status, events)
 	}
 
 	var st map[string]any
-	if err := json.Unmarshal(getBody(t, ts.URL+"/v1/stats"), &st); err != nil {
+	if err := json.Unmarshal(getBody(t, ts.url+"/v1/stats"), &st); err != nil {
 		t.Fatal(err)
 	}
 	requireKeys := func(where string, obj map[string]any, keys ...string) {
@@ -111,7 +71,7 @@ func TestServerWireShape(t *testing.T) {
 		"gen_preempted", "gen_recomputed_tokens")
 
 	series := make(map[string]bool)
-	lines := bufio.NewScanner(bytes.NewReader(getBody(t, ts.URL+"/metrics")))
+	lines := bufio.NewScanner(bytes.NewReader(getBody(t, ts.url+"/metrics")))
 	for lines.Scan() {
 		line := lines.Text()
 		if line == "" || line[0] == '#' {

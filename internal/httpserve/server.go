@@ -1,4 +1,4 @@
-package main
+package httpserve
 
 import (
 	"context"
@@ -16,20 +16,23 @@ import (
 	"sti/internal/tokenizer"
 )
 
-// server is the HTTP frontend over a fleet and its scheduler. It is
-// split from main so tests can drive the exact handler path with
-// httptest.
+// Server is one sti-serve process's HTTP surface. In standalone and
+// node mode it is the frontend over a fleet and its scheduler (a node
+// adds the /cluster/* endpoints); in router mode it is the cluster
+// router alone.
 //
 // /v2/infer is the one inference surface: a `task` field selects
 // classify (the default) or generate; generate responses stream each
 // decoded token as a server-sent event the moment the pipeline
 // produces it.
-type server struct {
-	fleet  *sti.Fleet
-	sched  *sti.Scheduler
-	hub    *obs.Hub
-	models map[string]modelInfo
-	mux    *http.ServeMux
+type Server struct {
+	fleet   *sti.Fleet     // nil in router mode
+	sched   *sti.Scheduler // nil in router mode
+	hub     *obs.Hub
+	node    *sti.ClusterNode   // node mode only
+	router  *sti.ClusterRouter // router mode only
+	models  map[string]modelInfo
+	handler http.Handler // the serving mux (with /cluster/ on a node) or the router, plus pprof
 }
 
 // modelInfo caches what the handler needs to tokenize and validate
@@ -40,36 +43,8 @@ type modelInfo struct {
 	maxSeq int
 }
 
-// newServer builds the HTTP frontend. hub is the process observability
-// root (nil disables /metrics, /v1/debug/trace and request tracing —
-// serving behavior is otherwise identical).
-func newServer(fleet *sti.Fleet, sched *sti.Scheduler, hub *obs.Hub) *server {
-	s := &server{
-		fleet:  fleet,
-		sched:  sched,
-		hub:    hub,
-		models: make(map[string]modelInfo),
-		mux:    http.NewServeMux(),
-	}
-	for _, name := range fleet.Names() {
-		e, _ := fleet.Entry(name)
-		cfg := e.System.Store.Man.Config
-		s.models[name] = modelInfo{
-			tok:    tokenizer.New(cfg.Vocab, cfg.MaxSeq),
-			vocab:  cfg.Vocab,
-			maxSeq: cfg.MaxSeq,
-		}
-	}
-	s.mux.HandleFunc("POST /v2/infer", s.handleInfer)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("POST /v1/budget", s.handleBudget)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /v1/debug/trace", s.handleDebugTrace)
-	return s
-}
-
-func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+// ServeHTTP serves the whole surface New built for the process's mode.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
 // inferInput is one sequence: raw token ids, or text to be tokenized
 // with the model's own tokenizer (TextB for sentence-pair tasks).
@@ -84,6 +59,12 @@ type inferInput struct {
 // goroutine and one admission-queue slot, so an unbounded list would
 // let a single client burst past the queue's load shedding.
 const maxInputsPerBody = 64
+
+// maxBodyBytes bounds a /v2/infer body before it is decoded, so one
+// huge body cannot outrun the input limits checked after decoding: 64
+// inputs of 128 five-digit token ids with masks (BERT-base's maxSeq and
+// vocabulary) take about 100 KB.
+const maxBodyBytes = 1 << 20
 
 // defaultMaxNewTokens bounds a generate request that did not say how
 // many tokens it wants.
@@ -249,10 +230,14 @@ func resultFor(res *sti.ServeResult, err error) inferResult {
 
 // handleInfer is the task-typed inference endpoint: it decodes,
 // validates and dispatches one request.
-func (s *server) handleInfer(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	var req inferRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	if req.Model == "" {
@@ -299,7 +284,7 @@ func (s *server) handleInfer(w http.ResponseWriter, r *http.Request) {
 // single input answers with one result (or a plain error), a list with
 // per-input results. The returned string is the request's outcome for
 // the trace exemplar ring ("" on success).
-func (s *server) serveClassify(w http.ResponseWriter, r *http.Request, req inferRequest, info modelInfo) string {
+func (s *Server) serveClassify(w http.ResponseWriter, r *http.Request, req inferRequest, info modelInfo) string {
 	single := len(req.Inputs) == 0
 	inputs := req.Inputs
 	if single {
@@ -453,7 +438,7 @@ func (st *sseStream) finish(name string, v any, err error) {
 // validation — are plain JSON with the proper status code, exactly
 // like classify. The returned string is the request's outcome for the
 // trace exemplar ring ("" on success).
-func (s *server) serveGenerate(w http.ResponseWriter, r *http.Request, req inferRequest, info modelInfo) string {
+func (s *Server) serveGenerate(w http.ResponseWriter, r *http.Request, req inferRequest, info modelInfo) string {
 	if len(req.Inputs) > 0 {
 		err := errors.New("generate takes a single prompt, not inputs")
 		httpError(w, http.StatusBadRequest, err)
@@ -524,16 +509,12 @@ func (s *server) serveGenerate(w http.ResponseWriter, r *http.Request, req infer
 	return ""
 }
 
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.sched.Snapshot())
 }
 
 // handleMetrics serves the registry in Prometheus text exposition.
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.hub == nil {
-		httpError(w, http.StatusNotFound, errors.New("observability disabled"))
-		return
-	}
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.hub.Registry().WritePrometheus(w)
 }
@@ -545,11 +526,7 @@ const debugGanttWidth = 100
 // erroring) request timelines per model, rendered as ASCII Gantt
 // charts. ?trace=<id> selects one exemplar; ?format=json returns the
 // exemplar object(s) — the shape a cluster router stitches from.
-func (s *server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	if s.hub == nil {
-		httpError(w, http.StatusNotFound, errors.New("observability disabled"))
-		return
-	}
+func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	format := r.URL.Query().Get("format")
 	if id := r.URL.Query().Get("trace"); id != "" {
 		ex, ok := s.hub.FindTrace(id)
@@ -588,7 +565,7 @@ func (s *server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 // §3.2's "|S| changes at any time", live. In-flight inference drains
 // first (the fleet quiesces), then every model is replanned and warmed
 // under its new share.
-func (s *server) handleBudget(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		BudgetBytes int64 `json:"budget_bytes"`
 	}
@@ -624,7 +601,7 @@ func (s *server) handleBudget(w http.ResponseWriter, r *http.Request) {
 // handleHealthz reports liveness plus the draining flag a cluster
 // router polls: a draining node still answers (in-flight work is
 // finishing) but should receive no new traffic.
-func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		OK       bool     `json:"ok"`
 		Draining bool     `json:"draining,omitempty"`
