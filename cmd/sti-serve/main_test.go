@@ -2,6 +2,7 @@ package main
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -57,5 +58,79 @@ func TestParseFlags(t *testing.T) {
 	}
 	if _, err := parseFlags([]string{"-model", "a=/s/a,target=-2.5ms"}); err == nil {
 		t.Error("a non-positive target= parsed")
+	}
+}
+
+// flagsValidate parses a standalone command line serving one model and
+// validates the result, the path main takes before it serves anything.
+func flagsValidate(t *testing.T, args ...string) (httpserve.Config, error) {
+	t.Helper()
+	cfg, err := parseFlags(append([]string{"-model", "m=/s"}, args...))
+	if err != nil {
+		t.Fatalf("parseFlags(%q): %v", args, err)
+	}
+	return cfg, cfg.Validate()
+}
+
+// TestConcurrencyForValidation covers the -workers/-replicas matrix: an
+// unset -workers follows -replicas, an explicit one must cover them, and
+// zero workers or replicas are rejected.
+func TestConcurrencyForValidation(t *testing.T) {
+	for _, c := range []struct {
+		args    []string
+		want    int
+		wantErr bool
+	}{
+		{args: nil, want: 2},                                           // defaults untouched
+		{args: []string{"-replicas", "4"}, want: 8},                    // adaptive: 2x replicas
+		{args: []string{"-workers", "12", "-replicas", "4"}, want: 12}, // explicit and ample
+		{args: []string{"-workers", "4", "-replicas", "4"}, want: 4},   // explicit at the floor
+		{args: []string{"-workers", "2", "-replicas", "4"}, wantErr: true},
+		{args: []string{"-workers", "0", "-replicas", "1"}, wantErr: true},
+		{args: []string{"-replicas", "0"}, wantErr: true},
+	} {
+		cfg, err := flagsValidate(t, c.args...)
+		if c.wantErr {
+			if err == nil {
+				t.Errorf("%q: workers=%d valid, want error", c.args, cfg.Workers)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%q: %v", c.args, err)
+			continue
+		}
+		if cfg.Workers != c.want {
+			t.Errorf("%q: workers=%d, want %d", c.args, cfg.Workers, c.want)
+		}
+	}
+}
+
+// TestPredictConfigFor covers the prediction flag matrix: off by
+// default, on when either actuator flag is set, and -prefetch with a
+// zero-byte or negative shared cache rejected with an explanation.
+func TestPredictConfigFor(t *testing.T) {
+	for _, c := range []struct {
+		args                []string
+		prefetch, speculate bool
+	}{
+		{nil, false, false},
+		{[]string{"-prefetch"}, true, false},
+		{[]string{"-speculate", "-sharedcache", "0"}, false, true}, // valid: no staging
+		{[]string{"-prefetch", "-speculate", "-sharedcache", "4096"}, true, true},
+	} {
+		cfg, err := flagsValidate(t, c.args...)
+		if err != nil || cfg.Prefetch != c.prefetch || cfg.Speculate != c.speculate {
+			t.Errorf("%q: prefetch=%v speculate=%v err=%v, want prefetch=%v speculate=%v",
+				c.args, cfg.Prefetch, cfg.Speculate, err, c.prefetch, c.speculate)
+		}
+	}
+	for _, bytes := range []string{"0", "-1"} {
+		_, err := flagsValidate(t, "-prefetch", "-sharedcache", bytes)
+		if err == nil {
+			t.Errorf("-prefetch with -sharedcache=%s valid, want rejection", bytes)
+		} else if !strings.Contains(err.Error(), "-sharedcache") {
+			t.Errorf("rejection should name -sharedcache: %v", err)
+		}
 	}
 }
