@@ -14,13 +14,14 @@ import (
 
 	"sti"
 	"sti/internal/obs"
+	"sti/internal/obs/obshttp"
 )
 
 // buildCluster runs nodeNames as real -mode node servers on loopback
 // listeners, each serving every store in dirs with args, fronts them
 // with a router, and waits until the router's health poll sees every
 // node up. The router's 20 ms health poll is a setting no flag has, so
-// it is built directly. Listeners are allocated before any node starts
+// it is built directly, beside /metrics as httpserve.New mounts it. Listeners are allocated before any node starts
 // so the static peer list (identical everywhere, like -peers) carries
 // real URLs. Every node starts draining at once when the test ends, so
 // their -draingrace windows overlap.
@@ -48,12 +49,16 @@ func buildCluster(t testing.TB, nodeNames []string, dirs map[string]string, args
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := sti.NewClusterRouter(parsed, sti.ClusterRouterOptions{HealthInterval: 20 * time.Millisecond, Obs: obs.NewHub(32)})
+	hub := obs.NewHub(32)
+	rt, err := sti.NewClusterRouter(parsed, sti.ClusterRouterOptions{HealthInterval: 20 * time.Millisecond, Obs: hub})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
-	rts := httptest.NewServer(rt)
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /metrics", obshttp.Metrics(hub))
+	mux.Handle("/", rt)
+	rts := httptest.NewServer(mux)
 	t.Cleanup(rts.Close)
 	want := make(map[string]string, len(nodeNames))
 	for _, name := range nodeNames {

@@ -19,6 +19,7 @@ import (
 
 	"sti"
 	"sti/internal/httpserve"
+	"sti/internal/obs/obshttp"
 )
 
 // The /v2/infer wire shapes, as a client writes and reads them.
@@ -547,6 +548,69 @@ func TestServerBodyLimit(t *testing.T) {
 	}
 	if status, data := postJSON(t, ts.url+"/v2/infer", inferRequest{Model: "sentiment", Inputs: inputs}); status != http.StatusOK {
 		t.Fatalf("64 maxSeq inputs with masks: status %d: %s", status, data)
+	}
+}
+
+// TestPostBodiesShareOneBound sends every POST route of a node and a
+// router an over-limit body and a malformed one: each answers 413 and
+// 400 in the JSON error shape, under the one obshttp.MaxBodyBytes
+// bound. The refused bodies reach neither a node's scheduler nor its
+// budget, while the same budget request under the bound replans.
+func TestPostBodiesShareOneBound(t *testing.T) {
+	dirs := buildModelDirs(t, "sentiment")
+	router, nodes := buildCluster(t, []string{"a"}, dirs, "-slack", "1000", "-draingrace", "0")
+	node := nodes["a"].url
+	budget := func() string {
+		for _, line := range strings.Split(string(getBody(t, node+"/metrics")), "\n") {
+			if v, ok := strings.CutPrefix(line, "sti_fleet_budget_bytes "); ok {
+				return v
+			}
+		}
+		t.Fatal("/metrics lacks sti_fleet_budget_bytes")
+		return ""
+	}
+	before := budget()
+	small := `{"budget_bytes":65536,"model":"sentiment","text":"x"}`
+	huge := strings.Replace(small, `"x"`, `"`+strings.Repeat("x", obshttp.MaxBodyBytes)+`"`, 1)
+	for _, url := range []string{
+		router.URL + "/v2/infer",
+		node + "/v2/infer",
+		node + "/v1/budget",
+		node + "/cluster/observe",
+	} {
+		for _, tc := range []struct {
+			body string
+			want int
+		}{
+			{huge, http.StatusRequestEntityTooLarge},
+			{`{"model":`, http.StatusBadRequest},
+		} {
+			resp, err := http.Post(url, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e struct {
+				Error string `json:"error"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want || err != nil || e.Error == "" {
+				t.Errorf("POST %s with a %d-byte body: status %d, error %q (decode err %v), want %d with a JSON error",
+					url, len(tc.body), resp.StatusCode, e.Error, err, tc.want)
+			}
+		}
+	}
+	if n := statsOf(t, node).Completed; n != 0 {
+		t.Errorf("node completed %d requests; the router forwarded a refused body", n)
+	}
+	if got := budget(); got != before {
+		t.Fatalf("a refused /v1/budget body moved the budget %s -> %s", before, got)
+	}
+	if status, data := postJSON(t, node+"/v1/budget", json.RawMessage(small)); status != http.StatusOK {
+		t.Fatalf("budget body under the bound: status %d: %s", status, data)
+	}
+	if got := budget(); got != "65536" {
+		t.Fatalf("budget after replan %s, want 65536", got)
 	}
 }
 

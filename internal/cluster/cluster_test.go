@@ -197,6 +197,44 @@ func TestRouterForwardsClassifyToHome(t *testing.T) {
 	}
 }
 
+// The router reads a body under the same bound as the node it forwards
+// to: a 2 MB body, which the node would refuse, is refused at the
+// router and never forwarded; a malformed one is a 400, not a 413.
+func TestRouterRefusesBodiesPastTheNodeBound(t *testing.T) {
+	rt, nodes := testCluster(t, 2, RouterOptions{})
+	front := httptest.NewServer(rt)
+	defer front.Close()
+
+	model := modelHomedOn(t, rt, nodes[0].name)
+	huge := fmt.Sprintf(`{"model":%q,"text":"%s"}`, model, strings.Repeat("x", 2<<20))
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{huge, http.StatusRequestEntityTooLarge},
+		{`{"model":`, http.StatusBadRequest},
+	} {
+		resp, err := postInfer(t, front.URL, tc.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want || err != nil || e.Error == "" {
+			t.Fatalf("%d-byte body: status %d, error %q (decode err %v), want %d with a JSON error",
+				len(tc.body), resp.StatusCode, e.Error, err, tc.want)
+		}
+	}
+	for _, n := range nodes {
+		if got := n.served.Load(); got != 0 {
+			t.Fatalf("node %s saw %d refused bodies", n.name, got)
+		}
+	}
+}
+
 // An absurd target_ms must not overflow the hop-deadline derivation
 // into a context that is dead on arrival: the forward has to reach the
 // node so the node's own validation verdict is what the client sees.
@@ -437,7 +475,7 @@ func (b *fakeBackend) ObserveArrival(model string, class time.Duration, depth, c
 func TestNodePeerFetchAndEndpoints(t *testing.T) {
 	backendA := newFakeBackend("m")
 	backendA.payloads[[3]int{3, 1, 4}] = []byte{0xde, 0xad}
-	nodeA, err := NewNode(backendA, "a", []Peer{{Name: "a", URL: "http://stub"}}, NodeOptions{})
+	nodeA, err := NewNode(backendA, "a", []Peer{{Name: "a", URL: "http://stub"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +484,7 @@ func TestNodePeerFetchAndEndpoints(t *testing.T) {
 
 	backendB := newFakeBackend("m")
 	peers := []Peer{{Name: "a", URL: srvA.URL}, {Name: "b", URL: "http://unused"}}
-	nodeB, err := NewNode(backendB, "b", peers, NodeOptions{})
+	nodeB, err := NewNode(backendB, "b", peers)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"sti/internal/obs/obshttp"
 	"sti/internal/store"
 )
 
@@ -24,9 +25,11 @@ type Peer struct {
 }
 
 // ParsePeers parses a -peers flag value: comma-separated name=url
-// pairs, e.g. "a=http://10.0.0.1:8080,b=http://10.0.0.2:8080".
+// pairs with unique names, e.g.
+// "a=http://10.0.0.1:8080,b=http://10.0.0.2:8080".
 func ParsePeers(s string) ([]Peer, error) {
 	var peers []Peer
+	seen := make(map[string]bool)
 	for _, part := range strings.Split(s, ",") {
 		if part = strings.TrimSpace(part); part == "" {
 			continue
@@ -39,6 +42,10 @@ func ParsePeers(s string) ([]Peer, error) {
 		if err != nil || u.Scheme == "" || u.Host == "" {
 			return nil, fmt.Errorf("cluster: peer %q has no absolute url", part)
 		}
+		if seen[name] {
+			return nil, fmt.Errorf("cluster: duplicate peer name %q", name)
+		}
+		seen[name] = true
 		peers = append(peers, Peer{Name: name, URL: strings.TrimRight(rawurl, "/")})
 	}
 	if len(peers) == 0 {
@@ -70,17 +77,11 @@ type NodeBackend interface {
 	ObserveArrival(model string, class time.Duration, depth, capacity int)
 }
 
-// NodeOptions tune one cluster member.
-type NodeOptions struct {
-	Ring RingOptions
-	// PeerTimeout bounds one peer-cache lookup (default 100ms): past
-	// it the miss falls through to local flash. It rides inside the
-	// shard's single flight, so a dead peer costs at most one timeout
-	// per distinct missing shard at a time.
-	PeerTimeout time.Duration
-	// Client overrides the peer-fetch HTTP client (tests).
-	Client *http.Client
-}
+// peerTimeout bounds one peer-cache lookup: past it the miss falls
+// through to local flash. It rides inside the shard's single flight,
+// so a dead peer costs at most one timeout per distinct missing shard
+// at a time.
+const peerTimeout = 100 * time.Millisecond
 
 // Node is the cluster-facing side of one sti-serve process: it wires
 // the fleet's shared caches to the peers holding each model (the
@@ -94,14 +95,13 @@ type Node struct {
 	peers   map[string]string // name → base URL
 	ring    *Ring
 	client  *http.Client
-	timeout time.Duration
 	mux     *http.ServeMux
 }
 
 // NewNode builds the cluster wiring for one member. self must be one
 // of peers' names; every model currently in the fleet gets its shared
 // cache's peer level installed.
-func NewNode(backend NodeBackend, self string, peers []Peer, opts NodeOptions) (*Node, error) {
+func NewNode(backend NodeBackend, self string, peers []Peer) (*Node, error) {
 	names := make([]string, len(peers))
 	byName := make(map[string]string, len(peers))
 	for i, p := range peers {
@@ -111,24 +111,16 @@ func NewNode(backend NodeBackend, self string, peers []Peer, opts NodeOptions) (
 	if _, ok := byName[self]; !ok {
 		return nil, fmt.Errorf("cluster: node %q is not in the peer list", self)
 	}
-	ring, err := NewRing(names, opts.Ring)
+	ring, err := NewRing(names)
 	if err != nil {
 		return nil, err
-	}
-	if opts.PeerTimeout <= 0 {
-		opts.PeerTimeout = 100 * time.Millisecond
-	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Transport: newTransport()}
 	}
 	n := &Node{
 		backend: backend,
 		self:    self,
 		peers:   byName,
 		ring:    ring,
-		client:  client,
-		timeout: opts.PeerTimeout,
+		client:  &http.Client{Transport: newTransport()},
 		mux:     http.NewServeMux(),
 	}
 	n.mux.HandleFunc("GET /cluster/shard", n.handleShard)
@@ -172,7 +164,7 @@ func (n *Node) peerFetch(model string) store.PeerFetch {
 }
 
 func (n *Node) fetchOne(base, model string, layer, slice, bits int) ([]byte, bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), n.timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), peerTimeout)
 	defer cancel()
 	u := fmt.Sprintf("%s/cluster/shard?model=%s&layer=%d&slice=%d&bits=%d",
 		base, url.QueryEscape(model), layer, slice, bits)
@@ -233,8 +225,11 @@ type observation struct {
 // elsewhere.
 func (n *Node) handleObserve(w http.ResponseWriter, r *http.Request) {
 	var obs observation
-	if err := json.NewDecoder(r.Body).Decode(&obs); err != nil || obs.Model == "" {
-		http.Error(w, "bad observation", http.StatusBadRequest)
+	if !obshttp.DecodeBody(w, r, &obs) {
+		return
+	}
+	if obs.Model == "" {
+		obshttp.WriteError(w, http.StatusBadRequest, errors.New("observation names no model"))
 		return
 	}
 	n.backend.ObserveArrival(obs.Model, time.Duration(obs.TargetMS*float64(time.Millisecond)), obs.Depth, obs.Capacity)

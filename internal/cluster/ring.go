@@ -20,49 +20,31 @@ import (
 	"sync"
 )
 
-// RingOptions tune placement.
-type RingOptions struct {
-	// VirtualNodes is the number of ring points per node (default 64):
-	// more points smooth the keyspace split at the cost of a larger
-	// sorted ring.
-	VirtualNodes int
-	// ReplicationFactor is how many distinct nodes hold each model
-	// (default 2, clamped to the node count): the first is the model's
+// Placement constants. The router and every node build their own Ring
+// over the same peer list, and a node's peer fetch asks Place which
+// members hold a model, so these must agree across the cluster; as
+// constants they cannot differ.
+const (
+	// virtualNodes is the number of ring points per node: more points
+	// smooth the keyspace split at the cost of a larger sorted ring.
+	virtualNodes = 64
+	// replicationFactor is how many distinct nodes hold each model
+	// (fewer when the cluster is smaller): the first is the model's
 	// home, the rest serve retries, rebalanced load, and peer-cache
 	// fetches.
-	ReplicationFactor int
-	// RebalanceFactor is the load ratio (most- vs least-loaded holder
-	// of a model) that counts toward moving the model's traffic
-	// (default 2.0).
-	RebalanceFactor float64
-	// RebalanceTicks is how many consecutive imbalanced observations
-	// must accumulate before traffic actually moves (default 3) — the
-	// hysteresis that keeps one burst from flapping placement.
-	RebalanceTicks int
-	// MinLoadGap is the absolute in-flight difference below which
-	// imbalance is ignored regardless of ratio (default 4): 2 vs 1
-	// in-flight is noise, 40 vs 19 is not.
-	MinLoadGap int
-}
-
-func (o RingOptions) withDefaults() RingOptions {
-	if o.VirtualNodes <= 0 {
-		o.VirtualNodes = 64
-	}
-	if o.ReplicationFactor <= 0 {
-		o.ReplicationFactor = 2
-	}
-	if o.RebalanceFactor <= 1 {
-		o.RebalanceFactor = 2.0
-	}
-	if o.RebalanceTicks <= 0 {
-		o.RebalanceTicks = 3
-	}
-	if o.MinLoadGap <= 0 {
-		o.MinLoadGap = 4
-	}
-	return o
-}
+	replicationFactor = 2
+	// rebalanceFactor is the load ratio (most- vs least-loaded holder
+	// of a model) that counts toward moving the model's traffic.
+	rebalanceFactor = 2.0
+	// rebalanceTicks is how many consecutive imbalanced observations
+	// must accumulate before traffic actually moves — the hysteresis
+	// that keeps one burst from flapping placement.
+	rebalanceTicks = 3
+	// minLoadGap is the absolute in-flight difference below which
+	// imbalance is ignored regardless of ratio: 2 vs 1 in-flight is
+	// noise, 40 vs 19 is not.
+	minLoadGap = 4
+)
 
 // ringPoint is one virtual node on the hash circle.
 type ringPoint struct {
@@ -81,12 +63,10 @@ type balance struct {
 // set. Placement is deterministic given the membership and each node's
 // availability; on top of that, Pick applies load-aware rebalancing
 // with hysteresis — a model's traffic moves to a less-loaded holder
-// only after RebalanceTicks consecutive imbalanced observations, and
+// only after rebalanceTicks consecutive imbalanced observations, and
 // moves back just as reluctantly, so placement never flaps on a single
 // burst. All methods are safe for concurrent use.
 type Ring struct {
-	opts RingOptions
-
 	mu       sync.Mutex
 	nodes    []string        // all members, sorted
 	down     map[string]bool // unavailable (draining or unreachable) members
@@ -97,12 +77,11 @@ type Ring struct {
 
 // NewRing builds a ring over the given node names. Names must be
 // non-empty and unique; at least one node is required.
-func NewRing(nodes []string, opts RingOptions) (*Ring, error) {
+func NewRing(nodes []string) (*Ring, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one node")
 	}
 	r := &Ring{
-		opts:     opts.withDefaults(),
 		nodes:    append([]string(nil), nodes...),
 		down:     make(map[string]bool),
 		balances: make(map[string]*balance),
@@ -117,7 +96,7 @@ func NewRing(nodes []string, opts RingOptions) (*Ring, error) {
 			return nil, fmt.Errorf("cluster: duplicate node %q", n)
 		}
 		seen[n] = true
-		for i := 0; i < r.opts.VirtualNodes; i++ {
+		for i := 0; i < virtualNodes; i++ {
 			r.points = append(r.points, ringPoint{hash: hash64(fmt.Sprintf("%s#%d", n, i)), node: n})
 		}
 	}
@@ -177,7 +156,7 @@ func (r *Ring) Available(node string) bool {
 
 // Place returns the available nodes holding model, in preference
 // order: the walk of the hash circle from the model's point, keeping
-// the first ReplicationFactor distinct members and dropping the
+// the first replicationFactor distinct members and dropping the
 // unavailable ones. Empty when every holder is down.
 func (r *Ring) Place(model string) []string {
 	r.mu.Lock()
@@ -189,8 +168,8 @@ func (r *Ring) placeLocked(model string) []string {
 	h := hash64(model)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	var out []string
-	seen := make(map[string]bool, r.opts.ReplicationFactor)
-	for n := 0; n < len(r.points) && len(seen) < r.opts.ReplicationFactor; n++ {
+	seen := make(map[string]bool, replicationFactor)
+	for n := 0; n < len(r.points) && len(seen) < replicationFactor; n++ {
 		p := r.points[(i+n)%len(r.points)]
 		if seen[p.node] {
 			continue
@@ -207,8 +186,8 @@ func (r *Ring) placeLocked(model string) []string {
 // router's current per-node in-flight load, and returns the remaining
 // holders as retry candidates. Each call is also one load observation
 // for the model's hysteresis: when the preferred holder has carried
-// RebalanceFactor× the load of the least-loaded holder (by at least
-// MinLoadGap) for RebalanceTicks consecutive calls, the model's
+// rebalanceFactor× the load of the least-loaded holder (by at least
+// minLoadGap) for rebalanceTicks consecutive calls, the model's
 // traffic moves to that holder — and moves back only after the same
 // sustained evidence that the override stopped being the lighter
 // choice.
@@ -261,12 +240,12 @@ func (r *Ring) observeLocked(model string, cands []string, load func(string) int
 			st.override, st.calm = "", 0
 			return primary
 		}
-		if load(st.override) >= load(primary)+r.opts.MinLoadGap {
+		if load(st.override) >= load(primary)+minLoadGap {
 			st.calm++
 		} else {
 			st.calm = 0
 		}
-		if st.calm >= r.opts.RebalanceTicks {
+		if st.calm >= rebalanceTicks {
 			st.override, st.calm = "", 0
 			return primary
 		}
@@ -274,11 +253,11 @@ func (r *Ring) observeLocked(model string, cands []string, load func(string) int
 	}
 
 	pl := load(primary)
-	imbalanced := pl-leastLoad >= r.opts.MinLoadGap &&
-		float64(pl) > r.opts.RebalanceFactor*float64(leastLoad)
+	imbalanced := pl-leastLoad >= minLoadGap &&
+		float64(pl) > rebalanceFactor*float64(leastLoad)
 	if imbalanced && least != primary {
 		st.hot++
-		if st.hot >= r.opts.RebalanceTicks {
+		if st.hot >= rebalanceTicks {
 			st.override, st.hot, st.calm = least, 0, 0
 			r.moves++
 			return least

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-func testRing(t *testing.T, nodes []string, opts RingOptions) *Ring {
+func testRing(t *testing.T, nodes []string) *Ring {
 	t.Helper()
-	r, err := NewRing(nodes, opts)
+	r, err := NewRing(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,8 +16,8 @@ func testRing(t *testing.T, nodes []string, opts RingOptions) *Ring {
 
 func TestRingPlaceIsDeterministicAndReplicated(t *testing.T) {
 	nodes := []string{"a", "b", "c", "d"}
-	r := testRing(t, nodes, RingOptions{ReplicationFactor: 2})
-	r2 := testRing(t, []string{"d", "c", "b", "a"}, RingOptions{ReplicationFactor: 2})
+	r := testRing(t, nodes)
+	r2 := testRing(t, []string{"d", "c", "b", "a"})
 	for i := 0; i < 50; i++ {
 		model := fmt.Sprintf("model-%d", i)
 		p1, p2 := r.Place(model), r2.Place(model)
@@ -34,7 +34,7 @@ func TestRingPlaceIsDeterministicAndReplicated(t *testing.T) {
 }
 
 func TestRingSpreadsModels(t *testing.T) {
-	r := testRing(t, []string{"a", "b", "c", "d"}, RingOptions{})
+	r := testRing(t, []string{"a", "b", "c", "d"})
 	byNode := map[string]int{}
 	const models = 400
 	for i := 0; i < models; i++ {
@@ -50,7 +50,7 @@ func TestRingSpreadsModels(t *testing.T) {
 }
 
 func TestRingRebalancesOnUnavailability(t *testing.T) {
-	r := testRing(t, []string{"a", "b", "c"}, RingOptions{ReplicationFactor: 2})
+	r := testRing(t, []string{"a", "b", "c"})
 	var model string
 	for i := 0; ; i++ {
 		model = fmt.Sprintf("model-%d", i)
@@ -86,12 +86,10 @@ func TestRingRebalancesOnUnavailability(t *testing.T) {
 
 // TestRingRebalanceHysteresis: a sustained load imbalance moves a
 // model's traffic to the lighter holder — but only after
-// RebalanceTicks consecutive observations, and it moves back just as
+// rebalanceTicks consecutive observations, and it moves back just as
 // reluctantly. A single spike never flaps placement.
 func TestRingRebalanceHysteresis(t *testing.T) {
-	r := testRing(t, []string{"a", "b", "c"}, RingOptions{
-		ReplicationFactor: 2, RebalanceTicks: 3, RebalanceFactor: 2, MinLoadGap: 4,
-	})
+	r := testRing(t, []string{"a", "b", "c"})
 	model := "m"
 	holders := r.Place(model)
 	primary, second := holders[0], holders[1]
@@ -163,13 +161,13 @@ func TestRingRebalanceHysteresis(t *testing.T) {
 }
 
 func TestRingRejectsBadMembers(t *testing.T) {
-	if _, err := NewRing(nil, RingOptions{}); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Fatal("empty ring accepted")
 	}
-	if _, err := NewRing([]string{"a", "a"}, RingOptions{}); err == nil {
+	if _, err := NewRing([]string{"a", "a"}); err == nil {
 		t.Fatal("duplicate node accepted")
 	}
-	if _, err := NewRing([]string{""}, RingOptions{}); err == nil {
+	if _, err := NewRing([]string{""}); err == nil {
 		t.Fatal("empty node name accepted")
 	}
 }
@@ -183,9 +181,36 @@ func TestParsePeers(t *testing.T) {
 		peers[1] != (Peer{Name: "b", URL: "https://h2:1"}) {
 		t.Fatalf("peers %+v", peers)
 	}
-	for _, bad := range []string{"", "a", "a=", "=http://x", "a=notaurl"} {
+	for _, bad := range []string{"", "a", "a=", "=http://x", "a=notaurl", "a=http://x:1,a=http://y:2"} {
 		if _, err := ParsePeers(bad); err == nil {
 			t.Fatalf("ParsePeers(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParsePeers: ParsePeers never panics, and every peer list it
+// accepts builds a ring — so a -peers value that passes startup
+// validation cannot fail later when the router or a node is built.
+func FuzzParsePeers(f *testing.F) {
+	for _, seed := range []string{
+		"a=http://h1:1234, b=https://h2:1/",
+		"a=http://x:1,a=http://y:2",
+		"a=http://x:1,,b=http://x:1",
+		"=http://x", "a=", "a=notaurl", " , ",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		peers, err := ParsePeers(s)
+		if err != nil {
+			return
+		}
+		names := make([]string, len(peers))
+		for i, p := range peers {
+			names[i] = p.Name
+		}
+		if _, err := NewRing(names); err != nil {
+			t.Fatalf("ParsePeers(%q) accepted %v, but NewRing rejects it: %v", s, peers, err)
+		}
+	})
 }

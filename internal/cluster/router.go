@@ -15,43 +15,25 @@ import (
 	"time"
 
 	"sti/internal/obs"
+	"sti/internal/obs/obshttp"
 )
 
 // RouterOptions tune the cluster frontend.
 type RouterOptions struct {
-	Ring RingOptions
 	// DefaultTarget is the SLO assumed for requests that carry no
 	// target_ms (default 200ms) — the router cannot know each model's
 	// configured default, only the node can.
 	DefaultTarget time.Duration
-	// Slack multiplies the target into the per-hop deadline, mirroring
-	// the scheduler's own admission window (default 4): a hop that
-	// cannot answer within Slack×target is past its SLO anyway.
-	Slack float64
-	// HopGrace pads every per-hop deadline for queueing and the wire
-	// (default 250ms).
-	HopGrace time.Duration
 	// HealthInterval paces the background health poll (default 500ms).
 	// A node reporting draining (or not answering) stops receiving
 	// traffic on the next tick and its models rebalance to the
 	// remaining holders.
 	HealthInterval time.Duration
-	// ProbeTimeout bounds one health probe, node stats fetch, or
-	// observation post (default 1s, floored at HealthInterval): a short
-	// poll interval quickens draining detection without shrinking the
-	// probe's own budget — a probe slower than its timeout reads as a
-	// down node.
-	ProbeTimeout time.Duration
-	// ObserveCapacity is the queue-capacity hint attached to forwarded
-	// arrival observations (default 64, the serving default).
-	ObserveCapacity int
-	// Client overrides the forwarding HTTP client (tests).
-	Client *http.Client
 	// Obs is the router process's observability hub. When set, the
-	// router serves /metrics and /v1/debug/trace, traces every proxied
-	// request, and propagates trace context to the serving node via the
-	// Traceparent header so the node's half of the timeline stitches
-	// onto the router's. Nil disables all of it.
+	// router serves /v1/debug/trace, traces every proxied request, and
+	// propagates trace context to the serving node via the Traceparent
+	// header so the node's half of the timeline stitches onto the
+	// router's. Nil disables all of it.
 	Obs *obs.Hub
 }
 
@@ -59,26 +41,32 @@ func (o RouterOptions) withDefaults() RouterOptions {
 	if o.DefaultTarget <= 0 {
 		o.DefaultTarget = 200 * time.Millisecond
 	}
-	if o.Slack <= 0 {
-		o.Slack = 4
-	}
-	if o.HopGrace <= 0 {
-		o.HopGrace = 250 * time.Millisecond
-	}
 	if o.HealthInterval <= 0 {
 		o.HealthInterval = 500 * time.Millisecond
 	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = time.Second
-	}
-	if o.ProbeTimeout < o.HealthInterval {
-		o.ProbeTimeout = o.HealthInterval
-	}
-	if o.ObserveCapacity <= 0 {
-		o.ObserveCapacity = 64
-	}
 	return o
 }
+
+const (
+	// hopSlack multiplies the target into the per-hop deadline,
+	// mirroring the scheduler's own admission window: a hop that cannot
+	// answer within hopSlack×target is past its SLO anyway.
+	hopSlack = 4
+	// hopGrace pads every per-hop deadline for queueing and the wire.
+	hopGrace = 250 * time.Millisecond
+	// minProbeTimeout bounds one health probe, node stats or trace
+	// fetch, or observation post, unless the health interval is longer:
+	// a short poll interval quickens draining detection without
+	// shrinking the probe's own budget — a probe slower than its
+	// timeout reads as a down node.
+	minProbeTimeout = time.Second
+	// observeCapacity is the queue-capacity hint attached to forwarded
+	// arrival observations (the serving default).
+	observeCapacity = 64
+	// maxNodeReply caps a node's stats or trace answer the router reads
+	// into memory.
+	maxNodeReply = 8 << 20
+)
 
 // Node states as the router sees them.
 const (
@@ -110,11 +98,6 @@ type nodeRef struct {
 	errs      atomic.Uint64
 }
 
-// maxForwardBody caps a buffered request body (the router must buffer
-// to retry): far above any real multi-input classify body, far below
-// a memory hazard.
-const maxForwardBody = 8 << 20
-
 // Router terminates the cluster's client surface and forwards each
 // request to a node holding its model. Classify requests — idempotent
 // — are retried once on a different holder when a node sheds (503) or
@@ -124,11 +107,12 @@ const maxForwardBody = 8 << 20
 // event-by-event under the client's context, so a dropped client
 // cancels the upstream decode within one step.
 type Router struct {
-	opts   RouterOptions
-	ring   *Ring
-	client *http.Client
-	mux    *http.ServeMux
-	hub    *obs.Hub
+	opts         RouterOptions
+	probeTimeout time.Duration // the longer of minProbeTimeout and opts.HealthInterval
+	ring         *Ring
+	client       *http.Client
+	mux          *http.ServeMux
+	hub          *obs.Hub
 
 	nodes map[string]*nodeRef
 	order []string // node names, sorted, for stable stats
@@ -159,21 +143,19 @@ func NewRouter(peers []Peer, opts RouterOptions) (*Router, error) {
 		names[i] = p.Name
 		nodes[p.Name] = &nodeRef{name: p.Name, base: strings.TrimRight(p.URL, "/")}
 	}
-	ring, err := NewRing(names, opts.Ring)
+	ring, err := NewRing(names)
 	if err != nil {
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Transport: newTransport()}
-	}
 	sort.Strings(names)
 	rt := &Router{
 		opts:         opts,
+		probeTimeout: max(minProbeTimeout, opts.HealthInterval),
 		ring:         ring,
-		client:       client,
+		client:       &http.Client{Transport: newTransport()},
 		mux:          http.NewServeMux(),
+		hub:          opts.Obs,
 		nodes:        nodes,
 		order:        names,
 		models:       make(map[string]bool),
@@ -183,9 +165,7 @@ func NewRouter(peers []Peer, opts RouterOptions) (*Router, error) {
 	rt.mux.HandleFunc("POST /v2/infer", rt.handleInfer)
 	rt.mux.HandleFunc("GET /v1/stats", rt.handleStats)
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	rt.hub = opts.Obs
-	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	rt.mux.HandleFunc("GET /v1/debug/trace", rt.handleDebugTrace)
+	rt.mux.HandleFunc("GET /v1/debug/trace", obshttp.Traces(rt.hub, rt.stitchedTrace))
 	rt.registerMetrics()
 	rt.wg.Add(2)
 	go rt.healthLoop()
@@ -225,22 +205,21 @@ func (rt *Router) hopWindow(meta reqMeta) time.Duration {
 		}
 		target = time.Duration(ms * float64(time.Millisecond))
 	}
-	return time.Duration(rt.opts.Slack*float64(target)) + rt.opts.HopGrace
+	return hopSlack*target + hopGrace
 }
 
 func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxForwardBody))
-	if err != nil {
-		httpError(w, http.StatusRequestEntityTooLarge, err)
+	body, ok := obshttp.ReadBody(w, r)
+	if !ok {
 		return
 	}
 	var meta reqMeta
 	if err := json.Unmarshal(body, &meta); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		obshttp.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	if meta.Model == "" {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("missing model"))
+		obshttp.WriteError(w, http.StatusBadRequest, fmt.Errorf("missing model"))
 		return
 	}
 	rt.noteModel(meta.Model)
@@ -255,7 +234,7 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 	primary, rest := rt.ring.Pick(meta.Model, rt.loadOf)
 	if primary == "" {
 		rt.hub.FinishRequest(tr, meta.Model, "", "no node available")
-		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("no node available for model %q", meta.Model))
+		obshttp.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("no node available for model %q", meta.Model))
 		return
 	}
 	ctx, cancel := context.WithTimeout(rctx, rt.hopWindow(meta))
@@ -277,7 +256,7 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	rt.hub.FinishRequest(tr, meta.Model, "", "no node could serve")
-	httpError(w, http.StatusServiceUnavailable, fmt.Errorf("model %q: no node could serve the request", meta.Model))
+	obshttp.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("model %q: no node could serve the request", meta.Model))
 }
 
 // loadOf is the ring's load signal: the router's in-flight count per
@@ -399,7 +378,7 @@ func (rt *Router) observeForOwner(meta reqMeta, servedBy string) {
 		Model:    meta.Model,
 		TargetMS: target,
 		Depth:    int(rt.nodes[servedBy].inflight.Load()),
-		Capacity: rt.opts.ObserveCapacity,
+		Capacity: observeCapacity,
 	}}
 	select {
 	case rt.observations <- o:
@@ -419,7 +398,7 @@ func (rt *Router) observeLoop() {
 			if err != nil {
 				continue
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), rt.opts.ProbeTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), rt.probeTimeout)
 			req, err := http.NewRequestWithContext(ctx, http.MethodPost, o.base+"/cluster/observe", bytes.NewReader(body))
 			if err == nil {
 				req.Header.Set("Content-Type", "application/json")
@@ -460,7 +439,7 @@ func (rt *Router) healthLoop() {
 }
 
 func (rt *Router) probe(node *nodeRef) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.opts.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), rt.probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node.base+"/healthz", nil)
 	if err != nil {
@@ -552,7 +531,7 @@ func (rt *Router) Stats(ctx context.Context) RouterStats {
 // truncated/garbage body degrades to a per-member {"error": ...}
 // object instead of corrupting the whole merged document.
 func (rt *Router) fetchStats(ctx context.Context, node *nodeRef) json.RawMessage {
-	ctx, cancel := context.WithTimeout(ctx, rt.opts.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, rt.probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node.base+"/v1/stats", nil)
 	if err != nil {
@@ -567,7 +546,7 @@ func (rt *Router) fetchStats(ctx context.Context, node *nodeRef) json.RawMessage
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck — drain for connection reuse
 		return statsError(fmt.Sprintf("stats returned status %d", resp.StatusCode))
 	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxForwardBody))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxNodeReply))
 	if err != nil {
 		return statsError(fmt.Sprintf("reading stats body: %v", err))
 	}
@@ -590,7 +569,7 @@ func statsError(msg string) json.RawMessage {
 }
 
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, rt.Stats(r.Context()))
+	obshttp.WriteJSON(w, http.StatusOK, rt.Stats(r.Context()))
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -603,7 +582,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			anyUp = true
 		}
 	}
-	writeJSON(w, http.StatusOK, struct {
+	obshttp.WriteJSON(w, http.StatusOK, struct {
 		OK    bool              `json:"ok"`
 		Nodes map[string]string `json:"nodes"`
 	}{OK: anyUp, Nodes: states})
@@ -642,70 +621,24 @@ func (rt *Router) registerMetrics() {
 	}
 }
 
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if rt.hub == nil {
-		httpError(w, http.StatusNotFound, fmt.Errorf("observability disabled"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	rt.hub.Registry().WritePrometheus(w)
-}
-
-// handleDebugTrace serves the router's exemplar ring. Without a
-// ?trace= selector it lists the retained router-side timelines; with
-// one it looks the exemplar up, fetches the serving node's half of the
-// same trace, and stitches both into the one merged timeline a cluster
-// request yields. ?format=json returns the exemplar object(s) instead
-// of the ASCII Gantt.
-func (rt *Router) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	if rt.hub == nil {
-		httpError(w, http.StatusNotFound, fmt.Errorf("observability disabled"))
-		return
-	}
-	id := r.URL.Query().Get("trace")
-	format := r.URL.Query().Get("format")
-	if id == "" {
-		var exs []obs.Exemplar
-		for _, m := range rt.hub.Models() {
-			exs = append(exs, rt.hub.Ring(m).Snapshot()...)
-		}
-		if format == "json" {
-			writeJSON(w, http.StatusOK, exs)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if len(exs) == 0 {
-			fmt.Fprintln(w, "(no exemplars retained)")
-			return
-		}
-		for _, ex := range exs {
-			io.WriteString(w, ex.Gantt(ganttWidth)) //nolint:errcheck — nothing to do about a gone client
-			fmt.Fprintln(w)
-		}
-		return
-	}
+// stitchedTrace is the router's /v1/debug/trace?trace= lookup: the
+// router's exemplar with the serving node's half of the same trace
+// grafted on when a member still retains it — the one merged timeline
+// a cluster request yields.
+func (rt *Router) stitchedTrace(ctx context.Context, id string) (obs.Exemplar, bool) {
 	ex, ok := rt.hub.FindTrace(id)
 	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("trace %q not retained", id))
-		return
+		return ex, false
 	}
-	if down, ok := rt.fetchNodeTrace(r.Context(), id, ex.Node); ok {
+	if down, ok := rt.fetchNodeTrace(ctx, id, ex.Node); ok {
 		ex.Spans = obs.StitchSpans(ex.Spans, down.RemoteParent, down.Spans)
 		ex.Dropped += down.Dropped
 		if down.Node != "" && ex.Node == "" {
 			ex.Node = down.Node
 		}
 	}
-	if format == "json" {
-		writeJSON(w, http.StatusOK, ex)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	io.WriteString(w, ex.Gantt(ganttWidth)) //nolint:errcheck — nothing to do about a gone client
+	return ex, true
 }
-
-// ganttWidth is the column budget of rendered debug timelines.
-const ganttWidth = 100
 
 // fetchNodeTrace asks cluster members for their half of a trace. The
 // member that served the request (recorded on the exemplar) is asked
@@ -737,7 +670,7 @@ func (rt *Router) fetchNodeTrace(ctx context.Context, id, servedBy string) (obs.
 }
 
 func (rt *Router) fetchOneTrace(ctx context.Context, node *nodeRef, id string) (obs.Exemplar, bool) {
-	ctx, cancel := context.WithTimeout(ctx, rt.opts.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, rt.probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		node.base+"/v1/debug/trace?format=json&trace="+url.QueryEscape(id), nil)
@@ -754,20 +687,8 @@ func (rt *Router) fetchOneTrace(ctx context.Context, node *nodeRef, id string) (
 		return obs.Exemplar{}, false
 	}
 	var ex obs.Exemplar
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxForwardBody)).Decode(&ex); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxNodeReply)).Decode(&ex); err != nil {
 		return obs.Exemplar{}, false
 	}
 	return ex, len(ex.Spans) > 0
-}
-
-func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, struct {
-		Error string `json:"error"`
-	}{Error: err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck — nothing to do about a gone client
 }

@@ -17,6 +17,7 @@ import (
 
 	"sti"
 	"sti/internal/obs"
+	"sti/internal/obs/obshttp"
 	"sti/internal/tokenizer"
 )
 
@@ -154,12 +155,12 @@ func (c Config) Validate() error {
 	return errors.Join(errs...)
 }
 
-// New validates cfg and builds the process's handler: the serving
-// surface over a planned fleet and its scheduler, plus the /cluster/*
-// endpoints in node mode; the cluster router in router mode; and the
-// net/http/pprof endpoints when -pprof asks for them (they expose heap
-// and CPU internals, so they are opt-in). Close releases what it
-// started.
+// New validates cfg and builds the process's handler: /metrics in every
+// mode; the serving surface over a planned fleet and its scheduler,
+// plus the /cluster/* endpoints in node mode; the cluster router in
+// router mode; and the net/http/pprof endpoints when -pprof asks for
+// them (they expose heap and CPU internals, so they are opt-in). Close
+// releases what it started.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -171,6 +172,7 @@ func New(cfg Config) (*Server, error) {
 	hub.SetTracing(!cfg.NoTrace)
 	obs.RegisterRuntimeMetrics(hub.Registry())
 	mux := http.NewServeMux()
+	mux.HandleFunc("GET /metrics", obshttp.Metrics(hub))
 	s := &Server{hub: hub, handler: mux}
 	if cfg.Mode == "router" {
 		peers, err := sti.ParseClusterPeers(cfg.Peers)
@@ -230,8 +232,7 @@ func (s *Server) serveFleet(cfg Config, mux *http.ServeMux) error {
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("POST /v1/budget", s.handleBudget)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /v1/debug/trace", s.handleDebugTrace)
+	mux.HandleFunc("GET /v1/debug/trace", obshttp.Traces(s.hub, nil))
 	if cfg.Mode != "node" {
 		return nil
 	}
@@ -239,7 +240,7 @@ func (s *Server) serveFleet(cfg Config, mux *http.ServeMux) error {
 	// shared cache gains its peer level.
 	peers, err := sti.ParseClusterPeers(cfg.Peers)
 	if err == nil {
-		s.node, err = sti.NewClusterNode(fleet, cfg.Node, peers, sti.ClusterNodeOptions{})
+		s.node, err = sti.NewClusterNode(fleet, cfg.Node, peers)
 	}
 	if err != nil {
 		s.Close()

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -13,6 +12,7 @@ import (
 
 	"sti"
 	"sti/internal/obs"
+	"sti/internal/obs/obshttp"
 	"sti/internal/tokenizer"
 )
 
@@ -59,12 +59,6 @@ type inferInput struct {
 // goroutine and one admission-queue slot, so an unbounded list would
 // let a single client burst past the queue's load shedding.
 const maxInputsPerBody = 64
-
-// maxBodyBytes bounds a /v2/infer body before it is decoded, so one
-// huge body cannot outrun the input limits checked after decoding: 64
-// inputs of 128 five-digit token ids with masks (BERT-base's maxSeq and
-// vocabulary) take about 100 KB.
-const maxBodyBytes = 1 << 20
 
 // defaultMaxNewTokens bounds a generate request that did not say how
 // many tokens it wants.
@@ -232,30 +226,25 @@ func resultFor(res *sti.ServeResult, err error) inferResult {
 // validates and dispatches one request.
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	var req inferRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		status := http.StatusBadRequest
-		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, status, fmt.Errorf("decoding request: %w", err))
+	if !obshttp.DecodeBody(w, r, &req) {
 		return
 	}
 	if req.Model == "" {
-		httpError(w, http.StatusBadRequest, errors.New("missing model"))
+		obshttp.WriteError(w, http.StatusBadRequest, errors.New("missing model"))
 		return
 	}
 	info, ok := s.models[req.Model]
 	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("unknown model %q", req.Model))
+		obshttp.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown model %q", req.Model))
 		return
 	}
 	if req.TargetMS < 0 || req.TargetMS > maxTargetMS {
-		httpError(w, http.StatusBadRequest,
+		obshttp.WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("target_ms %v outside [0, %v]", req.TargetMS, float64(maxTargetMS)))
 		return
 	}
 	if req.Task != "" && req.Task != "classify" && req.Task != "generate" {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("unknown task %q (want classify or generate)", req.Task))
+		obshttp.WriteError(w, http.StatusBadRequest, fmt.Errorf("unknown task %q (want classify or generate)", req.Task))
 		return
 	}
 
@@ -292,7 +281,7 @@ func (s *Server) serveClassify(w http.ResponseWriter, r *http.Request, req infer
 	}
 	if len(inputs) > maxInputsPerBody {
 		err := fmt.Errorf("%d inputs exceed the per-request limit %d", len(inputs), maxInputsPerBody)
-		httpError(w, http.StatusBadRequest, err)
+		obshttp.WriteError(w, http.StatusBadRequest, err)
 		return err.Error()
 	}
 	encoded := make([]sti.Request, len(inputs))
@@ -302,7 +291,7 @@ func (s *Server) serveClassify(w http.ResponseWriter, r *http.Request, req infer
 			if !single {
 				err = fmt.Errorf("input %d: %w", i, err)
 			}
-			httpError(w, http.StatusBadRequest, err)
+			obshttp.WriteError(w, http.StatusBadRequest, err)
 			return err.Error()
 		}
 		encoded[i] = sti.Request{
@@ -324,10 +313,10 @@ func (s *Server) serveClassify(w http.ResponseWriter, r *http.Request, req infer
 	wg.Wait()
 	if single {
 		if err := errs[0]; err != nil {
-			httpError(w, statusFor(err), err)
+			obshttp.WriteError(w, statusFor(err), err)
 			return err.Error()
 		}
-		writeJSON(w, http.StatusOK, inferResponse{Model: req.Model, inferResult: results[0]})
+		obshttp.WriteJSON(w, http.StatusOK, inferResponse{Model: req.Model, inferResult: results[0]})
 		return ""
 	}
 	// Mixed outcomes are 200 with per-result errors; an all-failed
@@ -345,7 +334,7 @@ func (s *Server) serveClassify(w http.ResponseWriter, r *http.Request, req infer
 		status = statusFor(errs[0])
 		outcome = errs[0].Error()
 	}
-	writeJSON(w, status, batchResponse{Model: req.Model, Results: results})
+	obshttp.WriteJSON(w, status, batchResponse{Model: req.Model, Results: results})
 	return outcome
 }
 
@@ -427,7 +416,7 @@ func (st *sseStream) finish(name string, v any, err error) {
 		}{err.Error()})
 	} else {
 		//sti:lockok nothing streamed yet, so the emitter goroutine has never written; st.mu only excludes a late event racing this one-shot error body
-		httpError(st.w, statusFor(err), err)
+		obshttp.WriteError(st.w, statusFor(err), err)
 	}
 	st.closed = true
 }
@@ -441,12 +430,12 @@ func (st *sseStream) finish(name string, v any, err error) {
 func (s *Server) serveGenerate(w http.ResponseWriter, r *http.Request, req inferRequest, info modelInfo) string {
 	if len(req.Inputs) > 0 {
 		err := errors.New("generate takes a single prompt, not inputs")
-		httpError(w, http.StatusBadRequest, err)
+		obshttp.WriteError(w, http.StatusBadRequest, err)
 		return err.Error()
 	}
 	prompt, mask, err := info.encode(req.inferInput)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		obshttp.WriteError(w, http.StatusBadRequest, err)
 		return err.Error()
 	}
 	// The tokenizer pads classify inputs to MaxSeq; a generate prompt is
@@ -510,55 +499,7 @@ func (s *Server) serveGenerate(w http.ResponseWriter, r *http.Request, req infer
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.sched.Snapshot())
-}
-
-// handleMetrics serves the registry in Prometheus text exposition.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.hub.Registry().WritePrometheus(w)
-}
-
-// debugGanttWidth is the column budget of rendered trace timelines.
-const debugGanttWidth = 100
-
-// handleDebugTrace serves the exemplar rings: the N slowest (plus all
-// erroring) request timelines per model, rendered as ASCII Gantt
-// charts. ?trace=<id> selects one exemplar; ?format=json returns the
-// exemplar object(s) — the shape a cluster router stitches from.
-func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	format := r.URL.Query().Get("format")
-	if id := r.URL.Query().Get("trace"); id != "" {
-		ex, ok := s.hub.FindTrace(id)
-		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("trace %q not retained", id))
-			return
-		}
-		if format == "json" {
-			writeJSON(w, http.StatusOK, ex)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, ex.Gantt(debugGanttWidth)) //nolint:errcheck — nothing to do about a gone client
-		return
-	}
-	var exs []obs.Exemplar
-	for _, m := range s.hub.Models() {
-		exs = append(exs, s.hub.Ring(m).Snapshot()...)
-	}
-	if format == "json" {
-		writeJSON(w, http.StatusOK, exs)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if len(exs) == 0 {
-		fmt.Fprintln(w, "(no exemplars retained)")
-		return
-	}
-	for _, ex := range exs {
-		io.WriteString(w, ex.Gantt(debugGanttWidth)) //nolint:errcheck — nothing to do about a gone client
-		fmt.Fprintln(w)
-	}
+	obshttp.WriteJSON(w, http.StatusOK, s.sched.Snapshot())
 }
 
 // handleBudget replans the whole fleet under a new preload budget —
@@ -569,16 +510,15 @@ func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		BudgetBytes int64 `json:"budget_bytes"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !obshttp.DecodeBody(w, r, &req) {
 		return
 	}
 	if req.BudgetBytes < 0 {
-		httpError(w, http.StatusBadRequest, errors.New("negative budget"))
+		obshttp.WriteError(w, http.StatusBadRequest, errors.New("negative budget"))
 		return
 	}
 	if err := s.fleet.SetBudget(req.BudgetBytes); err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		obshttp.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	type grant struct {
@@ -595,14 +535,14 @@ func (s *Server) handleBudget(w http.ResponseWriter, r *http.Request) {
 		e, _ := s.fleet.Entry(name)
 		resp.Grants = append(resp.Grants, grant{Model: name, BudgetBytes: e.Budget, PreloadUsed: e.Plan.PreloadUsed})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	obshttp.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleHealthz reports liveness plus the draining flag a cluster
 // router polls: a draining node still answers (in-flight work is
 // finishing) but should receive no new traffic.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	obshttp.WriteJSON(w, http.StatusOK, struct {
 		OK       bool     `json:"ok"`
 		Draining bool     `json:"draining,omitempty"`
 		Models   []string `json:"models"`
@@ -638,16 +578,4 @@ func statusFor(err error) int {
 	default:
 		return http.StatusInternalServerError
 	}
-}
-
-func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, struct {
-		Error string `json:"error"`
-	}{Error: err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
 }

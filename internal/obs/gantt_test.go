@@ -1,4 +1,4 @@
-package trace
+package obs
 
 import (
 	"strings"
@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-func TestAddAndSpan(t *testing.T) {
+func TestGanttAddAndSpan(t *testing.T) {
 	g := &Gantt{}
 	g.Add("IO", "0", 0, 100*time.Millisecond)
 	g.Add("IO", "1", 100*time.Millisecond, 150*time.Millisecond)
@@ -22,7 +22,7 @@ func TestAddAndSpan(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
+func TestGanttUtilization(t *testing.T) {
 	g := &Gantt{}
 	g.Add("IO", "0", 0, 50*time.Millisecond)
 	g.Add("Compute", "0", 50*time.Millisecond, 100*time.Millisecond)
@@ -37,7 +37,7 @@ func TestUtilization(t *testing.T) {
 	}
 }
 
-func TestRender(t *testing.T) {
+func TestGanttRender(t *testing.T) {
 	g := &Gantt{}
 	g.Add("IO", "a", 0, 60*time.Millisecond)
 	g.Add("Compute", "b", 60*time.Millisecond, 120*time.Millisecond)
@@ -55,7 +55,7 @@ func TestRender(t *testing.T) {
 	}
 }
 
-func TestRenderEmptyAndTiny(t *testing.T) {
+func TestGanttRenderEmptyAndTiny(t *testing.T) {
 	if out := (&Gantt{}).Render(40); !strings.Contains(out, "empty") {
 		t.Fatalf("empty render %q", out)
 	}
@@ -66,7 +66,7 @@ func TestRenderEmptyAndTiny(t *testing.T) {
 	}
 }
 
-func TestAddPanicsOnNegativeSegment(t *testing.T) {
+func TestGanttAddPanicsOnNegativeSegment(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

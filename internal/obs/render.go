@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"sti/internal/trace"
 )
 
 // Gantt renders an exemplar's spans as the repo's ASCII schedule
@@ -43,7 +41,7 @@ func (ex Exemplar) Gantt(width int) string {
 		}
 	}
 
-	var g trace.Gantt
+	var g Gantt
 	for _, r := range order {
 		for _, s := range ex.Spans {
 			if s.Name != r.name {
@@ -101,4 +99,128 @@ func StitchSpans(up []Span, remoteParent SpanID, down []Span) []Span {
 		}
 	}
 	return out
+}
+
+// Segment is one busy interval on a resource row.
+type Segment struct {
+	Label      string
+	Start, End time.Duration
+}
+
+// Duration returns the segment length.
+func (s Segment) Duration() time.Duration { return s.End - s.Start }
+
+// Row is one resource (IO, Compute) with its busy segments in time
+// order.
+type Row struct {
+	Name     string
+	Segments []Segment
+}
+
+// Busy returns total busy time on the row.
+func (r Row) Busy() time.Duration {
+	var d time.Duration
+	for _, s := range r.Segments {
+		d += s.Duration()
+	}
+	return d
+}
+
+// Gantt is a set of rows sharing one time axis: the textual
+// equivalent of the paper's Figure 1 and Figure 8 schedule
+// illustrations. pipeline.Timeline draws simulated schedules on it,
+// and Exemplar.Gantt draws live request timelines.
+type Gantt struct {
+	Rows []Row
+}
+
+// Add appends a segment to the named row, creating it if needed.
+func (g *Gantt) Add(row, label string, start, end time.Duration) {
+	if end < start {
+		panic(fmt.Sprintf("obs: segment %q ends before it starts", label))
+	}
+	for i := range g.Rows {
+		if g.Rows[i].Name == row {
+			g.Rows[i].Segments = append(g.Rows[i].Segments, Segment{label, start, end})
+			return
+		}
+	}
+	g.Rows = append(g.Rows, Row{Name: row, Segments: []Segment{{label, start, end}}})
+}
+
+// Span returns the end of the latest segment.
+func (g *Gantt) Span() time.Duration {
+	var max time.Duration
+	for _, r := range g.Rows {
+		for _, s := range r.Segments {
+			if s.End > max {
+				max = s.End
+			}
+		}
+	}
+	return max
+}
+
+// Utilization returns the busy fraction of the named row over the full
+// span (0 if the row or span is empty).
+func (g *Gantt) Utilization(row string) float64 {
+	span := g.Span()
+	if span == 0 {
+		return 0
+	}
+	for _, r := range g.Rows {
+		if r.Name == row {
+			return float64(r.Busy()) / float64(span)
+		}
+	}
+	return 0
+}
+
+// Render draws the chart with the given character width for the time
+// axis. Each row shows segment labels where they fit and '.' for idle
+// time (pipeline bubbles).
+func (g *Gantt) Render(width int) string {
+	if width < 10 {
+		width = 10
+	}
+	span := g.Span()
+	if span == 0 {
+		return "(empty timeline)\n"
+	}
+	nameW := 0
+	for _, r := range g.Rows {
+		if len(r.Name) > nameW {
+			nameW = len(r.Name)
+		}
+	}
+	scale := func(t time.Duration) int {
+		c := int(float64(t) / float64(span) * float64(width))
+		if c > width {
+			c = width
+		}
+		return c
+	}
+	var b strings.Builder
+	for _, r := range g.Rows {
+		line := make([]byte, width)
+		for i := range line {
+			line[i] = '.'
+		}
+		for _, s := range r.Segments {
+			lo, hi := scale(s.Start), scale(s.End)
+			if hi == lo && hi < width {
+				hi = lo + 1
+			}
+			for i := lo; i < hi; i++ {
+				line[i] = '#'
+			}
+			// Overlay the label if it fits inside the segment.
+			if len(s.Label) <= hi-lo {
+				copy(line[lo:], s.Label)
+			}
+		}
+		fmt.Fprintf(&b, "%-*s |%s|\n", nameW, r.Name, line)
+	}
+	fmt.Fprintf(&b, "%-*s  0%*s\n", nameW, "", width, span.Round(time.Millisecond))
+	return b.String()
 }

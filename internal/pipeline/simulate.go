@@ -20,8 +20,8 @@ import (
 	"time"
 
 	"sti/internal/device"
+	"sti/internal/obs"
 	"sti/internal/planner"
-	"sti/internal/trace"
 )
 
 // LayerJob describes one pipeline stage pair: the bytes the layer
@@ -90,8 +90,8 @@ func (t *Timeline) IOUtilization() float64 {
 }
 
 // Gantt converts the timeline into a renderable chart.
-func (t *Timeline) Gantt() *trace.Gantt {
-	g := &trace.Gantt{}
+func (t *Timeline) Gantt() *obs.Gantt {
+	g := &obs.Gantt{}
 	for i := range t.IOStart {
 		if t.IOEnd[i] > t.IOStart[i] {
 			g.Add("IO", itoa(i), t.IOStart[i], t.IOEnd[i])

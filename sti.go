@@ -137,14 +137,9 @@ type (
 	// ClusterPeer names one cluster member and its base URL; the same
 	// static list configures every router and node.
 	ClusterPeer = cluster.Peer
-	// ClusterRingOptions tunes consistent-hash placement (virtual
-	// nodes, replication factor, rebalance hysteresis).
-	ClusterRingOptions = cluster.RingOptions
-	// ClusterRouterOptions tunes the cluster frontend (per-hop SLO
-	// deadlines, health polling).
+	// ClusterRouterOptions tunes the cluster frontend (default SLO,
+	// health polling, observability hub).
 	ClusterRouterOptions = cluster.RouterOptions
-	// ClusterNodeOptions tunes one member's peer-cache fetching.
-	ClusterNodeOptions = cluster.NodeOptions
 	// ClusterRouter terminates /v2/infer for a multi-node deployment,
 	// forwarding each request (SSE generate streams included) to a node
 	// holding its model.
@@ -195,8 +190,8 @@ func NewClusterRouter(peers []ClusterPeer, opts ClusterRouterOptions) (*ClusterR
 // every model's shared cache gains the peer-fetch level, and Handler
 // serves the /cluster/* endpoints (mount it alongside the ordinary
 // serving surface).
-func NewClusterNode(f *Fleet, self string, peers []ClusterPeer, opts ClusterNodeOptions) (*ClusterNode, error) {
-	return cluster.NewNode(f, self, peers, opts)
+func NewClusterNode(f *Fleet, self string, peers []ClusterPeer) (*ClusterNode, error) {
+	return cluster.NewNode(f, self, peers)
 }
 
 // Tasks a Request can carry, re-exported at the API surface.
