@@ -2,9 +2,9 @@
 // whatever its mode: the /metrics and /v1/debug/trace handlers over an
 // obs.Hub, the JSON reply and error shape, and the one bound on POST
 // bodies. It lives apart from obs, which every serving layer and the
-// benchmark driver link: obs importing net/http or encoding/json would
+// bench/ binary link: obs importing net/http or encoding/json would
 // move obs behind them in the linker's package order and shift the
-// driver's code, host-speed probe included.
+// code of bench/, its host-speed probe included.
 package obshttp
 
 import (
