@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"sti"
+	"sti/internal/cluster"
 	"sti/internal/obs"
 	"sti/internal/obs/obshttp"
 )
@@ -45,12 +45,12 @@ func buildCluster(t testing.TB, nodeNames []string, dirs map[string]string, args
 			n.cancel()
 		}
 	})
-	parsed, err := sti.ParseClusterPeers(peers)
+	parsed, err := cluster.ParsePeers(peers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hub := obs.NewHub(32)
-	rt, err := sti.NewClusterRouter(parsed, sti.ClusterRouterOptions{HealthInterval: 20 * time.Millisecond, Obs: hub})
+	rt, err := cluster.NewRouter(parsed, cluster.RouterOptions{HealthInterval: 20 * time.Millisecond, Obs: hub})
 	if err != nil {
 		t.Fatal(err)
 	}

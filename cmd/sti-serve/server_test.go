@@ -576,7 +576,6 @@ func TestPostBodiesShareOneBound(t *testing.T) {
 		router.URL + "/v2/infer",
 		node + "/v2/infer",
 		node + "/v1/budget",
-		node + "/cluster/observe",
 	} {
 		for _, tc := range []struct {
 			body string
@@ -599,6 +598,9 @@ func TestPostBodiesShareOneBound(t *testing.T) {
 					url, len(tc.body), resp.StatusCode, e.Error, err, tc.want)
 			}
 		}
+	}
+	if status, _ := postJSON(t, node+"/cluster/observe", json.RawMessage(small)); status != http.StatusNotFound {
+		t.Errorf("POST /cluster/observe: status %d, want 404 (the route is gone)", status)
 	}
 	if n := statsOf(t, node).Completed; n != 0 {
 		t.Errorf("node completed %d requests; the router forwarded a refused body", n)

@@ -3,8 +3,10 @@ package cluster
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -27,7 +29,6 @@ type fakeNode struct {
 	draining   bool
 	shed       bool                        // answer 503 to classify/generate
 	statsFn    func(w http.ResponseWriter) // overrides the /v1/stats answer
-	observed   []observation
 	served     atomic.Int64
 	generating atomic.Int64
 	ctxDone    chan struct{} // closed when a generate handler's ctx is canceled
@@ -54,17 +55,6 @@ func newFakeNode(name string) *fakeNode {
 			return
 		}
 		json.NewEncoder(w).Encode(map[string]any{"completed": f.served.Load()})
-	})
-	mux.HandleFunc("POST /cluster/observe", func(w http.ResponseWriter, r *http.Request) {
-		var obs observation
-		if err := json.NewDecoder(r.Body).Decode(&obs); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		f.mu.Lock()
-		f.observed = append(f.observed, obs)
-		f.mu.Unlock()
-		w.WriteHeader(http.StatusNoContent)
 	})
 	f.srv = httptest.NewServer(mux)
 	return f
@@ -433,7 +423,6 @@ type fakeBackend struct {
 	mu       sync.Mutex
 	payloads map[[3]int][]byte
 	fetch    map[string]store.PeerFetch
-	arrivals []observation
 }
 
 func newFakeBackend(names ...string) *fakeBackend {
@@ -460,18 +449,11 @@ func (b *fakeBackend) SetPeerFetch(model string, fn store.PeerFetch) error {
 	return nil
 }
 
-func (b *fakeBackend) ObserveArrival(model string, class time.Duration, depth, capacity int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.arrivals = append(b.arrivals, observation{
-		Model: model, TargetMS: float64(class.Milliseconds()), Depth: depth, Capacity: capacity,
-	})
-}
-
 // TestNodePeerFetchAndEndpoints: node B's installed peer fetcher pulls
 // a payload node A has retained, via A's /cluster/shard endpoint; a
-// payload nobody retains is a miss; /cluster/observe reaches the
-// backend's predictor intake.
+// payload nobody retains is a miss; the donor endpoint answers its
+// errors in the JSON error shape; /cluster/shard is the node's only
+// route.
 func TestNodePeerFetchAndEndpoints(t *testing.T) {
 	backendA := newFakeBackend("m")
 	backendA.payloads[[3]int{3, 1, 4}] = []byte{0xde, 0xad}
@@ -501,35 +483,38 @@ func TestNodePeerFetchAndEndpoints(t *testing.T) {
 		t.Fatal("peer fetch fabricated a payload nobody retains")
 	}
 
-	// Donor endpoint rejects junk coordinates.
-	resp, err := http.Get(srvA.URL + "/cluster/shard?model=m&layer=x&slice=0&bits=4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad coords => %d, want 400", resp.StatusCode)
+	// The donor endpoint answers junk coordinates and unretained
+	// payloads in the JSON error shape.
+	for _, tc := range []struct {
+		query string
+		want  int
+	}{
+		{"model=m&layer=x&slice=0&bits=4", http.StatusBadRequest},
+		{"model=m&layer=9&slice=9&bits=9", http.StatusNotFound},
+	} {
+		resp, err := http.Get(srvA.URL + "/cluster/shard?" + tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want || err != nil || e.Error == "" {
+			t.Fatalf("%s => %d %q (decode: %v), want %d with a JSON error", tc.query, resp.StatusCode, e.Error, err, tc.want)
+		}
 	}
 
-	// Observe intake.
-	resp, err = http.Post(srvA.URL+"/cluster/observe", "application/json",
+	// Arrival replay is gone: no /cluster/observe.
+	resp, err := http.Post(srvA.URL+"/cluster/observe", "application/json",
 		strings.NewReader(`{"model":"m","target_ms":150,"depth":3,"capacity":64}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("observe => %d, want 204", resp.StatusCode)
-	}
-	backendA.mu.Lock()
-	arrivals := len(backendA.arrivals)
-	var got observation
-	if arrivals > 0 {
-		got = backendA.arrivals[0]
-	}
-	backendA.mu.Unlock()
-	if arrivals != 1 || got.Model != "m" || got.TargetMS != 150 || got.Depth != 3 {
-		t.Fatalf("arrivals %d %+v", arrivals, got)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /cluster/observe => %d, want 404", resp.StatusCode)
 	}
 
 	// Close detaches the peer level.
@@ -539,46 +524,74 @@ func TestNodePeerFetchAndEndpoints(t *testing.T) {
 	}
 }
 
-// TestRouterForwardsArrivalToOwner: when a model is served away from
-// its ring home (here: the home sheds and the replica answers), the
-// router replays the arrival to the owner's /cluster/observe so its
-// predictor keeps seeing the model's full arrival stream.
-func TestRouterForwardsArrivalToOwner(t *testing.T) {
-	rt, nodes := testCluster(t, 2, RouterOptions{})
-	front := httptest.NewServer(rt)
-	defer front.Close()
+// flashReader is a local flash that counts its reads and serves one
+// valid payload for every key.
+type flashReader struct{ reads atomic.Int64 }
 
-	home := nodes[0]
-	model := modelHomedOn(t, rt, home.name)
-	home.setShed(true)
+func (r *flashReader) ReadShardPayload(layer, slice, bits int) ([]byte, error) {
+	r.reads.Add(1)
+	return store.EncodeRawPayload([]float32{1, 2, 3}), nil
+}
 
-	resp, err := postInfer(t, front.URL, fmt.Sprintf(`{"model":%q,"target_ms":150,"tokens":[1]}`, model))
+// validReply returns size bytes that pass store.VerifyPayload.
+func validReply(size int) []byte {
+	body := make([]byte, size-4)
+	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+}
+
+// TestNodePeerReplyIsBounded: a donor answering 200 with one byte more
+// than maxNodeReply (a payload that would pass its CRC) counts as a
+// peer miss, and the shared cache falls through to local flash.
+func TestNodePeerReplyIsBounded(t *testing.T) {
+	reply := validReply(maxNodeReply + 1)
+	donor := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(reply)
+	}))
+	defer donor.Close()
+	backend := newFakeBackend("m")
+	node, err := NewNode(backend, "b", []Peer{{Name: "a", URL: donor.URL}, {Name: "b", URL: "http://unused"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("retried classify => %d", resp.StatusCode)
-	}
+	defer node.Close()
+	flash := &flashReader{}
+	cache := store.NewSharedCache(flash, 0)
+	cache.SetPeerFetch(backend.fetch["m"])
 
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		home.mu.Lock()
-		n := len(home.observed)
-		var got observation
-		if n > 0 {
-			got = home.observed[0]
-		}
-		home.mu.Unlock()
-		if n > 0 {
-			if got.Model != model || got.TargetMS != 150 {
-				t.Fatalf("owner observed %+v, want model=%s target=150", got, model)
-			}
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+	p, err := cache.ReadShardPayload(3, 1, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatal("owner never received the forwarded arrival observation")
+	st := cache.Stats()
+	if st.PeerFetches != 1 || st.PeerHits != 0 || flash.reads.Load() != 1 || len(p) == len(reply) {
+		t.Fatalf("oversized peer reply: %d peer fetches, %d peer hits, %d flash reads, %d bytes served; want 1, 0, 1 and the flash payload",
+			st.PeerFetches, st.PeerHits, flash.reads.Load(), len(p))
+	}
+}
+
+// TestGetBoundedCapsReplies pins the bound every cross-member read
+// shares: a 200 of exactly maxNodeReply bytes is returned whole, one
+// byte more is an error, and so is any other status.
+func TestGetBoundedCapsReplies(t *testing.T) {
+	for _, tc := range []struct {
+		size   int
+		status int
+		ok     bool
+	}{
+		{maxNodeReply, http.StatusOK, true},
+		{maxNodeReply + 1, http.StatusOK, false},
+		{10, http.StatusNotFound, false},
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(tc.status)
+			w.Write(make([]byte, tc.size))
+		}))
+		body, err := getBounded(context.Background(), srv.Client(), time.Minute, srv.URL)
+		srv.Close()
+		if ok := err == nil && len(body) == tc.size; ok != tc.ok {
+			t.Fatalf("%d-byte reply with status %d: %d bytes, err %v; want ok=%v", tc.size, tc.status, len(body), err, tc.ok)
+		}
+	}
 }
 
 // setStats overrides the node's /v1/stats answer.

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -67,14 +66,46 @@ func newTransport() *http.Transport {
 	}
 }
 
+// maxNodeReply caps any reply one process reads from a cluster member:
+// a shard payload, a health probe, a stats snapshot or a trace.
+const maxNodeReply = 8 << 20
+
+// getBounded GETs url within timeout and returns the body of a 200
+// reply. Any other status, a body longer than maxNodeReply, or a
+// transport or read error is an error: a caller never sees a partial
+// reply.
+func getBounded(ctx context.Context, client *http.Client, timeout time.Duration, url string) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, maxNodeReply)) //nolint:errcheck — drain for connection reuse
+		return nil, fmt.Errorf("status %d", resp.StatusCode)
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxNodeReply+1))
+	if err != nil {
+		return nil, fmt.Errorf("reading reply: %w", err)
+	}
+	if len(body) > maxNodeReply {
+		return nil, fmt.Errorf("reply exceeds %d bytes", maxNodeReply)
+	}
+	return body, nil
+}
+
 // NodeBackend is what a Node needs from the process's fleet: the donor
-// and consumer sides of the peer cache level, plus the predictor's
-// arrival intake. *sti.Fleet implements it.
+// and consumer sides of the peer cache level. *sti.Fleet implements it.
 type NodeBackend interface {
 	Names() []string
 	PeekShardPayload(model string, layer, slice, bits int) ([]byte, bool)
 	SetPeerFetch(model string, fn store.PeerFetch) error
-	ObserveArrival(model string, class time.Duration, depth, capacity int)
 }
 
 // peerTimeout bounds one peer-cache lookup: past it the miss falls
@@ -85,10 +116,9 @@ const peerTimeout = 100 * time.Millisecond
 
 // Node is the cluster-facing side of one sti-serve process: it wires
 // the fleet's shared caches to the peers holding each model (the
-// consumer side of the two-level cache) and serves /cluster/* — the
-// donor shard endpoint and the arrival-observation intake. The
-// process's ordinary serving surface (/v2/infer etc.) is untouched;
-// main mounts both on one listener.
+// consumer side of the two-level cache) and serves the donor side,
+// GET /cluster/shard. The process's ordinary serving surface
+// (/v2/infer etc.) is untouched; httpserve mounts both on one mux.
 type Node struct {
 	backend NodeBackend
 	self    string
@@ -124,7 +154,6 @@ func NewNode(backend NodeBackend, self string, peers []Peer) (*Node, error) {
 		mux:     http.NewServeMux(),
 	}
 	n.mux.HandleFunc("GET /cluster/shard", n.handleShard)
-	n.mux.HandleFunc("POST /cluster/observe", n.handleObserve)
 	for _, model := range backend.Names() {
 		if err := backend.SetPeerFetch(model, n.peerFetch(model)); err != nil {
 			return nil, err
@@ -133,7 +162,7 @@ func NewNode(backend NodeBackend, self string, peers []Peer) (*Node, error) {
 	return n, nil
 }
 
-// Handler serves the /cluster/* endpoints.
+// Handler serves GET /cluster/shard.
 func (n *Node) Handler() http.Handler { return n.mux }
 
 // Close detaches the peer level from every model's shared cache;
@@ -155,37 +184,14 @@ func (n *Node) peerFetch(model string) store.PeerFetch {
 			if holder == n.self {
 				continue
 			}
-			if p, ok := n.fetchOne(n.peers[holder], model, layer, slice, bits); ok {
+			u := fmt.Sprintf("%s/cluster/shard?model=%s&layer=%d&slice=%d&bits=%d",
+				n.peers[holder], url.QueryEscape(model), layer, slice, bits)
+			if p, err := getBounded(context.Background(), n.client, peerTimeout, u); err == nil && len(p) > 0 {
 				return p, true
 			}
 		}
 		return nil, false
 	}
-}
-
-func (n *Node) fetchOne(base, model string, layer, slice, bits int) ([]byte, bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), peerTimeout)
-	defer cancel()
-	u := fmt.Sprintf("%s/cluster/shard?model=%s&layer=%d&slice=%d&bits=%d",
-		base, url.QueryEscape(model), layer, slice, bits)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, false
-	}
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck — drain for connection reuse
-		return nil, false
-	}
-	p, err := io.ReadAll(resp.Body)
-	if err != nil || len(p) == 0 {
-		return nil, false
-	}
-	return p, true
 }
 
 // handleShard is the donor side: report a retained payload, or 404.
@@ -198,40 +204,15 @@ func (n *Node) handleShard(w http.ResponseWriter, r *http.Request) {
 	slice, err2 := strconv.Atoi(q.Get("slice"))
 	bits, err3 := strconv.Atoi(q.Get("bits"))
 	if model == "" || err1 != nil || err2 != nil || err3 != nil {
-		http.Error(w, "want model, layer, slice, bits", http.StatusBadRequest)
+		obshttp.WriteError(w, http.StatusBadRequest, fmt.Errorf("want model, layer, slice, bits"))
 		return
 	}
 	p, ok := n.backend.PeekShardPayload(model, layer, slice, bits)
 	if !ok {
-		http.Error(w, "not retained", http.StatusNotFound)
+		obshttp.WriteError(w, http.StatusNotFound, fmt.Errorf("not retained"))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(p)))
 	w.Write(p) //nolint:errcheck — a vanished peer just re-reads flash
-}
-
-// observation is the wire shape of one forwarded arrival.
-type observation struct {
-	Model    string  `json:"model"`
-	TargetMS float64 `json:"target_ms"`
-	Depth    int     `json:"depth"`
-	Capacity int     `json:"capacity"`
-}
-
-// handleObserve feeds a router-forwarded arrival into the predictor —
-// how a model's owning node keeps training on the full arrival stream
-// even while retries or rebalancing serve some of its traffic
-// elsewhere.
-func (n *Node) handleObserve(w http.ResponseWriter, r *http.Request) {
-	var obs observation
-	if !obshttp.DecodeBody(w, r, &obs) {
-		return
-	}
-	if obs.Model == "" {
-		obshttp.WriteError(w, http.StatusBadRequest, errors.New("observation names no model"))
-		return
-	}
-	n.backend.ObserveArrival(obs.Model, time.Duration(obs.TargetMS*float64(time.Millisecond)), obs.Depth, obs.Capacity)
-	w.WriteHeader(http.StatusNoContent)
 }

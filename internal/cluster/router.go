@@ -55,17 +55,11 @@ const (
 	// hopGrace pads every per-hop deadline for queueing and the wire.
 	hopGrace = 250 * time.Millisecond
 	// minProbeTimeout bounds one health probe, node stats or trace
-	// fetch, or observation post, unless the health interval is longer:
-	// a short poll interval quickens draining detection without
-	// shrinking the probe's own budget — a probe slower than its
-	// timeout reads as a down node.
+	// fetch, unless the health interval is longer: a short poll
+	// interval quickens draining detection without shrinking the
+	// probe's own budget — a probe slower than its timeout reads as a
+	// down node.
 	minProbeTimeout = time.Second
-	// observeCapacity is the queue-capacity hint attached to forwarded
-	// arrival observations (the serving default).
-	observeCapacity = 64
-	// maxNodeReply caps a node's stats or trace answer the router reads
-	// into memory.
-	maxNodeReply = 8 << 20
 )
 
 // Node states as the router sees them.
@@ -120,19 +114,12 @@ type Router struct {
 	modelsMu sync.Mutex
 	models   map[string]bool // models observed in traffic, for stats placement
 
-	observations chan ownerObservation
-	stop         chan struct{}
-	wg           sync.WaitGroup
-}
-
-// ownerObservation is one arrival to replay to a model's owning node.
-type ownerObservation struct {
-	base string
-	obs  observation
+	stop chan struct{}
+	wg   sync.WaitGroup
 }
 
 // NewRouter builds the frontend over a static peer list and starts its
-// health poll. Call Close to stop the background loops.
+// health poll. Call Close to stop it.
 func NewRouter(peers []Peer, opts RouterOptions) (*Router, error) {
 	if len(peers) == 0 {
 		return nil, fmt.Errorf("cluster: router needs peers")
@@ -159,7 +146,6 @@ func NewRouter(peers []Peer, opts RouterOptions) (*Router, error) {
 		nodes:        nodes,
 		order:        names,
 		models:       make(map[string]bool),
-		observations: make(chan ownerObservation, 256),
 		stop:         make(chan struct{}),
 	}
 	rt.mux.HandleFunc("POST /v2/infer", rt.handleInfer)
@@ -167,15 +153,14 @@ func NewRouter(peers []Peer, opts RouterOptions) (*Router, error) {
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("GET /v1/debug/trace", obshttp.Traces(rt.hub, rt.stitchedTrace))
 	rt.registerMetrics()
-	rt.wg.Add(2)
+	rt.wg.Add(1)
 	go rt.healthLoop()
-	go rt.observeLoop()
 	return rt, nil
 }
 
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
 
-// Close stops the health poll and the observation forwarder.
+// Close stops the health poll.
 func (rt *Router) Close() {
 	close(rt.stop)
 	rt.wg.Wait()
@@ -243,7 +228,6 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 	served, retryable := rt.forward(ctx, w, rt.nodes[primary], body)
 	if served {
 		rt.hub.FinishRequest(tr, meta.Model, primary, "")
-		rt.observeForOwner(meta, primary)
 		return
 	}
 	if retryable && idempotent && len(rest) > 0 {
@@ -251,7 +235,6 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 		retryNode.retries.Add(1)
 		if served, _ := rt.forward(ctx, w, retryNode, body); served {
 			rt.hub.FinishRequest(tr, meta.Model, rest[0], "")
-			rt.observeForOwner(meta, rest[0])
 			return
 		}
 	}
@@ -356,62 +339,6 @@ func (rt *Router) noteModel(model string) {
 	rt.modelsMu.Unlock()
 }
 
-// observeForOwner replays an arrival to the model's owning node when
-// some other holder served it (retry, rebalance override): the owner's
-// predictor keeps seeing the model's full arrival stream. Bounded and
-// drop-on-full — observation is advisory, never worth back-pressure on
-// the serving path.
-func (rt *Router) observeForOwner(meta reqMeta, servedBy string) {
-	holders := rt.ring.Place(meta.Model)
-	if len(holders) == 0 || holders[0] == servedBy {
-		return
-	}
-	owner := rt.nodes[holders[0]]
-	if owner == nil {
-		return
-	}
-	target := meta.TargetMS
-	if target <= 0 {
-		target = float64(rt.opts.DefaultTarget.Milliseconds())
-	}
-	o := ownerObservation{base: owner.base, obs: observation{
-		Model:    meta.Model,
-		TargetMS: target,
-		Depth:    int(rt.nodes[servedBy].inflight.Load()),
-		Capacity: observeCapacity,
-	}}
-	select {
-	case rt.observations <- o:
-	default: // full: drop, observation is best-effort
-	}
-}
-
-// observeLoop drains forwarded arrivals off the serving path.
-func (rt *Router) observeLoop() {
-	defer rt.wg.Done()
-	for {
-		select {
-		case <-rt.stop:
-			return
-		case o := <-rt.observations:
-			body, err := json.Marshal(o.obs)
-			if err != nil {
-				continue
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), rt.probeTimeout)
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, o.base+"/cluster/observe", bytes.NewReader(body))
-			if err == nil {
-				req.Header.Set("Content-Type", "application/json")
-				if resp, err := rt.client.Do(req); err == nil {
-					io.Copy(io.Discard, resp.Body) //nolint:errcheck — drain for connection reuse
-					resp.Body.Close()
-				}
-			}
-			cancel()
-		}
-	}
-}
-
 // healthz is the node health wire shape the router polls.
 type healthz struct {
 	OK       bool `json:"ok"`
@@ -439,21 +366,10 @@ func (rt *Router) healthLoop() {
 }
 
 func (rt *Router) probe(node *nodeRef) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.probeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node.base+"/healthz", nil)
-	if err != nil {
-		return
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		rt.setState(node, nodeDown)
-		return
-	}
-	defer resp.Body.Close()
+	body, err := getBounded(context.Background(), rt.client, rt.probeTimeout, node.base+"/healthz")
 	var h healthz
 	switch {
-	case resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&h) != nil:
+	case err != nil || json.Unmarshal(body, &h) != nil:
 		rt.setState(node, nodeDown)
 	case h.Draining:
 		rt.setState(node, nodeDraining)
@@ -527,28 +443,13 @@ func (rt *Router) Stats(ctx context.Context) RouterStats {
 
 // fetchStats snapshots one member's /v1/stats for inlining into the
 // merged router stats. A node body is embedded verbatim only when it
-// is complete, valid JSON — a non-200 answer, a read error, or a
-// truncated/garbage body degrades to a per-member {"error": ...}
-// object instead of corrupting the whole merged document.
+// is complete, valid JSON — a non-200 answer, a read error, an
+// oversized or a truncated/garbage body degrades to a per-member
+// {"error": ...} object instead of corrupting the whole merged document.
 func (rt *Router) fetchStats(ctx context.Context, node *nodeRef) json.RawMessage {
-	ctx, cancel := context.WithTimeout(ctx, rt.probeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node.base+"/v1/stats", nil)
+	raw, err := getBounded(ctx, rt.client, rt.probeTimeout, node.base+"/v1/stats")
 	if err != nil {
-		return statsError(err.Error())
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return statsError(err.Error())
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck — drain for connection reuse
-		return statsError(fmt.Sprintf("stats returned status %d", resp.StatusCode))
-	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxNodeReply))
-	if err != nil {
-		return statsError(fmt.Sprintf("reading stats body: %v", err))
+		return statsError("stats: " + err.Error())
 	}
 	if !json.Valid(raw) {
 		return statsError("stats body is not valid JSON (truncated?)")
@@ -670,24 +571,9 @@ func (rt *Router) fetchNodeTrace(ctx context.Context, id, servedBy string) (obs.
 }
 
 func (rt *Router) fetchOneTrace(ctx context.Context, node *nodeRef, id string) (obs.Exemplar, bool) {
-	ctx, cancel := context.WithTimeout(ctx, rt.probeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		node.base+"/v1/debug/trace?format=json&trace="+url.QueryEscape(id), nil)
-	if err != nil {
-		return obs.Exemplar{}, false
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return obs.Exemplar{}, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck — drain for connection reuse
-		return obs.Exemplar{}, false
-	}
+	body, err := getBounded(ctx, rt.client, rt.probeTimeout, node.base+"/v1/debug/trace?format=json&trace="+url.QueryEscape(id))
 	var ex obs.Exemplar
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxNodeReply)).Decode(&ex); err != nil {
+	if err != nil || json.Unmarshal(body, &ex) != nil {
 		return obs.Exemplar{}, false
 	}
 	return ex, len(ex.Spans) > 0

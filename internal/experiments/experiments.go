@@ -93,12 +93,15 @@ func paperTasks() []*acc.Task {
 	return acc.Tasks(cfg.Layers, cfg.Heads)
 }
 
-func table(write func(w *tabwriter.Writer)) string {
-	var b strings.Builder
-	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	write(w)
-	w.Flush()
-	return b.String()
+// table renders the rows write prints as aligned columns onto b. An
+// error from write is returned unflushed, so an experiment fails
+// instead of returning a report cut short at the failing cell.
+func table(b *strings.Builder, write func(w *tabwriter.Writer) error) error {
+	w := tabwriter.NewWriter(b, 2, 4, 2, ' ', 0)
+	if err := write(w); err != nil {
+		return err
+	}
+	return w.Flush()
 }
 
 func ms(d time.Duration) string {

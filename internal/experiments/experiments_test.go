@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 	"testing"
+	"text/tabwriter"
 )
 
 func TestAllExperimentsRun(t *testing.T) {
@@ -16,6 +18,32 @@ func TestAllExperimentsRun(t *testing.T) {
 		if r.Output == "" || r.Title == "" {
 			t.Fatalf("%s: empty result", id)
 		}
+	}
+}
+
+// TestTableCallbackErrorReachesRun: an error from a table callback
+// (a planner or baseline failing for one cell) comes back from table
+// and from Run, instead of a report cut short with a nil error.
+func TestTableCallbackErrorReachesRun(t *testing.T) {
+	boom := errors.New("no feasible plan")
+	failing := func() (string, error) {
+		var b strings.Builder
+		if err := table(&b, func(w *tabwriter.Writer) error {
+			fmt.Fprintln(w, "method\tcell")
+			fmt.Fprintln(w, "Ours\t1.0")
+			return boom
+		}); err != nil {
+			return "", err
+		}
+		return b.String(), nil
+	}
+	if _, err := failing(); !errors.Is(err, boom) {
+		t.Fatalf("table returned %v, want the callback's error", err)
+	}
+	registry["failing"] = runner{"a table whose callback fails", failing}
+	defer delete(registry, "failing")
+	if r, err := Run("failing"); !errors.Is(err, boom) || r != nil {
+		t.Fatalf("Run = %+v, %v; want nil and the callback's error", r, err)
 	}
 }
 

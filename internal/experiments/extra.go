@@ -23,20 +23,23 @@ func SensitivitySeqLen() (string, error) {
 	task := acc.TaskByName("SST-2", cfg.Layers, cfg.Heads)
 	sizer := planner.AnalyticSizer{Params: cfg.ShardParams()}
 	dev := device.Odroid()
-	b.WriteString(table(func(w *tabwriter.Writer) {
+	if err := table(&b, func(w *tabwriter.Writer) error {
 		fmt.Fprintln(w, "seq len\tTcomp(m=12)\tsubmodel\taccuracy")
 		for _, l := range []int{32, 64, 128, 192, 256} {
 			req := planner.NewRequest(dev, cfg, task.Imp, sizer, 200*time.Millisecond, 1<<20)
 			req.SeqLen = l
 			p, err := req.Plan()
 			if err != nil {
-				return
+				return fmt.Errorf("seq len %d: %w", l, err)
 			}
 			fmt.Fprintf(w, "%d\t%s\t%dx%d\t%.1f\n",
 				l, ms(dev.TComp(l, 12, 1.0)), p.Depth, p.Width,
 				task.AccuracySubmodel(p.Slices, p.Bits))
 		}
-	}))
+		return nil
+	}); err != nil {
+		return "", err
+	}
 	b.WriteString("\nshorter inputs leave compute headroom for deeper submodels; the\n")
 	b.WriteString("quadratic attention term shrinks feasible submodels past l=128.\n")
 	return b.String(), nil
@@ -52,14 +55,14 @@ func SensitivityFreq() (string, error) {
 	task := acc.TaskByName("QQP", cfg.Layers, cfg.Heads)
 	sizer := planner.AnalyticSizer{Params: cfg.ShardParams()}
 	dev := device.Odroid()
-	b.WriteString(table(func(w *tabwriter.Writer) {
+	if err := table(&b, func(w *tabwriter.Writer) error {
 		fmt.Fprintln(w, "freq\tsubmodel\tmin bits\taccuracy")
 		for _, f := range dev.Freqs {
 			req := planner.NewRequest(dev, cfg, task.Imp, sizer, 200*time.Millisecond, 1<<20)
 			req.Freq = f
 			p, err := req.Plan()
 			if err != nil {
-				return
+				return fmt.Errorf("freq %.2f: %w", float64(f), err)
 			}
 			min := 99
 			for l := range p.Bits {
@@ -73,7 +76,10 @@ func SensitivityFreq() (string, error) {
 				float64(f), p.Depth, p.Width, min,
 				task.AccuracySubmodel(p.Slices, p.Bits))
 		}
-	}))
+		return nil
+	}); err != nil {
+		return "", err
+	}
 	b.WriteString("\nthrottled silicon runs smaller submodels but affords higher-fidelity\n")
 	b.WriteString("shards per layer (slower compute = more bonus IO per AIB).\n")
 	return b.String(), nil

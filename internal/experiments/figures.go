@@ -156,13 +156,16 @@ func Figure7() (string, error) {
 				return "", err
 			}
 			fmt.Fprintf(&b, "%s / %s (T=200ms):\n", dev.Name, taskName)
-			b.WriteString(table(func(w *tabwriter.Writer) {
+			if err := table(&b, func(w *tabwriter.Writer) error {
 				fmt.Fprintln(w, "method\tmemory\taccuracy\tsubmodel")
 				for _, o := range outs {
 					fmt.Fprintf(w, "%s\t%s\t%.1f\t%dx%d\n",
 						o.Method, baselines.FormatBytes(o.MemoryBytes), o.Accuracy, o.Depth, o.Width)
 				}
-			}))
+				return nil
+			}); err != nil {
+				return "", err
+			}
 			// Headline ratios.
 			var ours, full, six baselines.Outcome
 			for _, o := range outs {

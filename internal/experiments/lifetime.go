@@ -29,7 +29,7 @@ func Energy() (string, error) {
 	}
 	pm := dev.Power()
 	var sti, preloadFull, stdFull float64
-	b.WriteString(table(func(w *tabwriter.Writer) {
+	if err := table(&b, func(w *tabwriter.Writer) error {
 		fmt.Fprintln(w, "method\taccuracy\tenergy/inference\tcompute busy\tIO busy")
 		for _, o := range outs {
 			var compBusy time.Duration
@@ -48,7 +48,10 @@ func Energy() (string, error) {
 			fmt.Fprintf(w, "%s\t%.1f\t%.2fJ\t%s\t%s\n",
 				o.Method, o.Accuracy, e, ms(compBusy), ms(o.Timeline.IOBusy()))
 		}
-	}))
+		return nil
+	}); err != nil {
+		return "", err
+	}
 	fmt.Fprintf(&b, "\nSTI vs StdPL-full: %.2fx energy (more useful work per inference)\n", sti/stdFull)
 	fmt.Fprintf(&b, "STI vs Preload-full: %.2fx energy (IO rides the already-active SoC)\n", sti/preloadFull)
 	b.WriteString("paper: notably more than low-accuracy baselines; moderately but not\n")

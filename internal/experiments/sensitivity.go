@@ -24,20 +24,23 @@ func SensitivityTarget() (string, error) {
 	for _, dev := range device.Platforms() {
 		task := acc.TaskByName("SST-2", 12, 12)
 		fmt.Fprintf(&b, "== %s / SST-2 ==\n", dev.Name)
-		b.WriteString(table(func(w *tabwriter.Writer) {
+		if err := table(&b, func(w *tabwriter.Writer) error {
 			fmt.Fprintln(w, "T\tOurs\tStdPL-6bit\tgain\tsubmodel")
 			for _, t := range sweep {
 				s := baselines.NewSetup(dev, task, t*time.Millisecond)
 				ours, err := baselines.STI(s, preloadFor(dev))
 				if err != nil {
-					return
+					return fmt.Errorf("%s T=%v: %w", dev.Name, t*time.Millisecond, err)
 				}
 				std := baselines.StdPL(s, 6)
 				fmt.Fprintf(w, "%v\t%.1f\t%.1f\t%+.1f\t%dx%d\n",
 					t*time.Millisecond, ours.Accuracy, std.Accuracy,
 					ours.Accuracy-std.Accuracy, ours.Depth, ours.Width)
 			}
-		}))
+			return nil
+		}); err != nil {
+			return "", err
+		}
 		b.WriteByte('\n')
 	}
 	b.WriteString("paper: advantage most pronounced below 200ms (Odroid) / 400ms (Jetson),\n")
@@ -52,7 +55,7 @@ func SensitivityPreload() (string, error) {
 	var b strings.Builder
 	sizes := []int64{0, 256 << 10, 512 << 10, 1 << 20, 2 << 20, 4 << 20, 8 << 20}
 	dev := device.Odroid()
-	b.WriteString(table(func(w *tabwriter.Writer) {
+	if err := table(&b, func(w *tabwriter.Writer) error {
 		fmt.Fprint(w, "|S|")
 		for _, task := range paperTasks() {
 			fmt.Fprintf(w, "\t%s", task.Name)
@@ -64,14 +67,17 @@ func SensitivityPreload() (string, error) {
 			for _, task := range paperTasks() {
 				p, _, err := planFor(dev, task, 200*time.Millisecond, size)
 				if err != nil {
-					return
+					return fmt.Errorf("%s |S|=%s: %w", task.Name, baselines.FormatBytes(size), err)
 				}
 				stall = p.InitialStall
 				fmt.Fprintf(w, "\t%.1f", task.AccuracySubmodel(p.Slices, p.Bits))
 			}
 			fmt.Fprintf(w, "\t%s\n", ms(stall))
 		}
-	}))
+		return nil
+	}); err != nil {
+		return "", err
+	}
 	b.WriteString("\npaper: a few MBs of preload buffer yield a noticeable, consistent gain\n")
 	b.WriteString("(up to +3.7pp QNLI/QQP on Odroid); growth beyond that flattens.\n")
 	return b.String(), nil

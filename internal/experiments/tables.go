@@ -25,7 +25,7 @@ func Table5() (string, error) {
 	cells := 0
 	for _, dev := range device.Platforms() {
 		fmt.Fprintf(&b, "== %s (|S| = %s) ==\n", dev.Name, baselines.FormatBytes(preloadFor(dev)))
-		b.WriteString(table(func(w *tabwriter.Writer) {
+		if err := table(&b, func(w *tabwriter.Writer) error {
 			fmt.Fprint(w, "method")
 			for _, task := range paperTasks() {
 				for _, t := range paperTargets {
@@ -39,7 +39,7 @@ func Table5() (string, error) {
 					s := baselines.NewSetup(dev, task, t)
 					outs, err := baselines.All(s, preloadFor(dev))
 					if err != nil {
-						continue
+						return fmt.Errorf("%s %s@%d: %w", dev.Name, task.Name, t.Milliseconds(), err)
 					}
 					for _, o := range outs {
 						rows[o.Method] = append(rows[o.Method], fmt.Sprintf("%.1f", o.Accuracy))
@@ -51,7 +51,10 @@ func Table5() (string, error) {
 			for _, m := range methods {
 				fmt.Fprintf(w, "%s\t%s\n", m, strings.Join(rows[m], "\t"))
 			}
-		}))
+			return nil
+		}); err != nil {
+			return "", err
+		}
 		// Gold row for reference.
 		var golds []string
 		for _, task := range paperTasks() {
@@ -80,13 +83,13 @@ func Table6() (string, error) {
 	task := acc.TaskByName("SST-2", 12, 12)
 	for _, dev := range device.Platforms() {
 		fmt.Fprintf(&b, "== %s ==\n", dev.Name)
-		b.WriteString(table(func(w *tabwriter.Writer) {
+		if err := table(&b, func(w *tabwriter.Writer) error {
 			fmt.Fprintln(w, "T\tLoad&Exec\tStdPL-full\tStdPL-6bit\tPreload-6bit\tOurs")
 			for _, t := range paperTargets {
 				s := baselines.NewSetup(dev, task, t)
 				ours, err := baselines.STI(s, preloadFor(dev))
 				if err != nil {
-					return
+					return fmt.Errorf("%s T=%v: %w", dev.Name, t, err)
 				}
 				le := baselines.LoadExec(s)
 				sf := baselines.StdPL(s, shard.FullBits)
@@ -96,7 +99,10 @@ func Table6() (string, error) {
 					le.Depth, le.Width, sf.Depth, sf.Width, s6.Depth, s6.Width,
 					p6.Depth, p6.Width, ours.Depth, ours.Width)
 			}
-		}))
+			return nil
+		}); err != nil {
+			return "", err
+		}
 	}
 	b.WriteString("paper: STI runs the largest submodel (≈7x the FLOPs of Load&Exec/StdPL-full,\n")
 	b.WriteString("1.3x StdPL-2/6bit); CPU favours deep/narrow, GPU shallow/wide submodels.\n")
@@ -112,7 +118,7 @@ func Table7() (string, error) {
 	budgets := []int64{400 << 10, 2 << 20, 4 << 20} // 0.4, 2, 4 MB
 	upgradeCost := int64(shard.EstimateSizeBytes(cfg.ShardParams(), 6) - shard.EstimateSizeBytes(cfg.ShardParams(), 2))
 
-	b.WriteString(table(func(w *tabwriter.Writer) {
+	if err := table(&b, func(w *tabwriter.Writer) error {
 		fmt.Fprintln(w, "benchmark\tbudget\trandom\tours\tgain")
 		for _, task := range paperTasks() {
 			// The paper's case study uses "an intermediate state of
@@ -166,7 +172,10 @@ func Table7() (string, error) {
 					task.Name, float64(budget)/(1<<20), randAcc, oursAcc, oursAcc-randAcc)
 			}
 		}
-	}))
+		return nil
+	}); err != nil {
+		return "", err
+	}
 	b.WriteString("\npaper (Table 7): ours beats random by up to 23.1pp, 8.19pp on average;\n")
 	b.WriteString("e.g. QQP 0.4/2/4MB: random 39.2/40.2/59.8 vs ours 56.3/63.3/75.5.\n")
 	return b.String(), nil
@@ -187,7 +196,7 @@ func Storage() (string, error) {
 	cfg := model.BERTBase()
 	shards := cfg.Layers * cfg.Heads
 	var quantTotal int64
-	b.WriteString(table(func(w *tabwriter.Writer) {
+	if err := table(&b, func(w *tabwriter.Writer) error {
 		fmt.Fprintln(w, "bitwidth\tper shard\tper model")
 		for _, bits := range shard.AllBitwidths() {
 			size := int64(shard.EstimateSizeBytes(cfg.ShardParams(), bits))
@@ -198,7 +207,10 @@ func Storage() (string, error) {
 			fmt.Fprintf(w, "%d\t%s\t%s\n", bits,
 				baselines.FormatBytes(size), baselines.FormatBytes(total))
 		}
-	}))
+		return nil
+	}); err != nil {
+		return "", err
+	}
 	full := int64(shard.EstimateSizeBytes(cfg.ShardParams(), shard.FullBits)) * int64(shards)
 	fmt.Fprintf(&b, "\nfive quantized versions {2..6}: %s total (paper: 215 MB)\n", baselines.FormatBytes(quantTotal))
 	fmt.Fprintf(&b, "full 32-bit transformer weights: %s (paper: 418 MB incl. embeddings)\n", baselines.FormatBytes(full))

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"sti"
+	"sti/internal/cluster"
 	"sti/internal/obs"
 	"sti/internal/obs/obshttp"
 	"sti/internal/tokenizer"
@@ -128,7 +129,7 @@ func (c Config) Validate() error {
 		fail("unknown -mode %q (standalone, node, or router)", c.Mode)
 	}
 	if c.Mode == "router" || c.Mode == "node" && c.Peers != "" {
-		if _, err := sti.ParseClusterPeers(c.Peers); err != nil {
+		if _, err := cluster.ParsePeers(c.Peers); err != nil {
 			fail("-peers: %w", err)
 		}
 	}
@@ -157,7 +158,7 @@ func (c Config) Validate() error {
 
 // New validates cfg and builds the process's handler: /metrics in every
 // mode; the serving surface over a planned fleet and its scheduler,
-// plus the /cluster/* endpoints in node mode; the cluster router in
+// plus GET /cluster/shard in node mode; the cluster router in
 // router mode; and the net/http/pprof endpoints when -pprof asks for
 // them (they expose heap and CPU internals, so they are opt-in). Close
 // releases what it started.
@@ -175,11 +176,11 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("GET /metrics", obshttp.Metrics(hub))
 	s := &Server{hub: hub, handler: mux}
 	if cfg.Mode == "router" {
-		peers, err := sti.ParseClusterPeers(cfg.Peers)
+		peers, err := cluster.ParsePeers(cfg.Peers)
 		if err != nil {
 			return nil, err
 		}
-		if s.router, err = sti.NewClusterRouter(peers, sti.ClusterRouterOptions{DefaultTarget: cfg.Target, Obs: hub}); err != nil {
+		if s.router, err = cluster.NewRouter(peers, cluster.RouterOptions{DefaultTarget: cfg.Target, Obs: hub}); err != nil {
 			return nil, err
 		}
 		mux.Handle("/", s.router)
@@ -236,11 +237,11 @@ func (s *Server) serveFleet(cfg Config, mux *http.ServeMux) error {
 	if cfg.Mode != "node" {
 		return nil
 	}
-	// A node also serves the /cluster/* endpoints, and every model's
-	// shared cache gains its peer level.
-	peers, err := sti.ParseClusterPeers(cfg.Peers)
+	// A node also serves GET /cluster/shard, and every model's shared
+	// cache gains its peer level.
+	peers, err := cluster.ParsePeers(cfg.Peers)
 	if err == nil {
-		s.node, err = sti.NewClusterNode(fleet, cfg.Node, peers)
+		s.node, err = cluster.NewNode(fleet, cfg.Node, peers)
 	}
 	if err != nil {
 		s.Close()

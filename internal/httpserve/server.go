@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"sti"
+	"sti/internal/cluster"
 	"sti/internal/obs"
 	"sti/internal/obs/obshttp"
 	"sti/internal/tokenizer"
@@ -18,7 +19,7 @@ import (
 
 // Server is one sti-serve process's HTTP surface. In standalone and
 // node mode it is the frontend over a fleet and its scheduler (a node
-// adds the /cluster/* endpoints); in router mode it is the cluster
+// adds GET /cluster/shard); in router mode it is the cluster
 // router alone.
 //
 // /v2/infer is the one inference surface: a `task` field selects
@@ -29,8 +30,8 @@ type Server struct {
 	fleet   *sti.Fleet     // nil in router mode
 	sched   *sti.Scheduler // nil in router mode
 	hub     *obs.Hub
-	node    *sti.ClusterNode   // node mode only
-	router  *sti.ClusterRouter // router mode only
+	node    *cluster.Node   // node mode only
+	router  *cluster.Router // router mode only
 	models  map[string]modelInfo
 	handler http.Handler // the serving mux (with /cluster/ on a node) or the router, plus pprof
 }

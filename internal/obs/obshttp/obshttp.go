@@ -127,7 +127,7 @@ func Traces(h *obs.Hub, find func(ctx context.Context, id string) (obs.Exemplar,
 			}
 			return
 		}
-		var exs []obs.Exemplar
+		exs := []obs.Exemplar{} // "[]", not "null", when none is retained
 		for _, m := range h.Models() {
 			exs = append(exs, h.Ring(m).Snapshot()...)
 		}

@@ -29,6 +29,7 @@ func TestObservabilityEndpoints(t *testing.T) {
 	}{
 		{"metrics", Metrics(hub), "/metrics", http.StatusOK, "text/plain", "sti_test_total 1"},
 		{"no exemplars", Traces(hub, nil), "/v1/debug/trace", http.StatusOK, "text/plain", "(no exemplars retained)"},
+		{"no exemplars as JSON", Traces(hub, nil), "/v1/debug/trace?format=json", http.StatusOK, "application/json", "[]"},
 		{"unknown trace", Traces(hub, nil), "/v1/debug/trace?trace=abc", http.StatusNotFound, "application/json", `"error"`},
 		{"metrics without a hub", Metrics(nil), "/metrics", http.StatusNotFound, "application/json", "observability disabled"},
 		{"traces without a hub", Traces(nil, nil), "/v1/debug/trace", http.StatusNotFound, "application/json", "observability disabled"},

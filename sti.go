@@ -36,7 +36,6 @@ import (
 	"context"
 	"time"
 
-	"sti/internal/cluster"
 	"sti/internal/device"
 	"sti/internal/glue"
 	"sti/internal/importance"
@@ -134,26 +133,10 @@ type (
 	// ServeResult is the outcome of one scheduled inference.
 	ServeResult = serve.Result
 
-	// ClusterPeer names one cluster member and its base URL; the same
-	// static list configures every router and node.
-	ClusterPeer = cluster.Peer
-	// ClusterRouterOptions tunes the cluster frontend (default SLO,
-	// health polling, observability hub).
-	ClusterRouterOptions = cluster.RouterOptions
-	// ClusterRouter terminates /v2/infer for a multi-node deployment,
-	// forwarding each request (SSE generate streams included) to a node
-	// holding its model.
-	ClusterRouter = cluster.Router
-	// ClusterNode wires one process's fleet into the cluster: the
-	// two-level shard cache's peer fetching plus the /cluster/*
-	// endpoints.
-	ClusterNode = cluster.Node
-
 	// ObsHub is a process's observability root: the metrics registry
 	// behind /metrics, the tracing switch, and the per-model exemplar
-	// rings behind /v1/debug/trace. Pass it to ServeOptions.Obs,
-	// ClusterRouterOptions.Obs and Fleet.SetObservability; a nil hub
-	// disables the whole subsystem.
+	// rings behind /v1/debug/trace. Pass it to ServeOptions.Obs and
+	// Fleet.SetObservability; a nil hub disables the whole subsystem.
 	ObsHub = obs.Hub
 	// ObsTrace is one request's span timeline; StartRequest attaches
 	// one to the request context and every layer below records into it.
@@ -163,36 +146,15 @@ type (
 	ObsExemplar = obs.Exemplar
 )
 
-// The fleet is what a cluster node and a scheduler serve: compile-time
-// proof the public Fleet satisfies both backend contracts.
-var (
-	_ cluster.NodeBackend = (*Fleet)(nil)
-	_ serve.Backend       = (*Fleet)(nil)
-)
+// The fleet is what a scheduler serves: compile-time proof the public
+// Fleet satisfies its backend contract.
+var _ serve.Backend = (*Fleet)(nil)
 
 // NewObsHub builds an observability hub with a fresh registry, tracing
 // enabled, and exemplar rings of ringCap traces per model (<= 0 means
 // the default 8). Scrape its registry at /metrics and feed request
 // contexts through hub.StartRequest/FinishRequest.
 func NewObsHub(ringCap int) *ObsHub { return obs.NewHub(ringCap) }
-
-// ParseClusterPeers parses a -peers flag value: comma-separated
-// name=url pairs.
-func ParseClusterPeers(s string) ([]ClusterPeer, error) { return cluster.ParsePeers(s) }
-
-// NewClusterRouter builds the cluster frontend over a static peer list
-// and starts its health poll; Close stops the background loops.
-func NewClusterRouter(peers []ClusterPeer, opts ClusterRouterOptions) (*ClusterRouter, error) {
-	return cluster.NewRouter(peers, opts)
-}
-
-// NewClusterNode wires a fleet into a cluster as the named member:
-// every model's shared cache gains the peer-fetch level, and Handler
-// serves the /cluster/* endpoints (mount it alongside the ordinary
-// serving surface).
-func NewClusterNode(f *Fleet, self string, peers []ClusterPeer) (*ClusterNode, error) {
-	return cluster.NewNode(f, self, peers)
-}
 
 // Tasks a Request can carry, re-exported at the API surface.
 const (
