@@ -37,7 +37,7 @@ func buildCluster(t testing.TB, nodeNames []string, dirs map[string]string, args
 	nodes := make(map[string]*testServer, len(nodeNames))
 	for _, name := range nodeNames {
 		nodeArgs := append(modelArgs(dirs), "-mode", "node", "-node", name, "-peers", peers,
-			"-addr", addrs[name], "-tracering", "32")
+			"-addr", addrs[name])
 		nodes[name] = startServer(t, append(nodeArgs, args...)...)
 	}
 	t.Cleanup(func() {

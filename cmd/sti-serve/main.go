@@ -22,6 +22,13 @@
 //	curl -s localhost:8080/v1/stats
 //	curl -s localhost:8080/v1/budget -d '{"budget_bytes":131072}'
 //
+// The scheduling knobs have one value each: every model gets a
+// 64-deep admission queue, 2 scheduler workers per replica, batches of
+// up to 8 queued classify inputs gathered for at most 2 ms, at most 64
+// concurrently decoding generate streams and a ring of its 8 slowest
+// traces; a router assumes a 200 ms SLO for a request without
+// target_ms.
+//
 // Multiple -model flags serve multiple models from one budget; a spec
 // may override the default target and weight per model:
 //
@@ -72,23 +79,22 @@ func main() {
 	}
 }
 
-// parseFlags reads a command line into a server configuration. An unset
-// -workers defaults to 2 workers per replica, so dispatch can keep every
-// replica busy and overlap batch executions.
+// parseFlags reads a command line into a server configuration.
 func parseFlags(args []string) (httpserve.Config, error) {
 	var c httpserve.Config
+	err := newFlagSet(&c).Parse(args)
+	return c, err
+}
+
+// newFlagSet defines every sti-serve flag over the fields of c.
+func newFlagSet(c *httpserve.Config) *flag.FlagSet {
 	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
 	fs.Var(&c.Models, "model", "model spec name=dir[,target=D][,weight=W]; repeatable (required)")
 	fs.StringVar(&c.Addr, "addr", ":8080", "listen address")
 	fs.StringVar(&c.Device, "device", "odroid", "device profile: odroid or jetson")
 	fs.Int64Var(&c.Budget, "budget", 256<<10, "fleet-wide preload budget in bytes")
-	fs.IntVar(&c.Queue, "queue", 64, "admission queue depth per model")
-	fs.IntVar(&c.Workers, "workers", 2, "scheduler worker goroutines per model (default 2, or 2x -replicas when -replicas is set; must be >= -replicas); all may execute batches, at most min(workers, GOMAXPROCS) gather the queue at once")
-	fs.IntVar(&c.Replicas, "replicas", 1, "pipeline-engine replicas per model: each gets its own preload-buffer slice, all share one single-flight shard cache; also the elastic ceiling queue pressure can scale up to")
+	fs.IntVar(&c.Replicas, "replicas", 1, "pipeline-engine replicas per model: each gets its own preload-buffer slice, all share one single-flight shard cache; also the elastic ceiling queue pressure can scale up to. Each model gets 2 scheduler workers per replica")
 	fs.Float64Var(&c.Slack, "slack", 4, "request deadline = slack x model target")
-	fs.IntVar(&c.MaxBatch, "maxbatch", 8, "max queued requests drained into one batched execution (1 disables batching)")
-	fs.DurationVar(&c.BatchWindow, "batchwindow", 2*time.Millisecond, "how long a worker waits for a batch to fill")
-	fs.IntVar(&c.MaxStreams, "maxstreams", 64, "max concurrently decoding generate streams, scheduler-wide and per replica step loop (continuous batching admits up to this many sequences per batched decode step)")
 	fs.BoolVar(&c.Prefetch, "prefetch", false, "enable predictive shard prefetch: a sequence predictor trained on each model's shard-access order pulls predicted payloads into the shared cache ahead of the compute front (requires -sharedcache > 0)")
 	fs.BoolVar(&c.Speculate, "speculate", false, "enable speculative tier warming and pre-emptive replica scale advice driven by each model's arrival-rate trend")
 	fs.Int64Var(&c.SharedCache, "sharedcache", 1<<20, "per-model shared shard-cache retention in bytes (single-flight dedup window + prefetch staging area; 0 keeps pure coalescing only)")
@@ -96,17 +102,6 @@ func parseFlags(args []string) (httpserve.Config, error) {
 	fs.StringVar(&c.Peers, "peers", "", "static cluster membership: comma-separated name=url pairs, identical on every router and node")
 	fs.StringVar(&c.Node, "node", "", "this process's name in -peers (node mode)")
 	fs.DurationVar(&c.DrainGrace, "draingrace", time.Second, "node mode: how long to advertise draining via /healthz before closing the listener, so the router rebalances first")
-	fs.DurationVar(&c.Target, "target", 200*time.Millisecond, "router mode: SLO assumed for requests without target_ms when deriving per-hop deadlines")
 	fs.BoolVar(&c.Pprof, "pprof", false, "serve net/http/pprof profiling endpoints under /debug/pprof/")
-	fs.IntVar(&c.TraceRing, "tracering", 8, "per-model exemplar traces retained for /v1/debug/trace (slowest plus all erroring)")
-	fs.BoolVar(&c.NoTrace, "notrace", false, "disable per-request span capture (metrics and /metrics stay on)")
-	if err := fs.Parse(args); err != nil {
-		return c, err
-	}
-	workersSet := false
-	fs.Visit(func(f *flag.Flag) { workersSet = workersSet || f.Name == "workers" })
-	if !workersSet {
-		c.Workers = max(c.Workers, 2*c.Replicas)
-	}
-	return c, nil
+	return fs
 }

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,28 +13,29 @@ import (
 )
 
 // TestParseFlags pins every flag name and default the benchmark and the
-// docs pass: the defaults, a command line with every flag set, and the
-// -workers default that follows -replicas.
+// docs pass: the flag list itself, the defaults, a command line with
+// every flag set, and the rejection of each removed tuning flag.
 func TestParseFlags(t *testing.T) {
+	var names []string
+	newFlagSet(new(httpserve.Config)).VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	wantNames := []string{"addr", "budget", "device", "draingrace", "mode", "model", "node",
+		"peers", "pprof", "prefetch", "replicas", "sharedcache", "slack", "speculate"}
+	if !slices.Equal(names, wantNames) {
+		t.Errorf("flags %q, want %q", names, wantNames)
+	}
 	defaults := httpserve.Config{
-		Addr: ":8080", Device: "odroid", Budget: 256 << 10, Queue: 64, Workers: 2,
-		Replicas: 1, Slack: 4, MaxBatch: 8, BatchWindow: 2 * time.Millisecond,
-		MaxStreams: 64, SharedCache: 1 << 20, Mode: "standalone",
-		DrainGrace: time.Second, Target: 200 * time.Millisecond, TraceRing: 8,
+		Addr: ":8080", Device: "odroid", Budget: 256 << 10, Replicas: 1, Slack: 4,
+		SharedCache: 1 << 20, Mode: "standalone", DrainGrace: time.Second,
 	}
 	every := httpserve.Config{
 		Models: httpserve.ModelSpecs{
 			{Name: "a", Dir: "/s/a", Target: 150 * time.Millisecond, Weight: 2},
 			{Name: "b", Dir: "/s/b", Target: 200 * time.Millisecond, Weight: 1},
 		},
-		Addr: "127.0.0.1:9", Device: "jetson", Budget: 4096, Queue: 3, Workers: 5,
-		Replicas: 4, Slack: 1.5, MaxBatch: 2, BatchWindow: 7 * time.Millisecond,
-		MaxStreams: 9, Prefetch: true, Speculate: true, SharedCache: 123,
-		Mode: "node", Peers: "a=http://h:1", Node: "a", DrainGrace: 3 * time.Second,
-		Target: 90 * time.Millisecond, Pprof: true, TraceRing: 16, NoTrace: true,
+		Addr: "127.0.0.1:9", Device: "jetson", Budget: 4096, Replicas: 4, Slack: 1.5,
+		Prefetch: true, Speculate: true, SharedCache: 123, Mode: "node",
+		Peers: "a=http://h:1", Node: "a", DrainGrace: 3 * time.Second, Pprof: true,
 	}
-	replicas := defaults
-	replicas.Replicas, replicas.Workers = 4, 8
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -40,13 +44,11 @@ func TestParseFlags(t *testing.T) {
 		{"defaults", nil, defaults},
 		{"every flag", []string{
 			"-model", "a=/s/a,target=150ms,weight=2", "-model", "b=/s/b",
-			"-addr", "127.0.0.1:9", "-device", "jetson", "-budget", "4096", "-queue", "3",
-			"-workers", "5", "-replicas", "4", "-slack", "1.5", "-maxbatch", "2",
-			"-batchwindow", "7ms", "-maxstreams", "9", "-prefetch", "-speculate",
+			"-addr", "127.0.0.1:9", "-device", "jetson", "-budget", "4096",
+			"-replicas", "4", "-slack", "1.5", "-prefetch", "-speculate",
 			"-sharedcache", "123", "-mode", "node", "-peers", "a=http://h:1", "-node", "a",
-			"-draingrace", "3s", "-target", "90ms", "-pprof", "-tracering", "16", "-notrace",
+			"-draingrace", "3s", "-pprof",
 		}, every},
-		{"unset -workers follows -replicas", []string{"-replicas", "4"}, replicas},
 	} {
 		got, err := parseFlags(tc.args)
 		if err != nil {
@@ -58,6 +60,15 @@ func TestParseFlags(t *testing.T) {
 	}
 	if _, err := parseFlags([]string{"-model", "a=/s/a,target=-2.5ms"}); err == nil {
 		t.Error("a non-positive target= parsed")
+	}
+	for _, args := range [][]string{{"-queue", "64"}, {"-workers", "2"}, {"-maxbatch", "8"},
+		{"-batchwindow", "2ms"}, {"-maxstreams", "64"}, {"-tracering", "8"}, {"-notrace"},
+		{"-target", "200ms"}} {
+		fs := newFlagSet(new(httpserve.Config))
+		fs.SetOutput(io.Discard)
+		if err := fs.Parse(args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%q: %v, want an undefined-flag error", args, err)
+		}
 	}
 }
 
@@ -72,36 +83,21 @@ func flagsValidate(t *testing.T, args ...string) (httpserve.Config, error) {
 	return cfg, cfg.Validate()
 }
 
-// TestConcurrencyForValidation covers the -workers/-replicas matrix: an
-// unset -workers follows -replicas, an explicit one must cover them, and
-// zero workers or replicas are rejected.
+// TestConcurrencyForValidation covers -replicas: one or more replicas
+// are valid, zero or fewer are rejected.
 func TestConcurrencyForValidation(t *testing.T) {
 	for _, c := range []struct {
 		args    []string
-		want    int
 		wantErr bool
 	}{
-		{args: nil, want: 2},                                           // defaults untouched
-		{args: []string{"-replicas", "4"}, want: 8},                    // adaptive: 2x replicas
-		{args: []string{"-workers", "12", "-replicas", "4"}, want: 12}, // explicit and ample
-		{args: []string{"-workers", "4", "-replicas", "4"}, want: 4},   // explicit at the floor
-		{args: []string{"-workers", "2", "-replicas", "4"}, wantErr: true},
-		{args: []string{"-workers", "0", "-replicas", "1"}, wantErr: true},
+		{args: nil},                        // defaults untouched
+		{args: []string{"-replicas", "4"}}, // several replicas
 		{args: []string{"-replicas", "0"}, wantErr: true},
+		{args: []string{"-replicas", "-1"}, wantErr: true},
 	} {
-		cfg, err := flagsValidate(t, c.args...)
-		if c.wantErr {
-			if err == nil {
-				t.Errorf("%q: workers=%d valid, want error", c.args, cfg.Workers)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("%q: %v", c.args, err)
-			continue
-		}
-		if cfg.Workers != c.want {
-			t.Errorf("%q: workers=%d, want %d", c.args, cfg.Workers, c.want)
+		_, err := flagsValidate(t, c.args...)
+		if (err != nil) != c.wantErr {
+			t.Errorf("%q: err=%v, want error %v", c.args, err, c.wantErr)
 		}
 	}
 }

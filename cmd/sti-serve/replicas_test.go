@@ -13,7 +13,7 @@ import (
 // per-replica served counters and the single-flight dedup counters of
 // a replicated model.
 func TestStatsExposeReplicas(t *testing.T) {
-	ts := startFleet(t, "-replicas", "2", "-workers", "4")
+	ts := startFleet(t, "-replicas", "2")
 
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {

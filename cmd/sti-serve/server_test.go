@@ -295,7 +295,7 @@ func TestServerErrorMapping(t *testing.T) {
 // input results come back in order, classes match the single-input
 // path, and the scheduler's batch stats become visible in /v1/stats.
 func TestServerBatchedInfer(t *testing.T) {
-	ts := startFleet(t, "-slack", "1000", "-workers", "1", "-maxbatch", "8", "-batchwindow", "20ms")
+	ts := startFleet(t, "-slack", "1000")
 	texts := []string{"wonderful gripping story", "dreadful boring mess", "fine either way"}
 
 	// Reference classes via the single-input API.
@@ -348,7 +348,7 @@ func TestServerBatchedInfer(t *testing.T) {
 }
 
 func TestServerBatchedInferValidatesInputs(t *testing.T) {
-	ts := startFleet(t, "-slack", "1000", "-maxbatch", "4")
+	ts := startFleet(t, "-slack", "1000")
 	status, data := postJSON(t, ts.url+"/v2/infer", inferRequest{
 		Model:  "sentiment",
 		Inputs: []inferInput{{Text: "fine"}, {Tokens: []int{-3}}},
@@ -373,7 +373,7 @@ func TestServerBatchedInferValidatesInputs(t *testing.T) {
 // positions are valid: every input must return 200 with the maskless
 // request's logits, and must not fail the batch it joins.
 func TestServerEmptyMaskMatchesMaskless(t *testing.T) {
-	ts := startFleet(t, "-slack", "1000", "-workers", "1", "-maxbatch", "8", "-batchwindow", "20ms")
+	ts := startFleet(t, "-slack", "1000")
 	logits := func(body string) [][]float32 {
 		t.Helper()
 		status, data := postJSON(t, ts.url+"/v2/infer", json.RawMessage(body))
@@ -458,7 +458,7 @@ func TestServerBudgetReplanLive(t *testing.T) {
 // failure — but most requests must succeed, and a replan in the middle
 // must not corrupt anything.
 func TestServerConcurrentClients(t *testing.T) {
-	ts := startFleet(t, "-queue", "64", "-workers", "2", "-slack", "1000")
+	ts := startFleet(t, "-slack", "1000")
 
 	const clients = 8
 	const perClient = 6

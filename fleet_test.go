@@ -317,6 +317,45 @@ func TestFleetInferBatchMatchesInfer(t *testing.T) {
 	}
 }
 
+// TestFleetEmptyMaskSharesBatch puts an input with an empty mask (all
+// positions valid) and a maskless input in one ServeBatch: both must
+// return the maskless input's logits bit for bit, and the empty mask
+// must not fail the batch it shares.
+func TestFleetEmptyMaskSharesBatch(t *testing.T) {
+	f := sti.NewFleet(0)
+	if err := f.Add("m", fleetSystem(t, 22), 200*time.Millisecond, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Replan(); err != nil {
+		t.Fatal(err)
+	}
+	tokens := []int{1, 5, 6, 2}
+	want, err := classify(f, "m", tokens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, bs, err := f.ServeBatch(context.Background(), "m", []sti.Request{
+		{Task: sti.TaskClassify, Tokens: tokens, Mask: []bool{}},
+		{Task: sti.TaskClassify, Tokens: tokens},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bs.Batch != 2 {
+		t.Fatalf("batch %d, want 2", bs.Batch)
+	}
+	for i, resp := range got {
+		if len(resp.Logits) != len(want.Logits) {
+			t.Fatalf("input %d: %d logits, want %d", i, len(resp.Logits), len(want.Logits))
+		}
+		for c := range want.Logits {
+			if math.Float32bits(resp.Logits[c]) != math.Float32bits(want.Logits[c]) {
+				t.Fatalf("input %d logit %d: %v, want the maskless %v", i, c, resp.Logits[c], want.Logits[c])
+			}
+		}
+	}
+}
+
 // TestFleetRemoveReleasesPreloadAndReplans is the regression for the
 // stale-removal bug: Remove used to delete the entry but leave the
 // removed engine's preload shards warm and the siblings' grants stale

@@ -20,10 +20,6 @@ import (
 
 // RouterOptions tune the cluster frontend.
 type RouterOptions struct {
-	// DefaultTarget is the SLO assumed for requests that carry no
-	// target_ms (default 200ms) — the router cannot know each model's
-	// configured default, only the node can.
-	DefaultTarget time.Duration
 	// HealthInterval paces the background health poll (default 500ms).
 	// A node reporting draining (or not answering) stops receiving
 	// traffic on the next tick and its models rebalance to the
@@ -38,9 +34,6 @@ type RouterOptions struct {
 }
 
 func (o RouterOptions) withDefaults() RouterOptions {
-	if o.DefaultTarget <= 0 {
-		o.DefaultTarget = 200 * time.Millisecond
-	}
 	if o.HealthInterval <= 0 {
 		o.HealthInterval = 500 * time.Millisecond
 	}
@@ -48,6 +41,10 @@ func (o RouterOptions) withDefaults() RouterOptions {
 }
 
 const (
+	// defaultTarget is the SLO assumed for requests that carry no
+	// target_ms: the router cannot know each model's configured
+	// default, only the node can.
+	defaultTarget = 200 * time.Millisecond
 	// hopSlack multiplies the target into the per-hop deadline,
 	// mirroring the scheduler's own admission window: a hop that cannot
 	// answer within hopSlack×target is past its SLO anyway.
@@ -183,7 +180,7 @@ const maxHopTargetMS = 3.6e6
 
 // hopWindow derives the per-hop deadline from the request SLO.
 func (rt *Router) hopWindow(meta reqMeta) time.Duration {
-	target := rt.opts.DefaultTarget
+	target := defaultTarget
 	if ms := meta.TargetMS; ms > 0 {
 		if ms > maxHopTargetMS {
 			ms = maxHopTargetMS

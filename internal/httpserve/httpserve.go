@@ -29,13 +29,8 @@ type Config struct {
 	Addr        string
 	Device      string
 	Budget      int64
-	Queue       int
-	Workers     int
 	Replicas    int
 	Slack       float64
-	MaxBatch    int
-	BatchWindow time.Duration
-	MaxStreams  int
 	Prefetch    bool
 	Speculate   bool
 	SharedCache int64
@@ -43,11 +38,12 @@ type Config struct {
 	Peers       string
 	Node        string
 	DrainGrace  time.Duration
-	Target      time.Duration
 	Pprof       bool
-	TraceRing   int
-	NoTrace     bool
 }
+
+// maxBatch caps the queued classify inputs one batched execution
+// serves: a batch of 8 reads each shard once for eight requests.
+const maxBatch = 8
 
 // ModelSpec is one -model flag: name=dir[,target=D][,weight=W].
 type ModelSpec struct {
@@ -104,11 +100,9 @@ func (m *ModelSpecs) Set(v string) error {
 var devices = map[string]func() *sti.Device{"odroid": sti.Odroid, "jetson": sti.Jetson}
 
 // Validate reports every startup error in c at once. A router serves no
-// models, so it checks only the cluster flags. Every replica only ever
-// receives traffic from a scheduler worker, so fewer workers than
-// replicas would leave replicas idle while their preload buffers hold
-// budget. The prefetcher stages payloads in the per-model shared cache,
-// so -prefetch with a zero-byte cache would discard every prefetch.
+// models, so it checks only the cluster flags. The prefetcher stages
+// payloads in the per-model shared cache, so -prefetch with a
+// zero-byte cache would discard every prefetch.
 func (c Config) Validate() error {
 	var errs []error
 	fail := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
@@ -139,15 +133,19 @@ func (c Config) Validate() error {
 	if len(c.Models) == 0 {
 		fail("at least one -model is required")
 	}
-	switch {
-	case c.Replicas < 1:
-		fail("-replicas %d: need at least one replica", c.Replicas)
-	case c.Workers < 1:
-		fail("-workers %d: need at least one worker", c.Workers)
-	case c.Workers < c.Replicas:
-		fail("-workers %d < -replicas %d: every replica needs at least one scheduler worker to receive traffic", c.Workers, c.Replicas)
+	if c.Budget < 0 {
+		fail("-budget %d: the preload budget cannot be negative", c.Budget)
 	}
-	if c.Prefetch && c.SharedCache <= 0 {
+	if c.Replicas < 1 {
+		fail("-replicas %d: need at least one replica", c.Replicas)
+	}
+	if !(c.Slack > 0) {
+		fail("-slack %v: the deadline multiplier must be positive", c.Slack)
+	}
+	switch {
+	case c.SharedCache < 0:
+		fail("-sharedcache %d: the shared-cache retention cannot be negative", c.SharedCache)
+	case c.Prefetch && c.SharedCache == 0:
 		fail("-prefetch requires a non-zero -sharedcache: prefetched shard payloads are staged in the per-model shared cache, and a zero-byte cache discards every one")
 	}
 	if devices[c.Device] == nil {
@@ -169,8 +167,7 @@ func New(cfg Config) (*Server, error) {
 	// The observability hub is the process root every layer registers
 	// into: /metrics exposition, runtime scrape, request tracing and
 	// the exemplar rings behind /v1/debug/trace.
-	hub := obs.NewHub(cfg.TraceRing)
-	hub.SetTracing(!cfg.NoTrace)
+	hub := obs.NewHub(0)
 	obs.RegisterRuntimeMetrics(hub.Registry())
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", obshttp.Metrics(hub))
@@ -180,7 +177,7 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		if s.router, err = cluster.NewRouter(peers, cluster.RouterOptions{DefaultTarget: cfg.Target, Obs: hub}); err != nil {
+		if s.router, err = cluster.NewRouter(peers, cluster.RouterOptions{Obs: hub}); err != nil {
 			return nil, err
 		}
 		mux.Handle("/", s.router)
@@ -218,11 +215,7 @@ func (s *Server) serveFleet(cfg Config, mux *http.ServeMux) error {
 	}
 	fleet.SetObservability(s.hub)
 	s.fleet = fleet
-	s.sched = sti.NewScheduler(fleet, sti.ServeOptions{
-		QueueDepth: cfg.Queue, Workers: cfg.Workers, Slack: cfg.Slack,
-		MaxBatch: cfg.MaxBatch, BatchWindow: cfg.BatchWindow,
-		MaxStreams: cfg.MaxStreams, Obs: s.hub,
-	})
+	s.sched = sti.NewScheduler(fleet, serveOptions(cfg, s.hub))
 	s.models = make(map[string]modelInfo)
 	for _, name := range fleet.Names() {
 		e, _ := fleet.Entry(name)
@@ -252,8 +245,15 @@ func (s *Server) serveFleet(cfg Config, mux *http.ServeMux) error {
 	return nil
 }
 
-// newFleet loads every -model store, applies the per-model replica,
-// stream and shared-cache settings, and plans the fleet.
+// serveOptions is the scheduler cfg asks for: two workers per replica,
+// so dispatch keeps every replica busy and overlaps batch executions,
+// batches of up to maxBatch, and the library defaults for the rest.
+func serveOptions(cfg Config, hub *obs.Hub) sti.ServeOptions {
+	return sti.ServeOptions{Workers: 2 * cfg.Replicas, Slack: cfg.Slack, MaxBatch: maxBatch, Obs: hub}
+}
+
+// newFleet loads every -model store, applies the per-model replica and
+// shared-cache settings, and plans the fleet.
 func newFleet(cfg Config) (*sti.Fleet, error) {
 	dev := devices[cfg.Device]()
 	fleet := sti.NewFleet(cfg.Budget)
@@ -266,7 +266,6 @@ func newFleet(cfg Config) (*sti.Fleet, error) {
 			return nil, err
 		}
 		if err := errors.Join(fleet.SetReplicas(spec.Name, cfg.Replicas),
-			fleet.ConfigureReplicas(spec.Name, sti.ReplicaOptions{MaxStreams: cfg.MaxStreams}),
 			fleet.SetSharedCacheRetain(spec.Name, cfg.SharedCache)); err != nil {
 			return nil, err
 		}

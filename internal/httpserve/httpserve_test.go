@@ -3,9 +3,13 @@ package httpserve
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"sti"
@@ -17,7 +21,7 @@ import (
 func TestConfigValidate(t *testing.T) {
 	base := Config{
 		Models: ModelSpecs{{Name: "m", Dir: "/s", Target: time.Second, Weight: 1}},
-		Device: "odroid", Workers: 2, Replicas: 1, SharedCache: 1 << 20, Mode: "standalone",
+		Device: "odroid", Replicas: 1, Slack: 4, SharedCache: 1 << 20, Mode: "standalone",
 	}
 	for _, tc := range []struct {
 		name string
@@ -28,7 +32,8 @@ func TestConfigValidate(t *testing.T) {
 		{"node", func(c *Config) { c.Mode, c.Node, c.Peers = "node", "a", "a=http://h:1" }, nil},
 		{"router", func(c *Config) { c.Mode, c.Models, c.Peers = "router", nil, "a=http://h:1" }, nil},
 		{"router ignores serving flags", func(c *Config) {
-			c.Mode, c.Models, c.Peers, c.Workers, c.Device = "router", nil, "a=http://h:1", 0, "x"
+			c.Mode, c.Models, c.Peers, c.Replicas, c.Device = "router", nil, "a=http://h:1", 0, "x"
+			c.Budget, c.Slack, c.SharedCache = -1, 0, -1
 		}, nil},
 		{"speculate without a shared cache", func(c *Config) { c.Speculate, c.SharedCache = true, 0 }, nil},
 		{"prefetch with a shared cache", func(c *Config) { c.Prefetch, c.Speculate = true, true }, nil},
@@ -42,14 +47,15 @@ func TestConfigValidate(t *testing.T) {
 		{"router with -model", func(c *Config) { c.Mode, c.Peers = "router", "a=http://h:1" }, []string{"takes no -model"}},
 		{"no model", func(c *Config) { c.Models = nil }, []string{"at least one -model"}},
 		{"no replica", func(c *Config) { c.Replicas = 0 }, []string{"-replicas 0"}},
-		{"no worker", func(c *Config) { c.Workers = 0 }, []string{"-workers 0"}},
-		{"fewer workers than replicas", func(c *Config) { c.Workers, c.Replicas = 2, 4 }, []string{"-workers 2 < -replicas 4"}},
+		{"negative budget", func(c *Config) { c.Budget = -1 }, []string{"-budget -1"}},
+		{"negative slack", func(c *Config) { c.Slack = -5 }, []string{"-slack -5"}},
+		{"negative shared cache", func(c *Config) { c.SharedCache = -7 }, []string{"-sharedcache -7"}},
 		{"prefetch without a shared cache", func(c *Config) { c.Prefetch, c.SharedCache = true, 0 }, []string{"-prefetch requires a non-zero -sharedcache"}},
 		{"prefetch with a negative shared cache", func(c *Config) { c.Prefetch, c.SharedCache = true, -1 }, []string{"-sharedcache"}},
 		{"unknown device", func(c *Config) { c.Device = "pixel" }, []string{`unknown -device "pixel"`}},
 		{"every fault at once", func(c *Config) {
-			c.Node, c.Models, c.Workers, c.Prefetch, c.SharedCache, c.Device = "a", nil, 0, true, 0, "pixel"
-		}, []string{"need -mode node", "at least one -model", "-workers 0", "-prefetch", "unknown -device"}},
+			c.Node, c.Models, c.Replicas, c.Prefetch, c.SharedCache, c.Device = "a", nil, 0, true, 0, "pixel"
+		}, []string{"need -mode node", "at least one -model", "-replicas 0", "-prefetch", "unknown -device"}},
 	} {
 		cfg := base
 		tc.edit(&cfg)
@@ -68,6 +74,124 @@ func TestConfigValidate(t *testing.T) {
 			if !strings.Contains(err.Error(), w) {
 				t.Errorf("%s: %q does not name %q", tc.name, err, w)
 			}
+		}
+	}
+}
+
+// quickConfig is a Config drawn from small per-field domains, each
+// holding valid and invalid values, for the Validate property test.
+// validPeers records whether Peers parses.
+type quickConfig struct {
+	Config
+	validPeers bool
+}
+
+func pick[T any](r *rand.Rand, vs ...T) T { return vs[r.Intn(len(vs))] }
+
+func (quickConfig) Generate(r *rand.Rand, _ int) reflect.Value {
+	peers := []struct {
+		s     string
+		valid bool
+	}{{"", false}, {"a=http://h:1,b=http://h:2", true}, {"a", false}, {"a=http://h:1,a=http://h:2", false}}
+	p := pick(r, peers...)
+	return reflect.ValueOf(quickConfig{Config: Config{
+		Models:      pick(r, nil, ModelSpecs{{Name: "m", Dir: "/s", Target: time.Second, Weight: 1}}),
+		Addr:        pick(r, "", ":8080"),
+		Device:      pick(r, "odroid", "jetson", "pixel"),
+		Budget:      pick[int64](r, -1, 0, 4096),
+		Replicas:    r.Intn(5) - 1,
+		Slack:       pick(r, -5, 0, 1.5, 4, math.NaN()),
+		Prefetch:    r.Intn(2) == 0,
+		Speculate:   r.Intn(2) == 0,
+		SharedCache: pick[int64](r, -7, 0, 1<<20),
+		Mode:        pick(r, "standalone", "node", "router", "mesh"),
+		Peers:       p.s,
+		Node:        pick(r, "", "a"),
+		DrainGrace:  pick(r, 0, time.Second),
+		Pprof:       r.Intn(2) == 0,
+	}, validPeers: p.valid})
+}
+
+// violations lists the flag each broken per-field rule names: the mode
+// and cluster rules for every mode, the serving rules unless the
+// process is a router, which serves no models.
+func (q quickConfig) violations() []string {
+	c := q.Config
+	var v []string
+	switch c.Mode {
+	case "router":
+		if len(c.Models) > 0 {
+			v = append(v, "-model")
+		}
+	case "node":
+		if c.Peers == "" || c.Node == "" {
+			v = append(v, "-node")
+		}
+	case "standalone":
+		if c.Peers != "" || c.Node != "" {
+			v = append(v, "-peers/-node")
+		}
+	default:
+		v = append(v, "-mode")
+	}
+	if (c.Mode == "router" || c.Mode == "node" && c.Peers != "") && !q.validPeers {
+		v = append(v, "-peers")
+	}
+	if c.Mode == "router" {
+		return v
+	}
+	for _, rule := range []struct {
+		broken bool
+		flag   string
+	}{
+		{len(c.Models) == 0, "-model"},
+		{c.Budget < 0, "-budget"},
+		{c.Replicas < 1, "-replicas"},
+		{!(c.Slack > 0), "-slack"},
+		{c.SharedCache < 0, "-sharedcache"},
+		{c.Prefetch && c.SharedCache == 0, "-prefetch"},
+		{c.Device != "odroid" && c.Device != "jetson", "-device"},
+	} {
+		if rule.broken {
+			v = append(v, rule.flag)
+		}
+	}
+	return v
+}
+
+// TestConfigValidateProperty checks Validate over random configurations:
+// it never panics, returns nil exactly when every per-field rule holds,
+// and names every violated flag in its joined error.
+func TestConfigValidateProperty(t *testing.T) {
+	prop := func(q quickConfig) bool {
+		err := q.Validate()
+		want := q.violations()
+		if (err == nil) != (len(want) == 0) {
+			t.Logf("%+v: err %v, violations %q", q.Config, err, want)
+			return false
+		}
+		for _, flag := range want {
+			if !strings.Contains(err.Error(), flag) {
+				t.Logf("%+v: %q does not name %s", q.Config, err, flag)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServeOptions pins the scheduler sti-serve builds: two workers per
+// replica, the -slack multiplier, batches of up to maxBatch, and the
+// library defaults for the queue depth, batch window and stream cap.
+func TestServeOptions(t *testing.T) {
+	for _, replicas := range []int{1, 4} {
+		got := serveOptions(Config{Replicas: replicas, Slack: 1.5}, nil)
+		want := sti.ServeOptions{Workers: 2 * replicas, Slack: 1.5, MaxBatch: 8}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("replicas %d: %+v, want %+v", replicas, got, want)
 		}
 	}
 }
@@ -109,8 +233,8 @@ func TestNewReportsBuildErrors(t *testing.T) {
 	}
 	base := Config{
 		Models: ModelSpecs{{Name: "m", Dir: dir, Target: 200 * time.Millisecond, Weight: 1}},
-		Addr:   "127.0.0.1:0", Device: "odroid", Budget: 256 << 10, Workers: 2, Replicas: 1,
-		SharedCache: 1 << 20, Mode: "standalone", TraceRing: 8,
+		Addr:   "127.0.0.1:0", Device: "odroid", Budget: 256 << 10, Replicas: 1, Slack: 4,
+		SharedCache: 1 << 20, Mode: "standalone",
 	}
 	missing := base
 	missing.Models = ModelSpecs{{Name: "m", Dir: t.TempDir(), Target: time.Second, Weight: 1}}

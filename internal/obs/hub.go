@@ -4,40 +4,26 @@ import (
 	"context"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // Hub is one process's observability root: the metrics registry every
-// subsystem registers into, the tracing switch, and the per-model
-// exemplar rings behind /v1/debug/trace. A nil *Hub is valid
-// everywhere and disables the whole subsystem.
+// subsystem registers into and the per-model exemplar rings behind
+// /v1/debug/trace. A nil *Hub is valid everywhere and disables the
+// whole subsystem.
 type Hub struct {
 	Reg *Registry
 
-	tracing atomic.Bool
 	ringCap int
 	mu      sync.Mutex
 	rings   map[string]*Ring
 }
 
-// NewHub returns a hub with a fresh registry, tracing enabled, and
-// rings of ringCap exemplars per model (<= 0 means the default 8).
+// NewHub returns a hub with a fresh registry and rings of ringCap
+// exemplars per model (<= 0 means the default 8).
 func NewHub(ringCap int) *Hub {
-	h := &Hub{Reg: NewRegistry(), ringCap: ringCap, rings: make(map[string]*Ring)}
-	h.tracing.Store(true)
-	return h
+	return &Hub{Reg: NewRegistry(), ringCap: ringCap, rings: make(map[string]*Ring)}
 }
-
-// SetTracing flips per-request span capture (metrics stay on).
-func (h *Hub) SetTracing(on bool) {
-	if h != nil {
-		h.tracing.Store(on)
-	}
-}
-
-// TracingEnabled reports whether new requests get traces.
-func (h *Hub) TracingEnabled() bool { return h != nil && h.tracing.Load() }
 
 // Registry returns the hub's registry, or nil for a nil hub.
 func (h *Hub) Registry() *Registry {
@@ -102,10 +88,10 @@ func (h *Hub) FindTrace(traceID string) (Exemplar, bool) {
 // to the context. traceparent is the raw inbound header value: a
 // valid one continues the upstream trace (the remote span becomes the
 // stitch parent), anything else — empty included — mints a fresh
-// root; a garbage header is never an error. Returns (ctx, nil) when
-// tracing is off.
+// root; a garbage header is never an error. Returns (ctx, nil) for a
+// nil hub.
 func (h *Hub) StartRequest(ctx context.Context, traceparent string) (context.Context, *Trace) {
-	if !h.TracingEnabled() {
+	if h == nil {
 		return ctx, nil
 	}
 	id, parent, ok := ParseTraceparent(traceparent)

@@ -65,11 +65,7 @@ func MeasureDevice(st *store.Store, seqLen int) (*device.Profile, error) {
 		return nil, err
 	}
 	t1, tM := timeLayers(cfg, narrow, full, seqLen)
-	incr := (tM - t1) / time.Duration(cfg.Heads-1)
-	fixed := t1 - incr
-	if fixed < 0 {
-		fixed = 0
-	}
+	fixed, incr := fitCompute(t1, tM, cfg.Heads)
 	return &device.Profile{
 		Name: "measured-host", Kind: device.CPU,
 		ComputeFixed: fixed, ComputeIncr: incr, WidthExp: 1.0,
@@ -77,6 +73,18 @@ func MeasureDevice(st *store.Store, seqLen int) (*device.Profile, error) {
 		Decompress: 0, Bandwidth: bw, IOOverhead: overhead,
 		MemoryBytes: 4 << 30, Freqs: []device.Freq{1.0},
 	}, nil
+}
+
+// fitCompute fits TComp's fixed + incr·m model through a layer timed
+// at width 1 (t1) and at the full width heads (tM). Both terms are
+// floored at 0: a noisy timing where the narrow layer ran slower than
+// the full one would otherwise fit a negative increment, and the
+// profile would predict compute falling as width grows.
+func fitCompute(t1, tM time.Duration, heads int) (fixed, incr time.Duration) {
+	if heads > 1 {
+		incr = max((tM-t1)/time.Duration(heads-1), 0)
+	}
+	return max(t1-incr, 0), incr
 }
 
 // assembleLayer assembles layer 0 at width m from full-fidelity shards.

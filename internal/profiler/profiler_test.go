@@ -2,7 +2,9 @@ package profiler
 
 import (
 	"testing"
+	"time"
 
+	"sti/internal/device"
 	"sti/internal/glue"
 	"sti/internal/model"
 	"sti/internal/store"
@@ -41,6 +43,33 @@ func TestMeasureDeviceProducesUsableProfile(t *testing.T) {
 	}
 	if dev.TIO(1<<20) <= 0 {
 		t.Fatal("IO model degenerate")
+	}
+}
+
+// TestFitComputeNeverDecreasesWithWidth: the fixed + incremental fit
+// passes through both timings when the full layer is the slower one,
+// and floors the increment at 0 when the narrow layer timed slower, so
+// the fitted compute never falls as width grows.
+func TestFitComputeNeverDecreasesWithWidth(t *testing.T) {
+	ms := time.Millisecond
+	for _, c := range []struct {
+		t1, tM      time.Duration
+		heads       int
+		fixed, incr time.Duration
+	}{
+		{t1: 2 * ms, tM: 8 * ms, heads: 4, fixed: 0, incr: 2 * ms},
+		{t1: 3 * ms, tM: 6 * ms, heads: 4, fixed: 2 * ms, incr: ms},
+		{t1: 5 * ms, tM: 4 * ms, heads: 4, fixed: 5 * ms, incr: 0}, // t1 > tM
+		{t1: 5 * ms, tM: 5 * ms, heads: 1, fixed: 5 * ms, incr: 0}, // one head: nothing to fit
+	} {
+		fixed, incr := fitCompute(c.t1, c.tM, c.heads)
+		if fixed != c.fixed || incr != c.incr {
+			t.Errorf("fitCompute(%v, %v, %d) = %v, %v, want %v, %v", c.t1, c.tM, c.heads, fixed, incr, c.fixed, c.incr)
+		}
+		dev := device.Profile{ComputeFixed: fixed, ComputeIncr: incr, WidthExp: 1, RefSeqLen: 16, SeqLinear: 0.7, SeqQuad: 0.3}
+		if dev.TComp(16, c.heads, 1.0) < dev.TComp(16, 1, 1.0) {
+			t.Errorf("fitCompute(%v, %v, %d): compute falls with width", c.t1, c.tM, c.heads)
+		}
 	}
 }
 

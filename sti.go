@@ -134,9 +134,10 @@ type (
 	ServeResult = serve.Result
 
 	// ObsHub is a process's observability root: the metrics registry
-	// behind /metrics, the tracing switch, and the per-model exemplar
-	// rings behind /v1/debug/trace. Pass it to ServeOptions.Obs and
-	// Fleet.SetObservability; a nil hub disables the whole subsystem.
+	// behind /metrics and the per-model exemplar rings behind
+	// /v1/debug/trace. Pass it to ServeOptions.Obs and
+	// Fleet.SetObservability; a nil hub disables the whole subsystem,
+	// tracing included.
 	ObsHub = obs.Hub
 	// ObsTrace is one request's span timeline; StartRequest attaches
 	// one to the request context and every layer below records into it.
@@ -150,9 +151,9 @@ type (
 // Fleet satisfies its backend contract.
 var _ serve.Backend = (*Fleet)(nil)
 
-// NewObsHub builds an observability hub with a fresh registry, tracing
-// enabled, and exemplar rings of ringCap traces per model (<= 0 means
-// the default 8). Scrape its registry at /metrics and feed request
+// NewObsHub builds an observability hub with a fresh registry and
+// exemplar rings of ringCap traces per model (<= 0 means the default
+// 8). Scrape its registry at /metrics and feed request
 // contexts through hub.StartRequest/FinishRequest.
 func NewObsHub(ringCap int) *ObsHub { return obs.NewHub(ringCap) }
 
