@@ -128,6 +128,61 @@ func TestMatMulZeroTimesInf(t *testing.T) {
 	}
 }
 
+// withSpecials returns a rows×cols matrix of normal draws in which about a
+// fifth of the entries are ±0 and about p of them each of +Inf, −Inf and
+// NaN.
+func withSpecials(rows, cols int, p float64, rng *rand.Rand) *Matrix {
+	m := NewRand(rows, cols, 1, rng)
+	specials := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	for i := range m.Data {
+		switch r := rng.Float64(); {
+		case r < 0.1:
+			m.Data[i] = 0
+		case r < 0.2:
+			m.Data[i] = float32(math.Copysign(0, -1))
+		case r < 0.2+3*p:
+			m.Data[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	return m
+}
+
+// TestMatMulTransposedMatchesMatMulBT checks that MatMul against bᵀ
+// computes MatMulBT's bits (any NaN matches any NaN): both sum
+// float32(a·b) over ascending k from +0, so a product may move between
+// them. It covers classify's per-head QKᵀ (l×32 against l×32, l = 1–70)
+// and the trainer's shapes: the head's 1×C against H×C, and L×H against
+// FFN×H and L×FFN against H×FFN, at the Tiny and bench-6x6 widths.
+func TestMatMulTransposedMatchesMatMulBT(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	check := func(m, k, n int) {
+		// About three dot products in ten meet an Inf or a NaN.
+		p := 0.05 / float64(max(k, 1))
+		a, b := withSpecials(m, k, p, rng), withSpecials(n, k, p, rng)
+		got, want := New(m, n), New(m, n)
+		garbage(got)
+		garbage(want)
+		MatMul(got, a, b.Transpose())
+		MatMulBT(want, a, b)
+		for i, w := range want.Data {
+			g := got.Data[i]
+			if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
+				t.Fatalf("%dx%dx%d: element %d (row %d col %d) = %v, MatMulBT %v",
+					m, k, n, i, i/n, i%n, g, w)
+			}
+		}
+	}
+	for l := 1; l <= 70; l++ {
+		check(l, 32, l)
+	}
+	for _, s := range []struct{ h, ffn, l int }{{48, 96, 32}, {192, 768, 64}} {
+		check(1, 2, s.h)
+		check(1, s.h, s.h)
+		check(s.l, s.h, s.ffn)
+		check(s.l, s.ffn, s.h)
+	}
+}
+
 // BenchmarkMatMul times MatMul at the serving shapes of the bench-6x6
 // model: a 48-row batch through the 192-wide projections and FFN1, and
 // decode steps of one and two rows through FFN1 and the 2048-word LM head.

@@ -86,32 +86,6 @@ func MatMulBT(dst, a, b *Matrix) {
 	parallelRows(a.Rows, body)
 }
 
-// MatMulAT computes dst = aᵀ × b without materializing the transpose.
-// dst must be a.Cols×b.Cols. Used by the backprop trainer for weight
-// gradients (dW = xᵀ · dy).
-func MatMulAT(dst, a, b *Matrix) {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulAT (%dx%d)ᵀ × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic("tensor: MatMulAT dst shape")
-	}
-	dst.Zero()
-	for k := 0; k < a.Rows; k++ {
-		ar := a.Row(k)
-		br := b.Row(k)
-		for i, av := range ar {
-			if av == 0 {
-				continue
-			}
-			out := dst.Row(i)
-			for j, bv := range br {
-				out[j] += av * bv
-			}
-		}
-	}
-}
-
 // parallelRows splits [0, rows) into GOMAXPROCS contiguous blocks and
 // runs body on each concurrently.
 func parallelRows(rows int, body func(lo, hi int)) {
@@ -281,13 +255,15 @@ func geluScalar(x float32) float32 {
 	return float32(0.5 * x64 * (1 + math.Tanh(geluC0*(x64+float64(geluC1*x64*x64*x64)))))
 }
 
-// GELUGrad returns d gelu(x) / dx for a scalar input.
+// GELUGrad returns d gelu(x) / dx for a scalar input. Each product that
+// feeds an add is rounded on its own, as in geluScalar, so no build fuses
+// it.
 func GELUGrad(x float32) float32 {
 	x64 := float64(x)
-	u := geluC0 * (x64 + geluC1*x64*x64*x64)
+	u := geluC0 * (x64 + float64(geluC1*x64*x64*x64))
 	t := math.Tanh(u)
-	du := geluC0 * (1 + 3*geluC1*x64*x64)
-	return float32(0.5*(1+t) + 0.5*x64*(1-t*t)*du)
+	du := geluC0 * (1 + float64(3*geluC1*x64*x64))
+	return float32(float64(0.5*(1+t)) + float64(0.5*x64*(1-float64(t*t))*du))
 }
 
 // Tanh applies tanh to every element of m in place.

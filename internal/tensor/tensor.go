@@ -20,8 +20,8 @@
 // differently, and so compute other GELU and softmax bits. It implements
 // exactly the operations a BERT-style transformer encoder needs — dense matmul
 // (optionally parallel), bias/add/scale, row softmax, layer normalization,
-// GELU and tanh — plus the transposed matmul variants required by the
-// backprop trainer in internal/train.
+// GELU and tanh — plus GELU's derivative for the backprop trainer in
+// internal/train, which multiplies by transposes through the same MatMul.
 //
 // A Matrix is a dense row-major float32 buffer. Matrices are plain
 // values: methods that write results take an explicit destination so

@@ -107,21 +107,6 @@ func TestMatMulBT(t *testing.T) {
 	}
 }
 
-func TestMatMulAT(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := NewRand(6, 4, 1, rng)
-	b := NewRand(6, 5, 1, rng)
-	got := New(4, 5)
-	MatMulAT(got, a, b)
-	want := New(4, 5)
-	MatMul(want, a.Transpose(), b)
-	for i := range got.Data {
-		if !almostEqual(float64(got.Data[i]), float64(want.Data[i]), 1e-5) {
-			t.Fatalf("MatMulAT[%d] = %v, want %v", i, got.Data[i], want.Data[i])
-		}
-	}
-}
-
 func TestTransposeInvolution(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -23,7 +23,7 @@ func backward(w *model.Weights, c *cache, label int, g *Grads) {
 	accumulateATB(g.Cls, c.pooled, dlogits)
 	addRow(g.ClsB, dlogits.Row(0))
 	dpooled := tensor.New(1, cfg.Hidden)
-	tensor.MatMulBT(dpooled, dlogits, w.Cls)
+	tensor.MatMul(dpooled, dlogits, w.Cls.Transpose())
 
 	// tanh pooler.
 	for i, p := range c.pooled.Data {
@@ -32,7 +32,7 @@ func backward(w *model.Weights, c *cache, label int, g *Grads) {
 	accumulateATB(g.Pooler, c.cls, dpooled)
 	addRow(g.PoolerB, dpooled.Row(0))
 	dcls := tensor.New(1, cfg.Hidden)
-	tensor.MatMulBT(dcls, dpooled, w.Pooler)
+	tensor.MatMul(dcls, dpooled, w.Pooler.Transpose())
 
 	// Gradient w.r.t. the final activations: only the CLS row receives
 	// signal from the head.
@@ -56,7 +56,7 @@ func backward(w *model.Weights, c *cache, label int, g *Grads) {
 		accumulateATB(lg.FFN2, lc.g, df2)
 		addColSums(lg.FFN2B, df2)
 		dg := tensor.New(L, cfg.FFN)
-		tensor.MatMulBT(dg, df2, lw.FFN2)
+		tensor.MatMul(dg, df2, lw.FFN2.Transpose())
 
 		// GELU (dropped slices carry zero gradient: their g was zeroed,
 		// so we zero dg there too).
@@ -76,7 +76,7 @@ func backward(w *model.Weights, c *cache, label int, g *Grads) {
 		accumulateATB(lg.FFN1, lc.y1, df1)
 		addColSums(lg.FFN1B, df1)
 		dy1ffn := tensor.New(L, cfg.Hidden)
-		tensor.MatMulBT(dy1ffn, df1, lw.FFN1)
+		tensor.MatMul(dy1ffn, df1, lw.FFN1.Transpose())
 		tensor.Add(dy1, dy1, dy1ffn)
 
 		// LN1 backward.
@@ -90,7 +90,7 @@ func backward(w *model.Weights, c *cache, label int, g *Grads) {
 		accumulateATB(lg.O, lc.concat, dattn)
 		addColSums(lg.OB, dattn)
 		dconcat := tensor.New(L, cfg.Hidden)
-		tensor.MatMulBT(dconcat, dattn, lw.O)
+		tensor.MatMul(dconcat, dattn, lw.O.Transpose())
 
 		// Attention heads.
 		dq := tensor.New(L, cfg.Hidden)
@@ -108,9 +108,9 @@ func backward(w *model.Weights, c *cache, label int, g *Grads) {
 
 			// head = P·vh
 			dp := tensor.New(L, L)
-			tensor.MatMulBT(dp, dhead, vh)
+			tensor.MatMul(dp, dhead, vh.Transpose())
 			dvh := tensor.New(L, hd)
-			tensor.MatMulAT(dvh, p, dhead)
+			tensor.MatMul(dvh, p.Transpose(), dhead)
 
 			// Softmax backward: ds = P ⊙ (dp − rowsum(dp ⊙ P)).
 			ds := tensor.New(L, L)
@@ -130,7 +130,7 @@ func backward(w *model.Weights, c *cache, label int, g *Grads) {
 			dqh := tensor.New(L, hd)
 			tensor.MatMul(dqh, ds, kh)
 			dkh := tensor.New(L, hd)
-			tensor.MatMulAT(dkh, ds, qh)
+			tensor.MatMul(dkh, ds.Transpose(), qh)
 
 			dq.SetColSlice(h*hd, dqh)
 			dk.SetColSlice(h*hd, dkh)
@@ -146,11 +146,11 @@ func backward(w *model.Weights, c *cache, label int, g *Grads) {
 		addColSums(lg.VB, dv)
 
 		tmp := tensor.New(L, cfg.Hidden)
-		tensor.MatMulBT(tmp, dq, lw.Q)
+		tensor.MatMul(tmp, dq, lw.Q.Transpose())
 		tensor.Add(dxin, dxin, tmp)
-		tensor.MatMulBT(tmp, dk, lw.K)
+		tensor.MatMul(tmp, dk, lw.K.Transpose())
 		tensor.Add(dxin, dxin, tmp)
-		tensor.MatMulBT(tmp, dv, lw.V)
+		tensor.MatMul(tmp, dv, lw.V.Transpose())
 		tensor.Add(dxin, dxin, tmp)
 
 		dx = dxin
@@ -200,7 +200,7 @@ func layerNormBackward(dy, x *tensor.Matrix, mean, inv []float32, gamma []float3
 // accumulateATB adds aᵀ·b into dst without overwriting it.
 func accumulateATB(dst, a, b *tensor.Matrix) {
 	tmp := tensor.New(dst.Rows, dst.Cols)
-	tensor.MatMulAT(tmp, a, b)
+	tensor.MatMul(tmp, a.Transpose(), b)
 	tensor.Add(dst, dst, tmp)
 }
 

@@ -89,7 +89,7 @@ func forward(w *model.Weights, tokens []int, mask []bool, active []bool) *cache 
 			kh := lc.k.ColSlice(h*hd, (h+1)*hd)
 			vh := lc.v.ColSlice(h*hd, (h+1)*hd)
 			s := tensor.New(L, L)
-			tensor.MatMulBT(s, qh, kh)
+			tensor.MatMul(s, qh, kh.Transpose())
 			tensor.Scale(s, scale)
 			if mask != nil {
 				for i := 0; i < L; i++ {

@@ -62,7 +62,8 @@ type Options struct {
 	// the optimizer step (0 = no clipping). Standard BERT fine-tuning
 	// uses 1.0.
 	ClipNorm float64
-	// Quiet suppresses per-epoch progress output.
+	// Logf receives one progress line per epoch (loss and dev
+	// accuracy); nil discards them.
 	Logf func(format string, args ...any)
 }
 
@@ -72,7 +73,7 @@ func DefaultOptions() Options {
 	return Options{Epochs: 6, BatchSize: 8, LR: 1e-3, Seed: 7, WidthElastic: true}
 }
 
-// widths samples the active-head mask for one example: full width most
+// sampleActive samples the active-head mask for one example: full width most
 // of the time, a uniformly drawn narrower width otherwise.
 func sampleActive(cfg model.Config, rng *rand.Rand, elastic bool) []bool {
 	active := make([]bool, cfg.Heads)

@@ -241,3 +241,27 @@ func TestTrainingWithClippingStillLearns(t *testing.T) {
 		t.Fatalf("clipped training did not learn: %.3f -> %.3f", before, after)
 	}
 }
+
+// BenchmarkTrainStep times one bench-6x6 example (64 positions, every
+// head active) through forward and backward: the trainer's cost per
+// example, before the optimizer.
+func BenchmarkTrainStep(b *testing.B) {
+	cfg := model.Config{Layers: 6, Heads: 6, Hidden: 192, FFN: 768, Vocab: 2048, MaxSeq: 64, Classes: 2}
+	w := model.NewRandom(cfg, 1)
+	ds, err := glue.Generate("SST-2", 1, 0, cfg.Vocab, cfg.MaxSeq, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ex := ds.Train[0]
+	tokens, mask := ds.Encode(ex)
+	active := make([]bool, cfg.Heads)
+	for i := range active {
+		active[i] = true
+	}
+	g := NewGrads(w)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		backward(w, forward(w, tokens, mask, active), ex.Label, g)
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
+}
