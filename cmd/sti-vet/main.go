@@ -9,9 +9,10 @@
 //	go run ./cmd/sti-vet -json -baseline internal/analysis/baseline.json ./...
 //
 // Exit status is 1 when any enforced (non-report-only) analyzer produces
-// a finding that is not in the baseline; -strict promotes report-only
-// findings to failures too. -writebaseline records the current findings
-// as the new baseline.
+// a finding that is not in the baseline. Each baseline entry admits one
+// finding. -strict promotes report-only findings to failures too, and
+// fails on a baseline entry that no finding matches. -writebaseline
+// records the current findings as the new baseline.
 package main
 
 import (
@@ -58,7 +59,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	baseline := map[string]bool{}
+	baseline := map[analysis.BaselineEntry]int{}
 	if *baselinePath != "" {
 		baseline, err = analysis.LoadBaseline(*baselinePath)
 		if err != nil {
@@ -66,7 +67,7 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	findings := analysis.ToFindings(diags, suite, modRoot, baseline)
+	findings, unmatched := analysis.ToFindings(diags, suite, modRoot, baseline)
 
 	if *writeBaseline != "" {
 		if err := analysis.WriteBaseline(*writeBaseline, findings); err != nil {
@@ -96,7 +97,13 @@ func main() {
 		}
 	}
 
+	for _, e := range unmatched {
+		fmt.Printf("%s: %s: baseline entry matches no finding: %s\n", e.File, e.Analyzer, e.Message)
+	}
 	fail := 0
+	if *strict {
+		fail = len(unmatched)
+	}
 	for _, f := range findings {
 		if f.Baselined {
 			continue

@@ -20,36 +20,34 @@ type Finding struct {
 	Baselined  bool   `json:"baselined,omitempty"`
 }
 
-// Key identifies a finding across line-number churn: analyzer + file +
-// message (which embeds stable context like lock names and op kinds).
-func (f Finding) Key() string {
-	return f.Analyzer + "\x00" + f.File + "\x00" + f.Message
+// entry is f's baseline entry: analyzer + file + message, which stays
+// put across line-number churn (the message embeds stable context like
+// lock names and op kinds).
+func (f Finding) entry() BaselineEntry {
+	return BaselineEntry{Analyzer: f.Analyzer, File: f.File, Message: f.Message}
 }
 
-// Baseline is the checked-in set of known findings that must not fail
+// Baseline is the checked-in list of known findings that must not fail
 // CI (typically report-only hotalloc findings awaiting the zero-copy
 // work).
 type Baseline struct {
 	Findings []BaselineEntry `json:"findings"`
 }
 
-// BaselineEntry mirrors Finding's key fields.
+// BaselineEntry mirrors Finding's key fields. Each entry in a baseline
+// admits one finding, so n identical findings need n identical entries.
 type BaselineEntry struct {
 	Analyzer string `json:"analyzer"`
 	File     string `json:"file"`
 	Message  string `json:"message"`
 }
 
-func (e BaselineEntry) key() string {
-	return e.Analyzer + "\x00" + e.File + "\x00" + e.Message
-}
-
-// LoadBaseline reads a baseline file; a missing file is an empty
-// baseline.
-func LoadBaseline(path string) (map[string]bool, error) {
+// LoadBaseline reads a baseline file and counts its entries; a missing
+// file is an empty baseline.
+func LoadBaseline(path string) (map[BaselineEntry]int, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return map[string]bool{}, nil
+		return map[BaselineEntry]int{}, nil
 	}
 	if err != nil {
 		return nil, err
@@ -58,9 +56,9 @@ func LoadBaseline(path string) (map[string]bool, error) {
 	if err := json.Unmarshal(data, &b); err != nil {
 		return nil, err
 	}
-	out := make(map[string]bool, len(b.Findings))
+	out := make(map[BaselineEntry]int, len(b.Findings))
 	for _, e := range b.Findings {
-		out[e.key()] = true
+		out[e]++
 	}
 	return out, nil
 }
@@ -69,18 +67,9 @@ func LoadBaseline(path string) (map[string]bool, error) {
 func WriteBaseline(path string, findings []Finding) error {
 	b := Baseline{Findings: make([]BaselineEntry, 0, len(findings))}
 	for _, f := range findings {
-		b.Findings = append(b.Findings, BaselineEntry{Analyzer: f.Analyzer, File: f.File, Message: f.Message})
+		b.Findings = append(b.Findings, f.entry())
 	}
-	sort.Slice(b.Findings, func(i, j int) bool {
-		a, c := b.Findings[i], b.Findings[j]
-		if a.File != c.File {
-			return a.File < c.File
-		}
-		if a.Analyzer != c.Analyzer {
-			return a.Analyzer < c.Analyzer
-		}
-		return a.Message < c.Message
-	})
+	sortEntries(b.Findings)
 	data, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
 		return err
@@ -89,15 +78,21 @@ func WriteBaseline(path string, findings []Finding) error {
 }
 
 // ToFindings converts diagnostics to findings with module-relative
-// paths, marking report-only analyzers and baseline membership.
-func ToFindings(diags []Diagnostic, analyzers []*Analyzer, modRoot string, baseline map[string]bool) []Finding {
+// paths, marking report-only analyzers and the findings the baseline
+// admits, one per entry. It returns, sorted, the baseline entries that
+// no finding used: each stands for a finding that has gone.
+func ToFindings(diags []Diagnostic, analyzers []*Analyzer, modRoot string, baseline map[BaselineEntry]int) (findings []Finding, unmatched []BaselineEntry) {
 	reportOnly := map[string]bool{}
 	for _, a := range analyzers {
 		if a.ReportOnly {
 			reportOnly[a.Name] = true
 		}
 	}
-	out := make([]Finding, 0, len(diags))
+	left := make(map[BaselineEntry]int, len(baseline))
+	for e, n := range baseline {
+		left[e] = n
+	}
+	findings = make([]Finding, 0, len(diags))
 	for _, d := range diags {
 		file := d.Pos.Filename
 		if modRoot != "" {
@@ -113,10 +108,33 @@ func ToFindings(diags []Diagnostic, analyzers []*Analyzer, modRoot string, basel
 			Message:    d.Message,
 			ReportOnly: reportOnly[d.Analyzer],
 		}
-		f.Baselined = baseline[f.Key()]
-		out = append(out, f)
+		if left[f.entry()] > 0 {
+			left[f.entry()]--
+			f.Baselined = true
+		}
+		findings = append(findings, f)
 	}
-	return out
+	for e, n := range left {
+		for ; n > 0; n-- {
+			unmatched = append(unmatched, e)
+		}
+	}
+	sortEntries(unmatched)
+	return findings, unmatched
+}
+
+// sortEntries orders baseline entries by file, analyzer and message.
+func sortEntries(es []BaselineEntry) {
+	sort.Slice(es, func(i, j int) bool {
+		a, c := es[i], es[j]
+		if a.File != c.File {
+			return a.File < c.File
+		}
+		if a.Analyzer != c.Analyzer {
+			return a.Analyzer < c.Analyzer
+		}
+		return a.Message < c.Message
+	})
 }
 
 // Suite is the full sti-vet analyzer set.

@@ -90,26 +90,52 @@ func forwardLayer(cfg Config, sl *SubLayer, x *tensor.Matrix, seqLens []int, mas
 	q, k, v := project(cfg, sl, x)
 	concat := tensor.New(x.Rows, sl.Width*hd)
 	scale := float32(1 / math.Sqrt(float64(hd)))
-	for h := 0; h < sl.Width; h++ {
-		qh := q.ColSlice(h*hd, (h+1)*hd)
-		kh := k.ColSlice(h*hd, (h+1)*hd)
-		vh := v.ColSlice(h*hd, (h+1)*hd)
-		off := 0
-		for s, l := range seqLens {
-			scores := tensor.New(l, l)
-			tensor.MatMulBT(scores, qh.RowSlice(off, off+l), kh.RowSlice(off, off+l))
+	maxL := 0
+	for _, l := range seqLens {
+		maxL = max(maxL, l)
+	}
+	// One scratch serves every (sequence, head): gatherHead's Q, Kᵀ and
+	// V, then the head's output and its l×l scores, 4·l·hd + l² floats.
+	scratch := make([]float32, 4*maxL*hd+maxL*maxL)
+	off := 0
+	for s, l := range seqLens {
+		for h := 0; h < sl.Width; h++ {
+			qh, kT, vh := gatherHead(scratch, q, k, v, off, l, h*hd, hd)
+			scores := tensor.FromSlice(l, l, scratch[4*l*hd:][:l*l])
+			tensor.MatMul(scores, qh, kT)
 			tensor.Scale(scores, scale)
 			maskScores(scores, masks[s], causal)
 			tensor.SoftmaxRows(scores)
-			head := tensor.New(l, hd)
-			tensor.MatMul(head, scores, vh.RowSlice(off, off+l))
+			head := tensor.FromSlice(l, hd, scratch[3*l*hd:][:l*hd])
+			tensor.MatMul(head, scores, vh)
 			for r := 0; r < l; r++ {
-				copy(concat.Row(off + r)[h*hd:(h+1)*hd], head.Row(r))
+				copy(concat.Row(off + r)[h*hd:], head.Row(r))
 			}
-			off += l
 		}
+		off += l
 	}
 	return finish(cfg, sl, x, concat)
+}
+
+// gatherHead copies columns [c0, c0+hd) of rows [off, off+l) of q, k and
+// v, one attention head of one sequence, into views of the front of buf
+// (at least 3·l·hd floats). q, k and v share one width. Q's and V's rows
+// keep their layout; K's are written transposed, so QKᵀ is a plain
+// MatMul on the panels.
+func gatherHead(buf []float32, q, k, v *tensor.Matrix, off, l, c0, hd int) (qh, kT, vh *tensor.Matrix) {
+	n := l * hd
+	qh = tensor.FromSlice(l, hd, buf[:n])
+	kT = tensor.FromSlice(hd, l, buf[n:2*n])
+	vh = tensor.FromSlice(l, hd, buf[2*n:3*n])
+	for r := 0; r < l; r++ {
+		src := (off+r)*q.Cols + c0
+		copy(qh.Row(r), q.Data[src:])
+		copy(vh.Row(r), v.Data[src:])
+		for j, x := range k.Data[src : src+hd] {
+			kT.Data[j*l+r] = x
+		}
+	}
+	return qh, kT, vh
 }
 
 // maskScores sets to maskedScore every score of one sequence's l×l

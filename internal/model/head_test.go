@@ -9,11 +9,27 @@ import (
 	"sti/internal/tensor"
 )
 
+// matMulBT is the scalar a × bᵀ loop (dst is a.Rows×b.Rows) that the LM
+// head and the classify attention scores ran before they moved onto
+// tensor.MatMul against a transposed copy: one accumulator per output,
+// float32(a·b) summed over ascending k from +0.
+func matMulBT(dst, a, b *tensor.Matrix) {
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			var s float32
+			for k, av := range a.Row(i) {
+				s += float32(av * b.Row(j)[k])
+			}
+			dst.Set(i, j, s)
+		}
+	}
+}
+
 // refHeadLogits is the LM head as it was computed before the transposed
-// copy existed: x · Tokenᵀ through the scalar MatMulBT.
+// copy existed: x · Tokenᵀ through the scalar matMulBT.
 func refHeadLogits(x *tensor.Matrix, emb *Embeddings) *tensor.Matrix {
 	logits := tensor.New(x.Rows, emb.Token.Rows)
-	tensor.MatMulBT(logits, x, emb.Token)
+	matMulBT(logits, x, emb.Token)
 	return logits
 }
 
@@ -24,7 +40,7 @@ func sameLogitBits(t *testing.T, name string, got, want []float32) {
 	}
 	for j := range want {
 		if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
-			t.Fatalf("%s: logit %d = %v, MatMulBT reference %v", name, j, got[j], want[j])
+			t.Fatalf("%s: logit %d = %v, matMulBT reference %v", name, j, got[j], want[j])
 		}
 	}
 }
@@ -55,7 +71,7 @@ func decoders(t *testing.T, sm *Submodel, n int) []*Decoder {
 }
 
 // TestStepLogitsMatchesHeadReference checks that the batched decode step's
-// head, a MatMul against the transposed copy, equals MatMulBT against
+// head, a MatMul against the transposed copy, equals matMulBT against
 // Token bit for bit for every batch width the panels split differently.
 func TestStepLogitsMatchesHeadReference(t *testing.T) {
 	for _, cfg := range headConfigs() {

@@ -147,8 +147,24 @@ func withSpecials(rows, cols int, p float64, rng *rand.Rand) *Matrix {
 	return m
 }
 
+// matMulBT is the scalar a × bᵀ loop (dst is a.Rows×b.Rows) that the
+// attention scores, the LM head and the trainer ran before they moved
+// onto MatMul against a transposed copy: one accumulator per output,
+// float32(a·b) summed over ascending k from +0.
+func matMulBT(dst, a, b *Matrix) {
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			var s float32
+			for k, av := range a.Row(i) {
+				s += float32(av * b.Row(j)[k])
+			}
+			dst.Set(i, j, s)
+		}
+	}
+}
+
 // TestMatMulTransposedMatchesMatMulBT checks that MatMul against bᵀ
-// computes MatMulBT's bits (any NaN matches any NaN): both sum
+// computes the scalar matMulBT's bits (any NaN matches any NaN): both sum
 // float32(a·b) over ascending k from +0, so a product may move between
 // them. It covers classify's per-head QKᵀ (l×32 against l×32, l = 1–70)
 // and the trainer's shapes: the head's 1×C against H×C, and L×H against
@@ -163,11 +179,11 @@ func TestMatMulTransposedMatchesMatMulBT(t *testing.T) {
 		garbage(got)
 		garbage(want)
 		MatMul(got, a, b.Transpose())
-		MatMulBT(want, a, b)
+		matMulBT(want, a, b)
 		for i, w := range want.Data {
 			g := got.Data[i]
 			if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
-				t.Fatalf("%dx%dx%d: element %d (row %d col %d) = %v, MatMulBT %v",
+				t.Fatalf("%dx%dx%d: element %d (row %d col %d) = %v, matMulBT %v",
 					m, k, n, i, i/n, i%n, g, w)
 			}
 		}
@@ -184,13 +200,20 @@ func TestMatMulTransposedMatchesMatMulBT(t *testing.T) {
 }
 
 // BenchmarkMatMul times MatMul at the serving shapes of the bench-6x6
-// model: a 48-row batch through the 192-wide projections and FFN1, and
-// decode steps of one and two rows through FFN1 and the 2048-word LM head.
+// model: a 48-row batch through the 192-wide projections and FFN1, decode
+// steps of one and two rows through FFN1 and the 2048-word LM head, and
+// one head's classify attention at l = 32, 48 and 64 (QKᵀ is l×32×l,
+// the scores times V l×l×32).
 func BenchmarkMatMul(b *testing.B) {
-	for _, s := range []struct{ m, k, n int }{
+	type shape struct{ m, k, n int }
+	shapes := []shape{
 		{48, 192, 192}, {48, 192, 576}, {48, 192, 768}, {1, 192, 768},
 		{2, 192, 768}, {1, 192, 2048},
-	} {
+	}
+	for _, l := range []int{32, 48, 64} {
+		shapes = append(shapes, shape{l, 32, l}, shape{l, l, 32})
+	}
+	for _, s := range shapes {
 		b.Run(fmt.Sprintf("%dx%dx%d", s.m, s.k, s.n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(7))
 			x, w, dst := NewRand(s.m, s.k, 1, rng), NewRand(s.k, s.n, 0.02, rng), New(s.m, s.n)

@@ -43,6 +43,9 @@ func matMulRows(dst, a, b *Matrix, lo, hi int) {
 // explicit conversion keeps a compiler from fusing the multiply and add,
 // and zeros in a are not skipped, so 0×Inf is NaN here as in the panels.
 func matMulCols(dst, a, b *Matrix, lo, hi, c0 int) {
+	if c0 == b.Cols {
+		return
+	}
 	for i := lo; i < hi; i++ {
 		out := dst.Row(i)[c0:]
 		for x := range out {
@@ -54,36 +57,6 @@ func matMulCols(dst, a, b *Matrix, lo, hi, c0 int) {
 			}
 		}
 	}
-}
-
-// MatMulBT computes dst = a × bᵀ without materializing the transpose.
-// dst must be a.Rows×b.Rows.
-func MatMulBT(dst, a, b *Matrix) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulBT %dx%d × (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic("tensor: MatMulBT dst shape")
-	}
-	body := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ar := a.Row(i)
-			out := dst.Row(i)
-			for j := 0; j < b.Rows; j++ {
-				br := b.Row(j)
-				var s float32
-				for k, av := range ar {
-					s += float32(av * br[k])
-				}
-				out[j] = s
-			}
-		}
-	}
-	if a.Rows*b.Rows < parallelThreshold {
-		body(0, a.Rows)
-		return
-	}
-	parallelRows(a.Rows, body)
 }
 
 // parallelRows splits [0, rows) into GOMAXPROCS contiguous blocks and

@@ -92,21 +92,6 @@ func TestMatMulShapePanics(t *testing.T) {
 	MatMul(New(2, 2), New(2, 3), New(4, 2))
 }
 
-func TestMatMulBT(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := NewRand(4, 6, 1, rng)
-	b := NewRand(5, 6, 1, rng)
-	got := New(4, 5)
-	MatMulBT(got, a, b)
-	want := New(4, 5)
-	MatMul(want, a, b.Transpose())
-	for i := range got.Data {
-		if !almostEqual(float64(got.Data[i]), float64(want.Data[i]), 1e-5) {
-			t.Fatalf("MatMulBT[%d] = %v, want %v", i, got.Data[i], want.Data[i])
-		}
-	}
-}
-
 func TestTransposeInvolution(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -27,7 +27,7 @@ func backward(w *model.Weights, c *cache, label int, g *Grads) {
 
 	// tanh pooler.
 	for i, p := range c.pooled.Data {
-		dpooled.Data[i] *= 1 - p*p
+		dpooled.Data[i] *= 1 - float32(p*p)
 	}
 	accumulateATB(g.Pooler, c.cls, dpooled)
 	addRow(g.PoolerB, dpooled.Row(0))
@@ -118,7 +118,7 @@ func backward(w *model.Weights, c *cache, label int, g *Grads) {
 				pRow, dpRow, dsRow := p.Row(i), dp.Row(i), ds.Row(i)
 				var dot float32
 				for j := range pRow {
-					dot += dpRow[j] * pRow[j]
+					dot += float32(dpRow[j] * pRow[j])
 				}
 				for j := range pRow {
 					dsRow[j] = pRow[j] * (dpRow[j] - dot)
@@ -180,18 +180,18 @@ func layerNormBackward(dy, x *tensor.Matrix, mean, inv []float32, gamma []float3
 		var meanDxHat, meanDxHatXHat float32
 		for j := range dyRow {
 			xhat := (xRow[j] - mu) * is
-			dGamma[j] += dyRow[j] * xhat
+			dGamma[j] += float32(dyRow[j] * xhat)
 			dBeta[j] += dyRow[j]
-			dxhat := dyRow[j] * gamma[j]
+			dxhat := float32(dyRow[j] * gamma[j])
 			meanDxHat += dxhat
-			meanDxHatXHat += dxhat * xhat
+			meanDxHatXHat += float32(dxhat * xhat)
 		}
 		meanDxHat /= n
 		meanDxHatXHat /= n
 		for j := range dxRow {
 			xhat := (xRow[j] - mu) * is
-			dxhat := dyRow[j] * gamma[j]
-			dxRow[j] = is * (dxhat - meanDxHat - xhat*meanDxHatXHat)
+			dxhat := float32(dyRow[j] * gamma[j])
+			dxRow[j] = is * (dxhat - meanDxHat - float32(xhat*meanDxHatXHat))
 		}
 	}
 	return dx

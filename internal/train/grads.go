@@ -80,7 +80,7 @@ func (g *Grads) GlobalNorm() float64 {
 	var ss float64
 	for _, p := range g.params(nil) {
 		for _, v := range p.grad {
-			ss += float64(v) * float64(v)
+			ss += float64(float64(v) * float64(v))
 		}
 	}
 	return math.Sqrt(ss)

@@ -41,8 +41,8 @@ func (a *Adam) Step(w *model.Weights, g *Grads, batchSize int) {
 		m, v := a.m[i], a.v[i]
 		for j := range p.grad {
 			grad := float64(p.grad[j]) * inv
-			m[j] = a.Beta1*m[j] + (1-a.Beta1)*grad
-			v[j] = a.Beta2*v[j] + (1-a.Beta2)*grad*grad
+			m[j] = float64(a.Beta1*m[j]) + float64((1-a.Beta1)*grad)
+			v[j] = float64(a.Beta2*v[j]) + float64((1-a.Beta2)*grad*grad)
 			update := a.LR * (m[j] / bc1) / (math.Sqrt(v[j]/bc2) + a.Eps)
 			p.param[j] -= float32(update)
 		}
