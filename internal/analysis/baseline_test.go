@@ -29,9 +29,10 @@ func TestBaselineCountsFindings(t *testing.T) {
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("missing baseline file: %v, %v; want an empty baseline", empty, err)
 	}
-	written := []analysis.Finding{{Analyzer: "hotalloc", File: "a.go", Message: "x"},
-		{Analyzer: "hotalloc", File: "a.go", Message: "x"}, {Analyzer: "hotalloc", File: "a.go", Message: "gone"}}
-	if err := analysis.WriteBaseline(path, written); err != nil {
+	x := analysis.Finding{Analyzer: "hotalloc", File: "a.go", Message: "x"}
+	gone := x
+	gone.Message = "gone"
+	if err := analysis.WriteBaseline(path, []analysis.Finding{x, x, gone}); err != nil {
 		t.Fatal(err)
 	}
 	baseline, err := analysis.LoadBaseline(path)

@@ -42,9 +42,9 @@ type Embeddings struct {
 	tokenT   *tensor.Matrix
 }
 
-// head returns the LM head Tokenᵀ, building it on first use. MatMul(x,
-// head()) has the bits of MatMulBT(x, Token): both sum float32(x·t) over
-// ascending k from +0, and MatMul runs on the AVX2 panels.
+// head returns the LM head Tokenᵀ, building it on first use, so the
+// logits x·Tokenᵀ are a MatMul on the AVX2 panels. Each logit is a
+// scalar dot product's float32(x·t) summed over ascending k from +0.
 func (e *Embeddings) head() *tensor.Matrix {
 	e.headOnce.Do(func() { e.tokenT = e.Token.Transpose() })
 	return e.tokenT

@@ -9,7 +9,10 @@
 // strips, with the portable loop on the last n mod 16 columns. Every build
 // computes the same matmul bits: those kernels never fuse a multiply into
 // an add, and every panel sums a column over ascending k from +0, so how a
-// product splits across them does not change a bit.
+// product splits across them does not change a bit. MatMul is the only
+// product: a caller that needs a × bᵀ (the attention scores, the LM head,
+// the trainer's backward pass) copies b transposed, so it runs on the
+// panels too.
 //
 // GELU and the softmax exponentials (SoftmaxRows, ExpShiftSum) run four
 // float64 lanes per YMM register on amd64. The lanes replay math.Exp's
@@ -21,7 +24,7 @@
 // exactly the operations a BERT-style transformer encoder needs — dense matmul
 // (optionally parallel), bias/add/scale, row softmax, layer normalization,
 // GELU and tanh — plus GELU's derivative for the backprop trainer in
-// internal/train, which multiplies by transposes through the same MatMul.
+// internal/train.
 //
 // A Matrix is a dense row-major float32 buffer. Matrices are plain
 // values: methods that write results take an explicit destination so
