@@ -337,7 +337,7 @@ func BenchmarkTieredServe(b *testing.B) {
 	b.ReportMetric(float64(shed), "shed")
 }
 
-// BenchmarkReplicatedServe measures elastic multi-engine serving: the
+// BenchmarkReplicatedServe measures replicated multi-engine serving: the
 // same classify workload hammers one model through the full
 // scheduler→fleet path at replicas ∈ {1, 2, 4}, with scheduler
 // workers scaled 2× the replica count (the sti-serve default) and
@@ -444,9 +444,6 @@ func BenchmarkContinuousGenerate(b *testing.B) {
 					b.Fatal(err)
 				}
 				if err := fleet.SetReplicas("m", 1); err != nil {
-					b.Fatal(err)
-				}
-				if err := fleet.ConfigureReplicas("m", sti.ReplicaOptions{MaxStreams: streams}); err != nil {
 					b.Fatal(err)
 				}
 				if err := fleet.Replan(); err != nil {
@@ -593,13 +590,13 @@ func BenchmarkColdTierFirstToken(b *testing.B) {
 				if err := fleet.SetSharedCacheRetain("m", retain); err != nil {
 					b.Fatal(err)
 				}
-				// Ramping arrival burst at the default tier — queue
-				// depth climbing, no requests admitted yet (the moment
-				// before a downgrade burst lands). No demand reads
+				// Ramping arrival burst at the default tier, no
+				// requests admitted yet (the moment before a downgrade
+				// burst lands). No demand reads
 				// happen here, so the tier's payloads stay cold unless
 				// the speculative warmer stages them.
 				for k := 0; k < 6; k++ {
-					fleet.ObserveArrival("m", 100*time.Millisecond, 2+k, 64)
+					fleet.ObserveArrival("m", 100*time.Millisecond)
 				}
 				// Idle gap before the burst's requests arrive — the
 				// window the predictor has to stage the rung below.

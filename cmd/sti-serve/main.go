@@ -93,10 +93,10 @@ func newFlagSet(c *httpserve.Config) *flag.FlagSet {
 	fs.StringVar(&c.Addr, "addr", ":8080", "listen address")
 	fs.StringVar(&c.Device, "device", "odroid", "device profile: odroid or jetson")
 	fs.Int64Var(&c.Budget, "budget", 256<<10, "fleet-wide preload budget in bytes")
-	fs.IntVar(&c.Replicas, "replicas", 1, "pipeline-engine replicas per model: each gets its own preload-buffer slice, all share one single-flight shard cache; also the elastic ceiling queue pressure can scale up to. Each model gets 2 scheduler workers per replica")
+	fs.IntVar(&c.Replicas, "replicas", 1, "pipeline-engine replicas per model: each gets its own preload-buffer slice, all share one single-flight shard cache; the count is fixed for the process's life. Each model gets 2 scheduler workers per replica")
 	fs.Float64Var(&c.Slack, "slack", 4, "request deadline = slack x model target")
 	fs.BoolVar(&c.Prefetch, "prefetch", false, "enable predictive shard prefetch: a sequence predictor trained on each model's shard-access order pulls predicted payloads into the shared cache ahead of the compute front (requires -sharedcache > 0)")
-	fs.BoolVar(&c.Speculate, "speculate", false, "enable speculative tier warming and pre-emptive replica scale advice driven by each model's arrival-rate trend")
+	fs.BoolVar(&c.Speculate, "speculate", false, "enable speculative tier warming driven by each model's arrival-rate trend")
 	fs.Int64Var(&c.SharedCache, "sharedcache", 1<<20, "per-model shared shard-cache retention in bytes (single-flight dedup window + prefetch staging area; 0 keeps pure coalescing only)")
 	fs.StringVar(&c.Mode, "mode", "standalone", "serving mode: standalone (default), node (cluster member; needs -node and -peers), or router (cluster frontend; needs -peers, takes no -model)")
 	fs.StringVar(&c.Peers, "peers", "", "static cluster membership: comma-separated name=url pairs, identical on every router and node")

@@ -26,17 +26,14 @@ import (
 // exactly the replanning rule of §3.2 (only T or |S| changes require
 // replanning).
 //
-// Each managed model is served by an elastic pool of replica engines
-// (internal/replica): up to a ceiling of N pipeline engines, each with
-// its own preload buffer carved from the model's grant, dispatched
-// least-loaded. Every tier is planned against the ceiling's slice
-// (Budget/N) and warmed under the live one (Budget/live ≥ Budget/N), so
-// a request's output never depends on how many replicas are live. All
-// replicas of a model stream shard payloads through one single-flight
-// cache (store.SharedCache), so concurrent replicas executing the same
-// plan cost ~1× flash IO. SetReplicas provisions the pool; Pressure
-// lets a scheduler's queue-pressure signal scale it up under
-// congestion and drain it when idle.
+// Each managed model is served by a pool of N replica engines
+// (internal/replica), N set by SetReplicas (default 1): each replica
+// has its own preload buffer carved from the model's grant, and
+// requests dispatch least-loaded. Every tier is planned against, and
+// warmed under, one slice (Budget/N), so a request's output never
+// depends on which replica serves it. All replicas of a model stream
+// shard payloads through one single-flight cache (store.SharedCache),
+// so concurrent replicas executing the same plan cost ~1× flash IO.
 //
 // A Fleet is safe for concurrent use: Serve calls run in parallel
 // (including on the same model), while Add, Remove, SetBudget and
@@ -49,8 +46,8 @@ type Fleet struct {
 
 	// predictor, when non-nil, is the fleet's predictive subsystem
 	// (internal/predict): arrival and shard-access observations train
-	// it and its actuators prefetch, speculatively warm, and advise
-	// scale-ups. An atomic pointer so the serving-path taps
+	// it and its actuators prefetch and speculatively warm. An atomic
+	// pointer so the serving-path taps
 	// (ObserveArrival, the per-engine access observers) load it
 	// lock-free. See EnablePrediction.
 	predictor atomic.Pointer[predict.Predictor]
@@ -88,10 +85,9 @@ type FleetEntry struct {
 	// by every replan plus an LRU-bounded set of on-demand tiers.
 	cache *planner.PlanCache
 
-	// pool is the model's elastic replica set: up to its ceiling of
-	// pipeline engines, each holding a per-replica slice (Budget/live)
-	// of the model grant, with least-loaded dispatch. Replica 0 is
-	// System.Engine.
+	// pool is the model's replica set: SetReplicas' count of pipeline
+	// engines, each holding a per-replica slice (Budget/n) of the model
+	// grant, with least-loaded dispatch. Replica 0 is System.Engine.
 	pool *replica.Pool
 	// shared is the model's single-flight payload cache — every replica
 	// streams shards through it, so K replicas executing the same plan
@@ -146,7 +142,7 @@ func (f *Fleet) Add(name string, sys *System, target time.Duration, weight float
 			eng.SetAccessObserver(f.accessObserver(name))
 		}
 		return eng, nil
-	}, replica.Options{Min: 1, Max: 1})
+	}, 1)
 	if err != nil {
 		return fmt.Errorf("sti: building replica pool for %q: %w", name, err)
 	}
@@ -159,14 +155,19 @@ func (f *Fleet) Add(name string, sys *System, target time.Duration, weight float
 	return nil
 }
 
-// SetReplicas provisions a model's replica pool: n engines serve the
-// model immediately and n becomes the pool's elastic ceiling — queue
-// pressure can regrow a drained pool up to it, idleness can shrink it
-// back toward the pool's Min floor (1 unless raised via
-// ConfigureReplicas; a floor above n is lowered to n). Every tier is
-// planned against the ceiling's slice, Budget/n, whatever the live
-// count. Call before Replan for a fresh model, or any time after: a
-// new ceiling on a planned model replans the fleet.
+// SetReplicas sets a model's replica count: n engines serve the model,
+// and every tier is planned against, and warmed under, Budget/n. Call
+// before Replan for a fresh model, or any time after: a new count on a
+// planned model replans the fleet.
+//
+// The members change first, then the plans. A scale-down whose drain
+// times out (a generate stream outliving the pool's drain wait) fails
+// before any plan or buffer moved, and a failed replan scales the pool
+// back, so a failed resize leaves the count, the plans and the buffers
+// as they were. The write lock admits no new work, so a scale-down's
+// drain only waits out already-running generate streams (their
+// acquisitions are held to the terminal token; classify work never
+// outlives the read lock).
 func (f *Fleet) SetReplicas(name string, n int) error {
 	if n < 1 {
 		return fmt.Errorf("sti: SetReplicas(%q, %d): need at least one replica", name, n)
@@ -177,24 +178,28 @@ func (f *Fleet) SetReplicas(name string, n int) error {
 	if !ok {
 		return fmt.Errorf("sti: fleet has no model %q", name)
 	}
-	return f.scaleEntryLocked(name, e, replica.Options{Max: n}, n)
-}
-
-// ConfigureReplicas overrides a model's replica-pool tuning (bounds,
-// drain wait, pressure thresholds). Zero-valued fields keep their
-// current setting, so tuning one knob never resets the others — in
-// particular, it never collapses a SetReplicas ceiling. New bounds
-// clamp the live count (a Max below the Min floor lowers the floor),
-// and a new Max on a planned model replans the fleet, exactly as
-// SetReplicas does.
-func (f *Fleet) ConfigureReplicas(name string, opts ReplicaOptions) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	e, ok := f.entries[name]
-	if !ok {
-		return fmt.Errorf("sti: fleet has no model %q", name)
+	prev := e.pool.Size()
+	if n == prev {
+		return nil
 	}
-	return f.scaleEntryLocked(name, e, opts, e.pool.Size())
+	//sti:lockok quiesce-and-swap: a resize holds the write lock across replica teardown and warm so no reader sees a half-resized pool; only SetReplicas resizes
+	if err := e.pool.ScaleTo(n); err != nil {
+		return fmt.Errorf("sti: scaling %q: %w", name, err)
+	}
+	if e.Plan == nil {
+		return nil
+	}
+	//sti:lockok quiesce-and-swap: a new count re-slices every tier's grant; the fleet replans under the write lock exactly as SetBudget does
+	if err := f.replanLocked(); err != nil {
+		// replanLocked left every pool on its committed plans; the old
+		// count re-warms them under the old slice. The replicas a
+		// shrink-back retires were spawned under this write lock, so
+		// nothing holds them and the drain returns at once.
+		//sti:lockok quiesce-and-swap: the rollback of a failed replan resizes under the same write lock as the resize it undoes
+		_ = e.pool.ScaleTo(prev)
+		return err
+	}
+	return nil
 }
 
 // SetSharedCacheRetain bounds a model's single-flight payload cache:
@@ -275,82 +280,6 @@ func (f *Fleet) SharedCacheStats(name string) (store.CacheStats, bool) {
 		return store.CacheStats{}, false
 	}
 	return e.shared.Stats(), true
-}
-
-// Pressure consumes the scheduler's queue-pressure signal for one
-// model: depth and capacity of its admission queue at an observation.
-// Past the pool's high-water mark an extra replica is brought up (to
-// the SetReplicas ceiling); after a sustained idle stretch one is
-// drained — its in-flight work finishes, then its preload bytes are
-// reclaimed and re-granted to the survivors. A step never replans: the
-// committed plans were made against the ceiling, so only the pool's
-// members change and every buffer re-warms the same plan set. Scaling
-// runs on a background goroutine behind the fleet's write lock, and
-// the entry lookup itself only try-locks, so Pressure never blocks the
-// serving path — an observation arriving while a replan or scale holds
-// the fleet is simply dropped (the signal is advisory and periodic).
-func (f *Fleet) Pressure(name string, depth, capacity int) {
-	if !f.mu.TryRLock() {
-		return
-	}
-	e, ok := f.entries[name]
-	f.mu.RUnlock()
-	if !ok {
-		return
-	}
-	delta := e.pool.Advise(depth, capacity)
-	if delta == 0 || !e.pool.BeginScale() {
-		return
-	}
-	go func() {
-		defer e.pool.EndScale()
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		if f.entries[name] != e {
-			return // model removed or replaced while we queued for the lock
-		}
-		// Best-effort: a failed elastic scale leaves the pool at its
-		// previous size, and re-arms the cooldown so sustained pressure
-		// retries at Cooldown pace — not on every observation, each of
-		// which would stall serving behind this write lock.
-		if err := f.scaleEntryLocked(name, e, replica.Options{}, e.pool.Size()+delta); err != nil {
-			e.pool.NoteScaleFailure()
-		}
-	}()
-}
-
-// scaleEntryLocked is the one path that reshapes a model's replica
-// pool: opts retunes it (zero fields keep their setting; a Max below
-// the current Min floor lowers the floor to it), then the pool scales
-// to n live replicas, clamped to its bounds. Every tier is planned
-// against the ceiling's slice, PerReplica(Budget, max), and warmed
-// under the live one, PerReplica(Budget, live), which is never smaller
-// — so an elastic step only changes the pool's members and re-warms
-// the committed plans. Only a ceiling that moved on a planned model
-// replans, through the fleet's one replanLocked, before the pool is
-// resized; a failed replan restores the previous bounds. f.mu must be
-// held for writing — no new work can be admitted, so a scale-down's
-// drain only has to wait out already-running generate streams (their
-// acquisitions are held to the terminal token; classify work never
-// outlives the read lock), bounded by the pool's DrainWait.
-func (f *Fleet) scaleEntryLocked(name string, e *FleetEntry, opts replica.Options, n int) error {
-	floor, ceiling := e.pool.Limits()
-	if opts.Min <= 0 && opts.Max > 0 && opts.Max < floor {
-		opts.Min = opts.Max
-	}
-	e.pool.Configure(opts)
-	if _, newCeiling := e.pool.Limits(); newCeiling != ceiling && e.Plan != nil {
-		//sti:lockok quiesce-and-swap: a new ceiling re-slices every tier's grant; the fleet replans under the write lock exactly as SetBudget does
-		if err := f.replanLocked(); err != nil {
-			e.pool.Configure(replica.Options{Min: floor, Max: ceiling})
-			return err
-		}
-	}
-	//sti:lockok quiesce-and-swap: scaling holds the write lock across replica teardown and warm so no reader sees a half-scaled pool; Cooldown bounds how often elastic steps pay this
-	if err := e.pool.ScaleTo(n); err != nil {
-		return fmt.Errorf("sti: scaling %q: %w", name, err)
-	}
-	return nil
 }
 
 // Remove drops a model and immediately rebalances the fleet: the
@@ -475,18 +404,16 @@ func (f *Fleet) replanLocked() error {
 	names := f.namesLocked()
 
 	// Stage: compute all grants and tier ladders without side effects.
-	// Each model's plans are built against its pool ceiling's
-	// *per-replica* slice — the grant arbitration of §3.2 extended one
-	// level down, sized for the fullest pool so every replica's preload
-	// set fits its buffer at any live count.
+	// Each model's plans are built against its *per-replica* slice —
+	// the grant arbitration of §3.2 extended one level down — which is
+	// exactly the buffer each replica warms them into.
 	grants := make([]int64, len(names))
 	targets := make([][]time.Duration, len(names))
 	ladders := make([][]*Plan, len(names))
 	for i, name := range names {
 		e := f.entries[name]
 		grants[i] = int64(float64(f.budget) * e.Weight / totalWeight)
-		_, ceiling := e.pool.Limits()
-		per := replica.PerReplica(grants[i], ceiling)
+		per := replica.PerReplica(grants[i], e.pool.Size())
 		targets[i] = planner.Ladder(e.Target)
 		for _, target := range targets[i] {
 			plan, err := e.System.Plan(target, per)
@@ -541,8 +468,7 @@ func (f *Fleet) planTierLocked(name string, want time.Duration) error {
 	if _, _, ok := e.cache.Resolve(want); ok {
 		return nil // another miss raced us here and already planned it
 	}
-	_, ceiling := e.pool.Limits()
-	plan, err := e.System.Plan(want, replica.PerReplica(e.Budget, ceiling))
+	plan, err := e.System.Plan(want, replica.PerReplica(e.Budget, e.pool.Size()))
 	if err != nil {
 		return fmt.Errorf("sti: planning tier %v for %q: %w", want, name, err)
 	}

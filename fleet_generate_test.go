@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sti"
+	"sti/internal/pipeline"
 )
 
 // prefixOf reports whether got is a (possibly complete) prefix of want.
@@ -24,9 +25,11 @@ func prefixOf(got, want []int) bool {
 }
 
 // TestFleetGenerateStress hammers the continuous batcher through the
-// full fleet path under -race: concurrent admissions, mid-stream
-// cancellations (which must free KV blocks and surface partial
-// responses), and replica scale-downs draining while step loops run.
+// full fleet path under -race: more concurrent admissions than two
+// replicas' step loops admit at once (so streams queue for admission),
+// mid-stream cancellations (which must free KV blocks and surface
+// partial responses), and replica scale-downs draining while step
+// loops run.
 // Greedy decode is deterministic, so every response — complete or
 // cancelled partial — must be a byte prefix of its single-stream
 // reference: no lost and no invented tokens. Afterwards no KV bytes
@@ -37,9 +40,6 @@ func TestFleetGenerateStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := f.SetReplicas("m", 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.ConfigureReplicas("m", sti.ReplicaOptions{MaxStreams: 8}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Replan(); err != nil {
@@ -89,8 +89,8 @@ func TestFleetGenerateStress(t *testing.T) {
 		}
 	}()
 
-	const workers = 8
-	const perWorker = 15
+	const workers = 2*pipeline.DefaultMaxStreams + 16
+	const perWorker = 3
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -152,6 +152,9 @@ func TestFleetGenerateStress(t *testing.T) {
 		if gs.Streams == 0 && gs.Pending == 0 && gs.KVBytes == 0 {
 			if gs.Steps == 0 || gs.TokensOut == 0 {
 				t.Fatalf("step loops never ran: %+v", gs)
+			}
+			if gs.PeakStreams < pipeline.DefaultMaxStreams {
+				t.Fatalf("no step loop filled to its %d-stream cap: %+v", pipeline.DefaultMaxStreams, gs)
 			}
 			break
 		}

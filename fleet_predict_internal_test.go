@@ -73,5 +73,5 @@ func TestStopPredictionDetachesAccessTaps(t *testing.T) {
 	}
 	// Stop is idempotent and later stray observations are no-ops.
 	f.StopPrediction()
-	f.ObserveArrival("m", 200*time.Millisecond, 1, 64)
+	f.ObserveArrival("m", 200*time.Millisecond)
 }

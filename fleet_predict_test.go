@@ -81,7 +81,7 @@ func TestFleetPredictionPrefetchesAndStaysBudgetSubordinate(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k := 0; k < 8; k++ {
-			f.ObserveArrival("m", 200*time.Millisecond, 2+k, 64)
+			f.ObserveArrival("m", 200*time.Millisecond)
 		}
 		time.Sleep(10 * time.Millisecond)
 		cs, _ := f.SharedCacheStats("m")
@@ -102,7 +102,7 @@ func TestFleetPredictionPrefetchesAndStaysBudgetSubordinate(t *testing.T) {
 
 	// Arrival observations flow through the fleet surface the
 	// scheduler uses.
-	f.ObserveArrival("m", 200*time.Millisecond, 3, 64)
+	f.ObserveArrival("m", 200*time.Millisecond)
 	waitForPredict(t, "arrival ingestion", func() bool {
 		ps, _ := f.PredictStats("m")
 		return ps.Arrivals > 0
@@ -114,7 +114,7 @@ func TestFleetPredictionPrefetchesAndStaysBudgetSubordinate(t *testing.T) {
 	}
 	// Taps are detached/no-op; serving continues unaffected.
 	serve()
-	f.ObserveArrival("m", 200*time.Millisecond, 1, 64) // no-op, must not panic
+	f.ObserveArrival("m", 200*time.Millisecond) // no-op, must not panic
 }
 
 // TestFleetPredictionObserverAttachesToNewReplicas: replicas spawned

@@ -186,88 +186,12 @@ func TestFleetSingleflightDedupesReplicaIO(t *testing.T) {
 	}
 }
 
-// TestFleetPressureScalesUpAndDrains drives the scheduler's
-// queue-pressure signal by hand: congestion grows the pool toward the
-// SetReplicas ceiling, a sustained idle stretch drains it back and the
-// reclaimed bytes return to the survivors.
-func TestFleetPressureScalesUpAndDrains(t *testing.T) {
-	f := sti.NewFleet(96 << 10)
-	if err := f.Add("m", fleetSystem(t, 9), 200*time.Millisecond, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.SetReplicas("m", 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.ConfigureReplicas("m", sti.ReplicaOptions{
-		Min: 1, Max: 2,
-		HighWater: 0.5,
-		IdleAfter: 5 * time.Millisecond,
-		Cooldown:  time.Nanosecond,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Replan(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Drain first: idle observations shrink the pool to one replica.
-	f.Pressure("m", 0, 64) // arms the idle clock
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		f.Pressure("m", 0, 64)
-		if n, _ := f.Replicas("m"); n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			n, _ := f.Replicas("m")
-			t.Fatalf("pool still at %d replicas after sustained idle pressure", n)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	// The retired replica's bytes were reclaimed; the survivor owns the
-	// whole model grant again.
-	ps, _ := f.ReplicaStats("m")
-	if ps.PerReplica != ps.Budget {
-		t.Fatalf("survivor slice %d, want the whole grant %d", ps.PerReplica, ps.Budget)
-	}
-	if got := f.PreloadBytes(); got > 96<<10 {
-		t.Fatalf("fleet holds %d bytes over budget after drain", got)
-	}
-
-	// Congestion: depth at the high-water mark regrows the pool.
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		f.Pressure("m", 32, 64)
-		if n, _ := f.Replicas("m"); n == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			n, _ := f.Replicas("m")
-			t.Fatalf("pool still at %d replicas under sustained congestion", n)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	// Scale-up re-splits the grant and the fleet-wide bound holds.
-	ps, _ = f.ReplicaStats("m")
-	if ps.PerReplica != ps.Budget/2 {
-		t.Fatalf("per-replica slice %d after scale-up, want %d", ps.PerReplica, ps.Budget/2)
-	}
-	if got := f.PreloadBytes(); got > 96<<10 {
-		t.Fatalf("fleet holds %d bytes over budget after scale-up", got)
-	}
-	// Serving still works mid-elasticity.
-	if _, err := f.Serve(context.Background(), "m",
-		sti.Request{Task: sti.TaskClassify, Tokens: []int{2, 7, 1, 8}}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFleetScaleKeepsPlan: every tier is planned against the ceiling's
-// per-replica slice, so an elastic step changes only the pool's
-// members — the committed ladder, and with it every output, is the same
-// at any live replica count. At this budget the one-replica grant plans
-// a larger ladder than the two-replica ceiling grant, so a step that
-// replanned would show.
+// TestFleetScaleKeepsPlan: a model's ladder is a function of its grant
+// and its replica count only, so SetReplicas steps that return to a
+// count return to the same plans and every output is byte-identical to
+// what that count served before. At this budget the one-replica grant
+// plans a larger ladder than the two-replica one, so each step must
+// replan against its own slice.
 func TestFleetScaleKeepsPlan(t *testing.T) {
 	const budget = 96 << 10
 	sys := fleetSystem(t, 9)
@@ -276,13 +200,6 @@ func TestFleetScaleKeepsPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := f.SetReplicas("m", 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.ConfigureReplicas("m", sti.ReplicaOptions{
-		HighWater: 0.5,
-		IdleAfter: 5 * time.Millisecond,
-		Cooldown:  time.Nanosecond,
-	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Replan(); err != nil {
@@ -310,49 +227,48 @@ func TestFleetScaleKeepsPlan(t *testing.T) {
 		}
 		return resps
 	}
-	want := serveAll()
+	want := map[int][]*sti.Response{2: serveAll()}
 
-	for _, step := range []struct {
-		replicas, depth int
-	}{{1, 0}, {2, 32}} {
-		f.Pressure("m", step.depth, 64) // arms the idle clock on the way down
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			f.Pressure("m", step.depth, 64)
-			if n, _ := f.Replicas("m"); n == step.replicas {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("pool never reached %d replicas under pressure %d/64", step.replicas, step.depth)
-			}
-			time.Sleep(2 * time.Millisecond)
+	for _, n := range []int{1, 2, 1} {
+		if err := f.SetReplicas("m", n); err != nil {
+			t.Fatal(err)
 		}
-
 		e, _ := f.Entry("m")
-		if e.Plan != before.Plan {
-			t.Fatalf("at %d replicas: the step swapped the default plan", step.replicas)
+		if e.Replicas != n {
+			t.Fatalf("SetReplicas(%d) left %d replicas", n, e.Replicas)
 		}
-		for i, got := range serveAll() {
-			if got.Tier.Fidelity != want[i].Tier.Fidelity {
+		ref, err := sys.Plan(e.Target, e.Budget/int64(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, wantF := e.Plan.Fidelity(cfg.Layers, cfg.Heads), ref.Fidelity(cfg.Layers, cfg.Heads); got != wantF {
+			t.Fatalf("at %d replicas: default tier fidelity %v, want %v planned under Budget/%d", n, got, wantF, n)
+		}
+		got := serveAll()
+		if _, ok := want[n]; !ok {
+			want[n] = got
+		}
+		for i := range got {
+			if got[i].Tier.Fidelity != want[n][i].Tier.Fidelity {
 				t.Fatalf("at %d replicas, input %d: fidelity %v, want %v",
-					step.replicas, i, got.Tier.Fidelity, want[i].Tier.Fidelity)
+					n, i, got[i].Tier.Fidelity, want[n][i].Tier.Fidelity)
 			}
-			for j := range got.Logits {
-				if math.Float32bits(got.Logits[j]) != math.Float32bits(want[i].Logits[j]) {
+			for j := range got[i].Logits {
+				if math.Float32bits(got[i].Logits[j]) != math.Float32bits(want[n][i].Logits[j]) {
 					t.Fatalf("at %d replicas, input %d logit %d: %v, want %v",
-						step.replicas, i, j, got.Logits[j], want[i].Logits[j])
+						n, i, j, got[i].Logits[j], want[n][i].Logits[j])
 				}
 			}
 		}
 		if got := f.PreloadBytes(); got > budget {
-			t.Fatalf("at %d replicas: fleet holds %d preload bytes over budget %d", step.replicas, got, budget)
+			t.Fatalf("at %d replicas: fleet holds %d preload bytes over budget %d", n, got, budget)
 		}
 	}
 }
 
-// TestFleetCeilingChangeReplans: raising a planned model's ceiling
-// replans it against the thinner slice, so every pinned tier's preload
-// set fits the buffer each replica owns at the new ceiling.
+// TestFleetCeilingChangeReplans: a new replica count on a planned model
+// replans it against the new slice, so every pinned tier's preload set
+// fits the buffer each replica owns.
 func TestFleetCeilingChangeReplans(t *testing.T) {
 	f := sti.NewFleet(96 << 10)
 	if err := f.Add("m", fleetSystem(t, 12), 200*time.Millisecond, 1); err != nil {
@@ -365,21 +281,135 @@ func TestFleetCeilingChangeReplans(t *testing.T) {
 		t.Fatal(err)
 	}
 	before, _ := f.Entry("m")
-	if err := f.ConfigureReplicas("m", sti.ReplicaOptions{Max: 3}); err != nil {
+	if err := f.SetReplicas("m", 3); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := f.Entry("m")
 	if after.Plan == before.Plan {
-		t.Fatal("a new ceiling on a planned model kept the old ladder")
+		t.Fatal("a new replica count on a planned model kept the old ladder")
 	}
-	if after.Replicas != 2 {
-		t.Fatalf("raising the ceiling changed the live count to %d, want 2", after.Replicas)
+	if after.Replicas != 3 {
+		t.Fatalf("SetReplicas(3) left %d replicas", after.Replicas)
 	}
 	per := after.Budget / 3
 	for _, tier := range after.Tiers {
 		if tier.Plan.PreloadUsed > per {
-			t.Fatalf("tier %v preloads %d bytes, over the ceiling slice %d", tier.Target, tier.Plan.PreloadUsed, per)
+			t.Fatalf("tier %v preloads %d bytes, over the per-replica slice %d", tier.Target, tier.Plan.PreloadUsed, per)
 		}
+	}
+}
+
+// TestFleetSetReplicasFailedDrainRollsBack: a scale-down whose drain
+// times out — a generate stream outlives the pool's drain wait — fails
+// without moving anything: the count, every tier's plan and every
+// replica's buffer stay as they were, so no live replica runs a plan
+// sliced for a smaller pool than it is in.
+func TestFleetSetReplicasFailedDrainRollsBack(t *testing.T) {
+	f := sti.NewFleet(96 << 10)
+	if err := f.Add("m", fleetSystem(t, 9), 200*time.Millisecond, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SetReplicas("m", 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Replan(); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := f.Entry("m")
+
+	// Two streams park in OnToken. Least-loaded dispatch puts one on
+	// each replica, and each holds its acquisition until its terminal
+	// result, which waits behind the parked token.
+	release := make(chan struct{})
+	parked := make(chan struct{}, 2)
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var once sync.Once
+			req := sti.Request{Task: sti.TaskGenerate, Tokens: []int{1, 9, 8}, MaxNewTokens: 3,
+				OnToken: func(step, token int) {
+					once.Do(func() { parked <- struct{}{} })
+					<-release
+				}}
+			if _, err := f.Serve(context.Background(), "m", req); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	<-parked
+	<-parked
+	// The streams' KV pages have already claimed their share of the
+	// buffers, so the preload residency is the baseline from here.
+	psBefore, _ := f.ReplicaStats("m")
+	if psBefore.Inflight[0] != 1 || psBefore.Inflight[1] != 1 {
+		t.Fatalf("in flight per replica %v, want one stream on each", psBefore.Inflight)
+	}
+
+	err := f.SetReplicas("m", 1)
+	close(release)
+	wg.Wait()
+	if err == nil {
+		t.Fatal("SetReplicas(1) succeeded while the retiring replica still streamed")
+	}
+
+	after, _ := f.Entry("m")
+	if after.Replicas != 2 {
+		t.Fatalf("failed scale-down left %d replicas, want 2", after.Replicas)
+	}
+	if after.Plan != before.Plan || len(after.Tiers) != len(before.Tiers) {
+		t.Fatal("failed scale-down replanned the ladder")
+	}
+	ps, _ := f.ReplicaStats("m")
+	for i, tier := range after.Tiers {
+		if tier.Plan != before.Tiers[i].Plan {
+			t.Fatalf("failed scale-down swapped tier %v", tier.Target)
+		}
+		if tier.Plan.PreloadUsed > ps.PerReplica {
+			t.Fatalf("tier %v preloads %d bytes into a %d-byte replica buffer", tier.Target, tier.Plan.PreloadUsed, ps.PerReplica)
+		}
+	}
+	if ps.PerReplica != psBefore.PerReplica || ps.CacheBytes != psBefore.CacheBytes {
+		t.Fatalf("failed scale-down moved the buffers: slice %d holding %d, want %d holding %d",
+			ps.PerReplica, ps.CacheBytes, psBefore.PerReplica, psBefore.CacheBytes)
+	}
+	if ps.ScaleDowns != 0 {
+		t.Fatalf("failed scale-down counted as %d scale-downs", ps.ScaleDowns)
+	}
+}
+
+// TestFleetFixedPoolSurvivesIdle: a pool holds its SetReplicas count
+// under a real scheduler through an idle stretch — nothing drains a
+// replica the operator asked for.
+func TestFleetFixedPoolSurvivesIdle(t *testing.T) {
+	f := sti.NewFleet(96 << 10)
+	if err := f.Add("m", fleetSystem(t, 9), 200*time.Millisecond, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SetReplicas("m", 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Replan(); err != nil {
+		t.Fatal(err)
+	}
+	s := sti.NewScheduler(f, sti.ServeOptions{Workers: 4, Slack: 1000, MaxBatch: 8})
+	defer s.Close()
+	for _, tokens := range [][]int{{2, 7, 1, 8}, {1, 9, 8, 7, 2}, {3, 1, 4}} {
+		if _, err := s.Submit(context.Background(), "m", sti.Request{Task: sti.TaskClassify, Tokens: tokens}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Longer than an idle stretch that once drained a replica (2 s)
+	// plus one period of the ticker that observed it (250 ms).
+	time.Sleep(2500 * time.Millisecond)
+
+	st := s.Snapshot()
+	if len(st.Models) != 1 {
+		t.Fatalf("%d models in snapshot, want 1", len(st.Models))
+	}
+	if ms := st.Models[0]; ms.Replicas != 2 || ms.ScaleDowns != 0 {
+		t.Fatalf("after an idle stretch: %d replicas, %d scale-downs; want 2 and 0", ms.Replicas, ms.ScaleDowns)
 	}
 }
 

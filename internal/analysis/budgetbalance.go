@@ -7,7 +7,7 @@ import (
 )
 
 // BudgetBalance flags acquire-style budget/slot operations (ReserveKV,
-// Acquire, BeginScale, Reserve) that reach an error/failure return with
+// Acquire, Reserve) that reach an error/failure return with
 // no paired release, rollback, or deferred release in between — the
 // PR 5/6 bug class where a failed growth or admission path leaked
 // preload bytes or pool slots.
@@ -32,7 +32,6 @@ type budgetPair struct {
 var budgetPairs = []budgetPair{
 	{"ReserveKV", []string{"ReleaseKV"}},
 	{"Acquire", []string{"Release"}},
-	{"BeginScale", []string{"EndScale"}},
 	{"Reserve", []string{"Free", "Release", "ReleaseKV"}},
 }
 

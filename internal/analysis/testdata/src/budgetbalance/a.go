@@ -12,15 +12,9 @@ type kv struct{}
 func (k *kv) ReserveKV(n int64) bool { return true }
 func (k *kv) ReleaseKV(n int64)      {}
 
-type scaler struct{}
-
-func (s *scaler) BeginScale() bool { return true }
-func (s *scaler) EndScale()        {}
-
 type env struct {
 	p *pool
 	k *kv
-	s *scaler
 }
 
 func (e *env) badAcquire(x int) error {
@@ -71,23 +65,13 @@ func (e *env) badReserve(n int64) error {
 	return nil
 }
 
-func (e *env) badScale(x int) error {
-	if !e.s.BeginScale() {
-		return nil
-	}
-	if x > 0 {
-		return errors.New("fail") // want "e.s.BeginScale acquired at .* is not released or rolled back"
-	}
-	e.s.EndScale()
-	return nil
-}
-
 func (e *env) goodHandoff(x int) error {
-	if !e.s.BeginScale() {
-		return nil
+	rep, err := e.p.Acquire()
+	if err != nil {
+		return err
 	}
 	go func() {
-		defer e.s.EndScale()
+		defer e.p.Release(rep)
 	}()
 	if x > 0 {
 		return errors.New("fail after handoff")

@@ -208,8 +208,8 @@ func (s *Server) serveFleet(cfg Config, mux *http.ServeMux) error {
 			return err
 		}
 		r := popts.WithDefaults()
-		log.Printf("prediction enabled: prefetch=%v speculate=%v interval=%v lookahead=%d minconf=%d warmtrend=%.2f rps cooldown=%v horizon=%v sharedcache=%d KB/model",
-			r.Prefetch, r.Speculate, r.Interval, r.Lookahead, r.MinConfidence, r.WarmTrend, r.WarmCooldown, r.Horizon, cfg.SharedCache>>10)
+		log.Printf("prediction enabled: prefetch=%v speculate=%v interval=%v lookahead=%d minconf=%d warmtrend=%.2f rps cooldown=%v sharedcache=%d KB/model",
+			r.Prefetch, r.Speculate, r.Interval, r.Lookahead, r.MinConfidence, r.WarmTrend, r.WarmCooldown, cfg.SharedCache>>10)
 	} else {
 		log.Printf("prediction disabled (enable with -prefetch and/or -speculate)")
 	}

@@ -323,18 +323,6 @@ func NewBatcher(eng *Engine, opt BatcherOptions) *Batcher {
 	return b
 }
 
-// SetMaxStreams resizes the concurrency cap; lowering it below the
-// live count stops admissions but evicts nothing.
-func (b *Batcher) SetMaxStreams(n int) {
-	if n <= 0 {
-		n = DefaultMaxStreams
-	}
-	b.mu.Lock()
-	b.maxStreams = n
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
 // Submit enqueues a generate request for the plan and returns the
 // channel its single terminal StreamResult will arrive on. The request
 // joins the step loop at the next inter-step admission point; OnToken

@@ -22,20 +22,14 @@ type classRate struct {
 type arrivalPredictor struct {
 	classes  map[time.Duration]*classRate
 	arrivals uint64
-
-	// lastDepth/lastCap snapshot the admission queue as of the most
-	// recent arrival — the base the replica advisor projects from.
-	lastDepth int
-	lastCap   int
 }
 
 func newArrivalPredictor() *arrivalPredictor {
 	return &arrivalPredictor{classes: make(map[time.Duration]*classRate)}
 }
 
-// observe records one admission in the class's pending count and
-// snapshots the queue state it saw.
-func (a *arrivalPredictor) observe(class time.Duration, depth, capacity int) {
+// observe records one admission in the class's pending count.
+func (a *arrivalPredictor) observe(class time.Duration) {
 	c := a.classes[class]
 	if c == nil {
 		c = &classRate{}
@@ -43,7 +37,6 @@ func (a *arrivalPredictor) observe(class time.Duration, depth, capacity int) {
 	}
 	c.pending++
 	a.arrivals++
-	a.lastDepth, a.lastCap = depth, capacity
 }
 
 // tick folds the interval's pending arrivals into each class's EWMAs

@@ -6,16 +6,14 @@
 // request-rate EWMA per (model, SLO-class) with a short-horizon trend
 // term; the sequence predictor is a tagged multi-history-length table
 // in the TAGE style over the (tier, layer) shard-access stream emitted
-// by the pipeline as plans execute. Their outputs drive three
-// actuators, all strictly budget-subordinate and off the serving path:
+// by the pipeline as plans execute. Their outputs drive two actuators,
+// both strictly budget-subordinate and off the serving path:
 //
 //   - a prefetcher that pulls predicted-but-not-resident shard
 //     payloads into the shared cache's second-class segment ahead of
-//     the compute front,
+//     the compute front, and
 //   - a speculative tier warmer that stages the next ladder rung when
-//     pressure trends up, and
-//   - a pre-emptive replica advisor that feeds scale-up advice before
-//     the high-water mark trips.
+//     arrivals trend up.
 //
 // Observations enter through a bounded channel with non-blocking
 // sends, so the serving path never waits on the predictor; a full
@@ -41,7 +39,7 @@ type TierPlan struct {
 // fleet, faked in tests. Every method is invoked with no Predictor
 // lock held and must be budget-subordinate: a prefetch that does not
 // fit the cache budget reports kept=false rather than evicting
-// demand-retained state, and warm/advice paths go through the same
+// demand-retained state, and the warm path goes through the same
 // staged machinery demand traffic uses.
 type Actuator interface {
 	// TierPlans returns the model's cached plan ladder.
@@ -52,9 +50,6 @@ type Actuator interface {
 	PrefetchShard(model string, layer, slice, bits int) (kept bool, err error)
 	// SpeculateWarm stages the next ladder rung's working set.
 	SpeculateWarm(model string) error
-	// AdvisePressure feeds a projected queue depth into the replica
-	// pool's scale governor.
-	AdvisePressure(model string, depth, capacity int)
 }
 
 // Options tunes the predictor. Zero values take the defaults below;
@@ -62,7 +57,7 @@ type Actuator interface {
 type Options struct {
 	// Prefetch enables the shard prefetcher.
 	Prefetch bool
-	// Speculate enables tier warming and pre-emptive replica advice.
+	// Speculate enables speculative tier warming.
 	Speculate bool
 	// Interval is the actuation tick (default 25ms).
 	Interval time.Duration
@@ -84,9 +79,6 @@ type Options struct {
 	// WarmCooldown is the minimum spacing between speculative warms
 	// of one model (default 1s).
 	WarmCooldown time.Duration
-	// Horizon is how far ahead the replica advisor projects queue
-	// depth from the arrival trend (default 500ms).
-	Horizon time.Duration
 }
 
 // WithDefaults returns o with zero fields replaced by defaults.
@@ -121,9 +113,6 @@ func (o Options) WithDefaults() Options {
 	if o.WarmCooldown <= 0 {
 		o.WarmCooldown = time.Second
 	}
-	if o.Horizon <= 0 {
-		o.Horizon = 500 * time.Millisecond
-	}
 	return o
 }
 
@@ -137,19 +126,16 @@ type ModelStats struct {
 	SeqHits          uint64  `json:"seq_hits"`
 	PrefetchIssued   uint64  `json:"prefetch_issued"`
 	SpeculativeWarms uint64  `json:"speculative_warms"`
-	ScaleAdvice      uint64  `json:"scale_advice"`
 }
 
 // observation is one event off the serving path: an admission
-// (arrival=true; class is the SLO class, depth/capacity the queue) or
-// a shard access (class is the plan tier, layer the shard row).
+// (arrival=true; class is the SLO class) or a shard access (class is
+// the plan tier, layer the shard row).
 type observation struct {
-	model    string
-	class    time.Duration
-	layer    int
-	depth    int
-	capacity int
-	arrival  bool
+	model   string
+	class   time.Duration
+	layer   int
+	arrival bool
 }
 
 // modelState is one model's predictors plus actuation bookkeeping,
@@ -164,7 +150,6 @@ type modelState struct {
 	rate, trend    float64
 	prefetchIssued uint64
 	warms          uint64
-	advice         uint64
 	lastWarm       time.Time
 }
 
@@ -172,17 +157,15 @@ type modelState struct {
 // and executed with it released so predictor state is never locked
 // across actuator calls.
 type actuation struct {
-	model       string
-	events      [seqMaxLookahead]Event
-	n           int
-	warm        bool
-	adviseDepth int
-	adviseCap   int
+	model  string
+	events [seqMaxLookahead]Event
+	n      int
+	warm   bool
 }
 
 // Predictor trains per-model arrival and sequence predictors from a
-// bounded observation stream and periodically actuates prefetch,
-// warming, and scale advice through an Actuator. Observe methods are
+// bounded observation stream and periodically actuates prefetch and
+// warming through an Actuator. Observe methods are
 // safe for concurrent use and never block.
 type Predictor struct {
 	act  Actuator
@@ -223,11 +206,10 @@ func (p *Predictor) Close() {
 }
 
 // ObserveArrival records one admission of the model at the given SLO
-// class, with the admission queue's depth and capacity at that moment.
-// Non-blocking: a full observation queue drops the event.
-func (p *Predictor) ObserveArrival(model string, class time.Duration, depth, capacity int) {
+// class. Non-blocking: a full observation queue drops the event.
+func (p *Predictor) ObserveArrival(model string, class time.Duration) {
 	select {
-	case p.obsCh <- observation{model: model, class: class, depth: depth, capacity: capacity, arrival: true}:
+	case p.obsCh <- observation{model: model, class: class, arrival: true}:
 	default:
 		p.dropped.Add(1)
 	}
@@ -264,7 +246,6 @@ func (p *Predictor) Stats(model string) (ModelStats, bool) {
 		SeqHits:          m.seq.hits,
 		PrefetchIssued:   m.prefetchIssued,
 		SpeculativeWarms: m.warms,
-		ScaleAdvice:      m.advice,
 	}, true
 }
 
@@ -304,7 +285,7 @@ func (p *Predictor) ingest(o observation) {
 		p.models[o.model] = m
 	}
 	if o.arrival {
-		m.arr.observe(o.class, o.depth, o.capacity)
+		m.arr.observe(o.class)
 	} else {
 		m.seq.observe(Event{Tier: o.class, Layer: o.layer})
 		m.accesses++
@@ -325,19 +306,11 @@ func (p *Predictor) actuate(now time.Time, dt time.Duration) {
 			a.n = m.seq.predictAhead(a.events[:p.opts.Lookahead], int8(p.opts.MinConfidence))
 			m.accessed = false
 		}
-		if p.opts.Speculate {
-			if m.trend >= p.opts.WarmTrend && now.Sub(m.lastWarm) >= p.opts.WarmCooldown {
-				a.warm = true
-				m.lastWarm = now
-			}
-			if m.trend > 0 && m.arr.lastCap > 0 {
-				projected := m.arr.lastDepth + int(m.trend*p.opts.Horizon.Seconds()+0.5)
-				if projected > m.arr.lastDepth {
-					a.adviseDepth, a.adviseCap = projected, m.arr.lastCap
-				}
-			}
+		if p.opts.Speculate && m.trend >= p.opts.WarmTrend && now.Sub(m.lastWarm) >= p.opts.WarmCooldown {
+			a.warm = true
+			m.lastWarm = now
 		}
-		if a.n > 0 || a.warm || a.adviseCap > 0 {
+		if a.n > 0 || a.warm {
 			work = append(work, a)
 		}
 	}
@@ -345,7 +318,7 @@ func (p *Predictor) actuate(now time.Time, dt time.Duration) {
 
 	for i := range work {
 		w := &work[i]
-		var issued, warms, advice uint64
+		var issued, warms uint64
 		if w.n > 0 {
 			issued = p.prefetch(w.model, w.events[:w.n])
 		}
@@ -354,15 +327,10 @@ func (p *Predictor) actuate(now time.Time, dt time.Duration) {
 				warms = 1
 			}
 		}
-		if w.adviseCap > 0 {
-			p.act.AdvisePressure(w.model, w.adviseDepth, w.adviseCap)
-			advice = 1
-		}
 		p.mu.Lock()
 		if m := p.models[w.model]; m != nil {
 			m.prefetchIssued += issued
 			m.warms += warms
-			m.advice += advice
 		}
 		p.mu.Unlock()
 	}

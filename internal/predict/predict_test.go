@@ -10,13 +10,11 @@ import (
 
 // fakeActuator records every actuation, synchronized for -race.
 type fakeActuator struct {
-	mu        sync.Mutex
-	plans     []TierPlan
-	prefetch  []int // layers prefetched, in call order
-	keep      bool  // PrefetchShard's kept result
-	warms     int
-	advised   []int // depths advised
-	adviseCap int
+	mu       sync.Mutex
+	plans    []TierPlan
+	prefetch []int // layers prefetched, in call order
+	keep     bool  // PrefetchShard's kept result
+	warms    int
 }
 
 func (a *fakeActuator) TierPlans(string) []TierPlan {
@@ -39,17 +37,10 @@ func (a *fakeActuator) SpeculateWarm(string) error {
 	return nil
 }
 
-func (a *fakeActuator) AdvisePressure(_ string, depth, capacity int) {
+func (a *fakeActuator) snapshot() (prefetch []int, warms int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.advised = append(a.advised, depth)
-	a.adviseCap = capacity
-}
-
-func (a *fakeActuator) snapshot() (prefetch []int, warms int, advised []int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]int(nil), a.prefetch...), a.warms, append([]int(nil), a.advised...)
+	return append([]int(nil), a.prefetch...), a.warms
 }
 
 // streamedPlan builds a plan whose every shard streams (none
@@ -100,13 +91,13 @@ func TestPredictorPrefetchesLearnedStride(t *testing.T) {
 		}
 	}()
 	waitFor(t, "prefetches", func() bool {
-		pf, _, _ := act.snapshot()
+		pf, _ := act.snapshot()
 		return len(pf) >= 4
 	})
 	close(stop)
 	<-done
 
-	pf, _, _ := act.snapshot()
+	pf, _ := act.snapshot()
 	for _, l := range pf {
 		if l < 0 || l > 3 {
 			t.Fatalf("prefetched layer %d outside the plan", l)
@@ -125,15 +116,13 @@ func TestPredictorPrefetchesLearnedStride(t *testing.T) {
 }
 
 // TestPredictorSpeculatesOnArrivalTrend: a burst of arrivals produces
-// an upward trend, which triggers a speculative warm and pre-emptive
-// scale advice projecting the queue past its observed depth.
+// an upward trend, which triggers a speculative warm.
 func TestPredictorSpeculatesOnArrivalTrend(t *testing.T) {
 	act := &fakeActuator{}
 	p := New(act, Options{
 		Speculate: true,
 		Interval:  2 * time.Millisecond,
 		WarmTrend: 0.1,
-		Horizon:   time.Second,
 	})
 	defer p.Close()
 
@@ -147,30 +136,24 @@ func TestPredictorSpeculatesOnArrivalTrend(t *testing.T) {
 				return
 			default:
 			}
-			p.ObserveArrival("m", 100*time.Millisecond, 4, 64)
+			p.ObserveArrival("m", 100*time.Millisecond)
 			time.Sleep(500 * time.Microsecond)
 		}
 	}()
-	waitFor(t, "speculative warm and scale advice", func() bool {
-		_, warms, advised := act.snapshot()
-		return warms >= 1 && len(advised) >= 1
+	waitFor(t, "speculative warm", func() bool {
+		_, warms := act.snapshot()
+		return warms >= 1
 	})
 	close(stop)
 	<-done
 
-	_, _, advised := act.snapshot()
-	for _, d := range advised {
-		if d <= 4 {
-			t.Fatalf("advised depth %d not projected past the observed depth 4", d)
-		}
-	}
 	st, _ := p.Stats("m")
-	if st.ArrivalRate <= 0 || st.SpeculativeWarms == 0 || st.ScaleAdvice == 0 {
-		t.Fatalf("stats %+v: want positive rate, warms and advice", st)
+	if st.ArrivalRate <= 0 || st.SpeculativeWarms == 0 {
+		t.Fatalf("stats %+v: want positive rate and warms", st)
 	}
 
 	// No prefetching was enabled: the prefetcher must not have run.
-	pf, _, _ := act.snapshot()
+	pf, _ := act.snapshot()
 	if len(pf) != 0 {
 		t.Fatalf("prefetcher ran %d times with Prefetch disabled", len(pf))
 	}
@@ -185,7 +168,7 @@ func TestPredictorObserveNeverBlocks(t *testing.T) {
 
 	for i := 0; i < 100; i++ {
 		p.ObserveAccess("m", time.Millisecond, i) // must not block
-		p.ObserveArrival("m", time.Millisecond, i, 64)
+		p.ObserveArrival("m", time.Millisecond)
 	}
 	if p.Dropped() == 0 {
 		t.Fatal("full queue did not count drops")

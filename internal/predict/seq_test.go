@@ -117,7 +117,7 @@ func TestArrivalTrend(t *testing.T) {
 	a := newArrivalPredictor()
 	tick := func(n int) (rate, trend float64) {
 		for i := 0; i < n; i++ {
-			a.observe(100*time.Millisecond, i, 64)
+			a.observe(100 * time.Millisecond)
 		}
 		return a.tick(100*time.Millisecond, 0.5, 0.1)
 	}

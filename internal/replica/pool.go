@@ -1,32 +1,31 @@
-// Package replica implements per-model elastic pools of pipeline
-// engines — the scaling layer between the fleet's budget arbitration
-// and the paper's single-engagement execution machinery.
+// Package replica implements per-model pools of pipeline engines — the
+// layer between the fleet's budget arbitration and the paper's
+// single-engagement execution machinery.
 //
-// STI plans one IO/compute pipeline per model (§3.2); a Pool runs up to
-// Max of them as replicas of one model, each with its own preload
+// STI plans one IO/compute pipeline per model (§3.2); a Pool runs n
+// copies of it as replicas of one model, each with its own preload
 // buffer carved from the model's byte grant (the §3.2 budget
 // arbitration extended from per-tier to per-replica: a grant of B over
-// n live replicas gives each ⌊B/n⌋). Callers plan against the ceiling's
-// slice, ⌊B/Max⌋, which no live replica's buffer is ever smaller than,
-// so the pool's plan set never depends on its live count. Requests
-// dispatch to the least-loaded live replica; all replicas of a model
-// stream shard payloads through one store.SharedCache, so n replicas
+// n replicas gives each ⌊B/n⌋). Callers plan against that same slice,
+// so every replica's buffer holds its plans' preload sets and no live
+// replica's buffer is ever smaller than the plan's slice. Requests
+// dispatch to the least-loaded replica; all replicas of a model stream
+// shard payloads through one store.SharedCache, so n replicas
 // executing the same plan cost ~1× flash IO, not n×.
 //
-// The pool is elastic: Advise consumes the scheduler's queue-pressure
-// signal and recommends scaling up past the high-water mark or
-// draining down when the queue has been idle. A scale changes only the
-// pool's members and re-warms every live buffer with the same plan set
-// under the new split. Scale-down retires a replica gracefully — it
-// stops receiving new work, its in-flight requests finish (bounded
-// wait, never shed), and only then are its preload bytes reclaimed and
-// re-granted to the survivors.
+// The pool holds the count its owner gives it: New builds one set of
+// replicas and only ScaleTo changes it. A resize changes the pool's
+// members and re-warms every live buffer under the new split.
+// Scale-down retires a replica gracefully — it stops receiving new
+// work, its in-flight requests finish (bounded wait, never shed), and
+// only then are its preload bytes reclaimed and re-granted to the
+// survivors.
 //
-// Concurrency contract: Acquire/Release/CacheBytes/Stats/Advise are
-// safe for concurrent use at any time. The mutating operations —
-// Apply, Warm, ScaleTo, Retire — re-split budgets and warm engines and
-// must be externally serialized with each other and with executions on
-// the pool's engines (the fleet runs them under its write lock, which
+// Concurrency contract: Acquire/Release/CacheBytes/Stats are safe for
+// concurrent use at any time. The mutating operations — Apply, Warm,
+// ScaleTo, Retire — re-split budgets and warm engines and must be
+// externally serialized with each other and with executions on the
+// pool's engines (the fleet runs them under its write lock, which
 // quiesces serving).
 package replica
 
@@ -56,59 +55,15 @@ type Replica struct {
 	draining bool
 }
 
-// Options tunes a pool.
-type Options struct {
-	// Min and Max bound the live replica count. Defaults 1 and 1 —
-	// a pool is inelastic until given headroom.
-	Min, Max int
-	// DrainWait bounds how long a scale-down waits for a retiring
-	// replica's in-flight requests. On timeout the retirement is
-	// aborted (the replica returns to service) — in-flight work is
-	// never shed. Default 5s.
-	DrainWait time.Duration
-	// HighWater is the queue-pressure fraction (depth/capacity) at or
-	// above which Advise recommends scaling up. Default 0.5.
-	HighWater float64
-	// IdleAfter is how long the queue must stay empty before Advise
-	// recommends draining a replica. Default 2s.
-	IdleAfter time.Duration
-	// Cooldown spaces scaling actions so bursty pressure cannot thrash
-	// the pool up and down. Default 250ms.
-	Cooldown time.Duration
-	// MaxStreams caps each replica's concurrently decoding generate
-	// streams (its continuous batcher's admission bound). Default
-	// pipeline.DefaultMaxStreams.
-	MaxStreams int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Min <= 0 {
-		o.Min = 1
-	}
-	if o.Max < o.Min {
-		o.Max = o.Min
-	}
-	if o.DrainWait <= 0 {
-		o.DrainWait = 5 * time.Second
-	}
-	if o.HighWater <= 0 {
-		o.HighWater = 0.5
-	}
-	if o.IdleAfter <= 0 {
-		o.IdleAfter = 2 * time.Second
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = 250 * time.Millisecond
-	}
-	return o
-}
+// drainWait bounds how long a scale-down waits for a retiring
+// replica's in-flight requests. On timeout the retirement is aborted
+// (the replica returns to service): in-flight work is never shed.
+const drainWait = 5 * time.Second
 
 // PoolStats is a point-in-time snapshot of a pool's replicas.
 type PoolStats struct {
 	Replicas int   `json:"replicas"`
 	Draining int   `json:"draining"`
-	Min      int   `json:"min"`
-	Max      int   `json:"max"`
 	IDs      []int `json:"ids"`
 	// Served[i] counts requests completed by replica IDs[i].
 	Served   []uint64 `json:"served"`
@@ -120,15 +75,18 @@ type PoolStats struct {
 	CacheBytes int64 `json:"cache_bytes"`
 	// KVBytes is the paged decode KV cache held live across replicas,
 	// charged against the same per-replica grants as CacheBytes.
-	KVBytes    int64  `json:"kv_bytes"`
+	KVBytes int64 `json:"kv_bytes"`
+	// ScaleUps and ScaleDowns count ScaleTo calls that grew or shrank
+	// the pool.
 	ScaleUps   uint64 `json:"scale_ups"`
 	ScaleDowns uint64 `json:"scale_downs"`
 }
 
-// Pool is an elastic set of replica engines for one model.
+// Pool is a fixed-size set of replica engines for one model.
 type Pool struct {
 	factory func(id int) (*pipeline.Engine, error)
-	opts    Options
+	// drainWait is the package constant; tests shorten it.
+	drainWait time.Duration
 
 	mu       sync.Mutex
 	cond     *sync.Cond // signalled on Release, for drain waits
@@ -137,20 +95,20 @@ type Pool struct {
 	budget   int64           // model grant, split across live replicas
 	plans    []*planner.Plan // current warm set (ladder + on-demand tiers)
 
-	lastScale  time.Time
-	idleSince  time.Time
-	scaling    bool // a background scale decision is in progress
 	scaleUps   uint64
 	scaleDowns uint64
 }
 
-// New creates a pool with opts.Min replicas built by factory (engines
-// should start with a zero budget; Apply grants bytes after planning).
-// The factory is retained for elastic scale-ups.
-func New(factory func(id int) (*pipeline.Engine, error), opts Options) (*Pool, error) {
-	p := &Pool{factory: factory, opts: opts.withDefaults()}
+// New creates a pool of n replicas built by factory (engines should
+// start with a zero budget; Apply grants bytes after planning). The
+// factory is retained for ScaleTo.
+func New(factory func(id int) (*pipeline.Engine, error), n int) (*Pool, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("replica: pool of %d replicas; need at least one", n)
+	}
+	p := &Pool{factory: factory, drainWait: drainWait}
 	p.cond = sync.NewCond(&p.mu)
-	for i := 0; i < p.opts.Min; i++ {
+	for i := 0; i < n; i++ {
 		if err := p.spawnLocked(); err != nil {
 			return nil, err
 		}
@@ -166,7 +124,7 @@ func (p *Pool) spawnLocked() error {
 	if err != nil {
 		return fmt.Errorf("replica: building replica %d: %w", p.nextID, err)
 	}
-	b := pipeline.NewBatcher(eng, pipeline.BatcherOptions{MaxStreams: p.opts.MaxStreams})
+	b := pipeline.NewBatcher(eng, pipeline.BatcherOptions{})
 	p.replicas = append(p.replicas, &Replica{ID: p.nextID, Engine: eng, Batcher: b})
 	p.nextID++
 	return nil
@@ -276,8 +234,7 @@ func (p *Pool) liveReplicasLocked() []*Replica {
 // PerReplica is the §3.2 grant arbitration extended one level down: a
 // model grant of budget over n replicas gives each ⌊budget/n⌋ (0 for
 // an empty pool — no replicas, no bytes). The pool splits over its
-// live count; the fleet plans against the same split at the pool's
-// ceiling, the smallest slice any live replica can hold.
+// live count, and the fleet plans against the same split.
 func PerReplica(budget int64, n int) int64 {
 	if n <= 0 {
 		return 0
@@ -295,18 +252,18 @@ func warmAll(live []*Replica, per int64, plans []*planner.Plan) error {
 	return nil
 }
 
-// ScaleTo grows or shrinks the pool to n live replicas (clamped to
-// [Min, Max]) and re-warms every live replica with the current plan
-// set under the grant split across the new count. Growth spawns the
+// ScaleTo grows or shrinks the pool to n live replicas (at least one)
+// and re-warms every live replica with the current plan set under the
+// grant split across the new count. Growth spawns the
 // new replicas (a failed spawn unwinds the ones already spawned);
 // shrinkage retires the youngest replicas gracefully — each stops
 // receiving new work, its in-flight requests finish (bounded by
-// DrainWait; on timeout the retirement aborts and the replica returns
+// drainWait; on timeout the retirement aborts and the replica returns
 // to service), and only then are its preload bytes reclaimed. Part of
 // the mutating API.
 func (p *Pool) ScaleTo(n int) error {
 	p.mu.Lock()
-	n = max(p.opts.Min, min(n, p.opts.Max))
+	n = max(n, 1)
 	cur := p.liveLocked()
 	var victims []*Replica
 	switch {
@@ -340,7 +297,6 @@ func (p *Pool) ScaleTo(n int) error {
 		p.removeLocked(victims)
 		p.scaleDowns++
 	}
-	p.lastScale = time.Now()
 	budget, plans := p.budget, p.plans
 	p.mu.Unlock()
 	// Reclaim the retirees' bytes before the survivors regrow. The drain
@@ -367,7 +323,7 @@ func (p *Pool) markDrainingLocked(k int) []*Replica {
 	return victims
 }
 
-// awaitDrainLocked waits (bounded by DrainWait) for every victim's
+// awaitDrainLocked waits (bounded by drainWait) for every victim's
 // in-flight work to finish. On timeout the victims are un-drained and
 // an error returned: a retirement never sheds running requests.
 //
@@ -390,10 +346,10 @@ func (p *Pool) awaitDrainLocked(victims []*Replica) error {
 	if busyCount() == 0 {
 		return nil
 	}
-	deadline := time.Now().Add(p.opts.DrainWait)
+	deadline := time.Now().Add(p.drainWait)
 	stopWake := make(chan struct{})
 	defer close(stopWake)
-	interval := p.opts.DrainWait / 10
+	interval := p.drainWait / 10
 	if interval < time.Millisecond {
 		interval = time.Millisecond
 	}
@@ -419,9 +375,9 @@ func (p *Pool) awaitDrainLocked(victims []*Replica) error {
 				v.draining = false
 			}
 			return fmt.Errorf("replica: %d request(s) still in flight after %v drain wait; retirement aborted",
-				busy, p.opts.DrainWait)
+				busy, p.drainWait)
 		}
-		//sti:ctxok bounded park: the ticker goroutine above broadcasts every interval and the DrainWait deadline aborts the wait
+		//sti:ctxok bounded park: the ticker goroutine above broadcasts every interval and the drainWait deadline aborts the wait
 		p.cond.Wait()
 	}
 }
@@ -440,51 +396,6 @@ func (p *Pool) removeLocked(victims []*Replica) {
 	p.replicas = kept
 }
 
-// Configure overrides the pool's tuning (count bounds, drain wait,
-// pressure thresholds). Zero-valued fields keep their current setting,
-// so callers can adjust one knob without re-stating — or accidentally
-// resetting — the rest (e.g. tuning DrainWait must not collapse a
-// raised Max back to 1). It does not scale by itself.
-func (p *Pool) Configure(opts Options) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if opts.Min <= 0 {
-		opts.Min = p.opts.Min
-	}
-	if opts.Max <= 0 {
-		opts.Max = p.opts.Max
-	}
-	if opts.DrainWait <= 0 {
-		opts.DrainWait = p.opts.DrainWait
-	}
-	if opts.HighWater <= 0 {
-		opts.HighWater = p.opts.HighWater
-	}
-	if opts.IdleAfter <= 0 {
-		opts.IdleAfter = p.opts.IdleAfter
-	}
-	if opts.Cooldown <= 0 {
-		opts.Cooldown = p.opts.Cooldown
-	}
-	if opts.MaxStreams <= 0 {
-		opts.MaxStreams = p.opts.MaxStreams
-	}
-	changed := opts.MaxStreams != p.opts.MaxStreams
-	p.opts = opts.withDefaults()
-	if changed {
-		for _, r := range p.replicas {
-			r.Batcher.SetMaxStreams(p.opts.MaxStreams)
-		}
-	}
-}
-
-// Limits returns the pool's current replica-count bounds.
-func (p *Pool) Limits() (min, max int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.opts.Min, p.opts.Max
-}
-
 // Retire zeroes every replica's budget, releasing all preload bytes —
 // the pool's shutdown when its model leaves the fleet. Part of the
 // mutating API.
@@ -498,65 +409,6 @@ func (p *Pool) Retire() {
 		r.Batcher.Close()
 		r.Engine.SetCacheBudget(0)
 	}
-}
-
-// Advise consumes one queue-pressure observation (current depth and
-// capacity of the model's admission queue) and returns the recommended
-// replica delta: +1 past the high-water mark, -1 after a sustained
-// idle stretch, 0 otherwise. It is cheap and safe to call on every
-// scheduler event; cooldown and the [Min, Max] bounds are applied
-// here so callers can act on any non-zero answer.
-func (p *Pool) Advise(depth, capacity int) int {
-	now := time.Now()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if depth > 0 {
-		p.idleSince = time.Time{}
-	} else if p.idleSince.IsZero() {
-		p.idleSince = now
-	}
-	if p.scaling || now.Sub(p.lastScale) < p.opts.Cooldown {
-		return 0
-	}
-	live := p.liveLocked()
-	if capacity > 0 && float64(depth) >= p.opts.HighWater*float64(capacity) && live < p.opts.Max {
-		return 1
-	}
-	if depth == 0 && live > p.opts.Min && !p.idleSince.IsZero() && now.Sub(p.idleSince) >= p.opts.IdleAfter {
-		return -1
-	}
-	return 0
-}
-
-// NoteScaleFailure re-arms the scaling cooldown after a failed scale
-// attempt, so sustained pressure retries at Cooldown pace instead of
-// re-acquiring the fleet write lock (and re-planning a ladder) on
-// every queue observation while the failure persists.
-func (p *Pool) NoteScaleFailure() {
-	p.mu.Lock()
-	p.lastScale = time.Now()
-	p.mu.Unlock()
-}
-
-// BeginScale claims the single background-scaling slot; the caller
-// must EndScale when its scaling action (or decision not to) is done.
-// It keeps one pressure observation from spawning many concurrent
-// scalers.
-func (p *Pool) BeginScale() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.scaling {
-		return false
-	}
-	p.scaling = true
-	return true
-}
-
-// EndScale releases the background-scaling slot.
-func (p *Pool) EndScale() {
-	p.mu.Lock()
-	p.scaling = false
-	p.mu.Unlock()
 }
 
 // CacheBytes sums the preload bytes currently held across all
@@ -577,7 +429,6 @@ func (p *Pool) CacheBytes() int64 {
 func (p *Pool) Stats() PoolStats {
 	p.mu.Lock()
 	st := PoolStats{
-		Min: p.opts.Min, Max: p.opts.Max,
 		Budget:   p.budget,
 		ScaleUps: p.scaleUps, ScaleDowns: p.scaleDowns,
 	}

@@ -56,9 +56,9 @@ func (fx *poolFixture) factory(t *testing.T) func(id int) (*pipeline.Engine, err
 	}
 }
 
-func (fx *poolFixture) newPool(t *testing.T, opts Options) *Pool {
+func (fx *poolFixture) newPool(t *testing.T, n int) *Pool {
 	t.Helper()
-	p, err := New(fx.factory(t), opts)
+	p, err := New(fx.factory(t), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func (fx *poolFixture) newPool(t *testing.T, opts Options) *Pool {
 
 func TestPoolLeastLoadedDispatch(t *testing.T) {
 	fx := newFixture(t, 8<<10)
-	p := fx.newPool(t, Options{Min: 3, Max: 3})
+	p := fx.newPool(t, 3)
 
 	a, err := p.Acquire()
 	if err != nil {
@@ -111,7 +111,7 @@ func indexOf(t *testing.T, ids []int, id int) int {
 
 func TestPoolBudgetSplitAcrossReplicas(t *testing.T) {
 	fx := newFixture(t, 8<<10)
-	p := fx.newPool(t, Options{Min: 4, Max: 4})
+	p := fx.newPool(t, 4)
 
 	const grant = 32 << 10
 	if err := p.Apply(grant, []*planner.Plan{fx.plan}); err != nil {
@@ -140,7 +140,7 @@ func TestPoolBudgetSplitAcrossReplicas(t *testing.T) {
 // sheds, and the survivors regrow into the reclaimed grant.
 func TestPoolScaleDownDrains(t *testing.T) {
 	fx := newFixture(t, 8<<10)
-	p := fx.newPool(t, Options{Min: 1, Max: 2, DrainWait: 5 * time.Second})
+	p := fx.newPool(t, 1)
 	if err := p.ScaleTo(2); err != nil {
 		t.Fatal(err)
 	}
@@ -226,12 +226,13 @@ func TestPoolScaleDownDrains(t *testing.T) {
 	}
 }
 
-// TestPoolScaleDownBoundedWait: a drain that outlives DrainWait aborts
-// the retirement instead of shedding the in-flight request — the
+// TestPoolScaleDownBoundedWait: a drain that outlives the drain wait
+// aborts the retirement instead of shedding the in-flight request — the
 // replica returns to service with its bytes intact.
 func TestPoolScaleDownBoundedWait(t *testing.T) {
 	fx := newFixture(t, 8<<10)
-	p := fx.newPool(t, Options{Min: 1, Max: 2, DrainWait: 30 * time.Millisecond})
+	p := fx.newPool(t, 1)
+	p.drainWait = 30 * time.Millisecond
 	if err := p.ScaleTo(2); err != nil {
 		t.Fatal(err)
 	}
@@ -264,59 +265,6 @@ func TestPoolScaleDownBoundedWait(t *testing.T) {
 	}
 }
 
-func TestPoolAdviseElasticity(t *testing.T) {
-	fx := newFixture(t, 8<<10)
-	p := fx.newPool(t, Options{
-		Min: 1, Max: 3,
-		HighWater: 0.5,
-		IdleAfter: 10 * time.Millisecond,
-		Cooldown:  time.Nanosecond,
-	})
-	if err := p.Apply(32<<10, []*planner.Plan{fx.plan}); err != nil {
-		t.Fatal(err)
-	}
-
-	if d := p.Advise(1, 8); d != 0 {
-		t.Fatalf("Advise(1/8) = %+d below high water, want 0", d)
-	}
-	if d := p.Advise(4, 8); d != 1 {
-		t.Fatalf("Advise(4/8) = %+d at high water, want +1", d)
-	}
-	if err := p.ScaleTo(p.Size() + 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Size(); got != 2 {
-		t.Fatalf("pool size %d after scale-up, want 2", got)
-	}
-
-	// Idle: first observation arms the idle clock, a later one fires.
-	if d := p.Advise(0, 8); d != 0 {
-		t.Fatalf("Advise(idle) = %+d immediately, want 0 until IdleAfter", d)
-	}
-	time.Sleep(15 * time.Millisecond)
-	if d := p.Advise(0, 8); d != -1 {
-		t.Fatalf("Advise(idle past IdleAfter) = %+d, want -1", d)
-	}
-	if err := p.ScaleTo(p.Size() - 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Size(); got != 1 {
-		t.Fatalf("pool size %d after idle scale-down, want 1", got)
-	}
-	st := p.Stats()
-	if st.ScaleUps != 1 || st.ScaleDowns != 1 {
-		t.Fatalf("scale counters %d up / %d down, want 1/1", st.ScaleUps, st.ScaleDowns)
-	}
-
-	// At Max the pool never over-advises.
-	if err := p.ScaleTo(3); err != nil {
-		t.Fatal(err)
-	}
-	if d := p.Advise(8, 8); d != 0 {
-		t.Fatalf("Advise at Max = %+d, want 0", d)
-	}
-}
-
 // TestPoolScaleToUnwindsFailedGrowth: a factory error mid-growth must
 // leave the pool exactly as it was — no live, never-warmed replicas
 // for Acquire to dispatch to.
@@ -330,7 +278,7 @@ func TestPoolScaleToUnwindsFailedGrowth(t *testing.T) {
 			return nil, context.DeadlineExceeded
 		}
 		return inner(id)
-	}, Options{Min: 1, Max: 4})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,51 +301,38 @@ func TestPoolScaleToUnwindsFailedGrowth(t *testing.T) {
 	p.Release(r, 0)
 }
 
-// TestPoolConfigureMergesUnsetFields: tuning one knob must not reset
-// the others — in particular, Configure with an unset Max must not
-// collapse a raised replica ceiling back to 1.
-func TestPoolConfigureMergesUnsetFields(t *testing.T) {
+// TestPoolScaleToClampsAndMax: a pool never shrinks below one replica
+// and has no ceiling but the count it is given; only resizes count as
+// scaling events.
+func TestPoolScaleToClampsAndMax(t *testing.T) {
 	fx := newFixture(t, 8<<10)
-	p := fx.newPool(t, Options{Min: 1, Max: 4, HighWater: 0.25})
-	p.Configure(Options{DrainWait: 10 * time.Second})
-	if p.opts.Max != 4 {
-		t.Fatalf("Configure(DrainWait only) reset Max to %d, want 4 kept", p.opts.Max)
+	if _, err := New(fx.factory(t), 0); err == nil {
+		t.Fatal("New built a pool of zero replicas")
 	}
-	if p.opts.HighWater != 0.25 {
-		t.Fatalf("Configure(DrainWait only) reset HighWater to %v, want 0.25 kept", p.opts.HighWater)
+	p := fx.newPool(t, 2)
+	if err := p.ScaleTo(0); err != nil {
+		t.Fatal(err)
 	}
-	if p.opts.DrainWait != 10*time.Second {
-		t.Fatalf("DrainWait %v, want the 10s override", p.opts.DrainWait)
+	if got := p.Size(); got != 1 {
+		t.Fatalf("size %d after ScaleTo(0), want 1", got)
 	}
 	if err := p.ScaleTo(4); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.Size(); got != 4 {
-		t.Fatalf("size %d after Configure + ScaleTo(4), want 4", got)
+		t.Fatalf("size %d after ScaleTo(4), want 4", got)
 	}
-}
-
-func TestPoolScaleToClampsAndMax(t *testing.T) {
-	fx := newFixture(t, 8<<10)
-	p := fx.newPool(t, Options{Min: 1, Max: 2})
-	if err := p.ScaleTo(10); err != nil {
+	if err := p.ScaleTo(4); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Size(); got != 2 {
-		t.Fatalf("size %d after ScaleTo(10) with Max 2, want 2", got)
-	}
-	p.Configure(Options{Max: 4})
-	if err := p.ScaleTo(10); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Size(); got != 4 {
-		t.Fatalf("size %d after raising Max to 4, want 4", got)
+	if st := p.Stats(); st.ScaleUps != 1 || st.ScaleDowns != 1 {
+		t.Fatalf("scale counters %d up / %d down, want 1/1", st.ScaleUps, st.ScaleDowns)
 	}
 }
 
 func TestPoolSharedCacheDedupesAcrossReplicas(t *testing.T) {
 	fx := newFixture(t, 0) // no preload: every execution streams all shards
-	p := fx.newPool(t, Options{Min: 4, Max: 4})
+	p := fx.newPool(t, 4)
 	if err := p.Apply(0, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +376,7 @@ func TestPoolSharedCacheDedupesAcrossReplicas(t *testing.T) {
 
 func TestPoolRetireReleasesEverything(t *testing.T) {
 	fx := newFixture(t, 8<<10)
-	p := fx.newPool(t, Options{Min: 2, Max: 2})
+	p := fx.newPool(t, 2)
 	if err := p.Apply(32<<10, []*planner.Plan{fx.plan}); err != nil {
 		t.Fatal(err)
 	}

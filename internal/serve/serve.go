@@ -71,8 +71,8 @@ var (
 )
 
 // Backend is the fleet surface the scheduler drives. *sti.Fleet
-// implements it; tests substitute stubs. Pressure and ObserveArrival
-// are called on the serving path and must be cheap and non-blocking;
+// implements it; tests substitute stubs. ObserveArrival is called on
+// the serving path and must be cheap and non-blocking;
 // the stats methods report ok=false for a model (or a backend) with
 // nothing to report.
 type Backend interface {
@@ -89,17 +89,10 @@ type Backend interface {
 	// be safe for concurrent use and honor ctx cancellation.
 	ServeBatch(ctx context.Context, name string, reqs []pipeline.Request) ([]*pipeline.Response, *pipeline.BatchStats, error)
 
-	// Pressure receives the queue-pressure signal — queue depth and
-	// capacity at each admission, each completion and each idle tick —
-	// from which a backend with replica pools scales a model's serving
-	// capacity up past the high-water mark or drains it when the queue
-	// stays idle.
-	Pressure(model string, depth, capacity int)
 	// ObserveArrival receives one observation per successful admission:
-	// the request's canonicalized SLO class plus the queue
-	// depth/capacity at that moment — the predictive subsystem's
-	// arrival stream.
-	ObserveArrival(model string, class time.Duration, depth, capacity int)
+	// the request's canonicalized SLO class — the predictive
+	// subsystem's arrival stream.
+	ObserveArrival(model string, class time.Duration)
 
 	// ReplicaStats and SharedCacheStats report a model's replica pool
 	// and its shared shard-cache counters; GenerateStats its aggregated
@@ -126,9 +119,6 @@ type Options struct {
 	// a request older than Slack×target at dequeue is dropped with
 	// ErrDeadline. Default 4.
 	Slack float64
-	// Window is how many recent request latencies each model keeps
-	// for the p50/p95 snapshot. Default 512.
-	Window int
 	// MaxBatch is how many queued classify jobs a worker may drain
 	// into one batched backend call, amortizing the model's
 	// IO/decompress stream across them. At most
@@ -140,12 +130,6 @@ type Options struct {
 	// for more to accumulate before executing (only when MaxBatch > 1).
 	// Default 2ms.
 	BatchWindow time.Duration
-	// HighWater is the congestion mark as a fraction of QueueDepth: at
-	// or above it the scheduler downgrades best-effort (Priority < 0)
-	// and over-deadline requests to a coarser plan tier instead of
-	// shedding them — fidelity degrades before availability does.
-	// Default 0.5.
-	HighWater float64
 	// MaxStreams caps concurrently dispatched generate streams across
 	// the scheduler: generate jobs leave the worker immediately and
 	// decode on the backend's continuous-batching step loops, so
@@ -170,17 +154,11 @@ func (o Options) withDefaults() Options {
 	if o.Slack <= 0 {
 		o.Slack = 4
 	}
-	if o.Window <= 0 {
-		o.Window = 512
-	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 1
 	}
 	if o.BatchWindow <= 0 {
 		o.BatchWindow = 2 * time.Millisecond
-	}
-	if o.HighWater <= 0 {
-		o.HighWater = 0.5
 	}
 	if o.MaxStreams <= 0 {
 		o.MaxStreams = 64
@@ -253,7 +231,6 @@ type Scheduler struct {
 	queues map[string]*modelQueue
 	closed bool
 	wg     sync.WaitGroup
-	stop   chan struct{} // closes the idle-pressure ticker
 }
 
 // SetDraining marks (or clears) the scheduler's graceful-shutdown
@@ -264,11 +241,16 @@ func (s *Scheduler) SetDraining(v bool) { s.draining.Store(v) }
 // Draining reports whether graceful shutdown has begun.
 func (s *Scheduler) Draining() bool { return s.draining.Load() }
 
-// idlePressureInterval paces the background pressure ticker: without
-// it the backend would only observe queue depth on traffic
-// events, so a pool scaled up during a burst could never drain once
-// traffic stops entirely (workers park on the queue and emit nothing).
-const idlePressureInterval = 250 * time.Millisecond
+// latencyWindow is how many recent request latencies each model keeps
+// for the p50/p95 snapshot.
+const latencyWindow = 512
+
+// highWater is the congestion mark as a fraction of the queue's
+// capacity: at or above it the scheduler downgrades best-effort
+// (Priority < 0) and over-deadline requests to a coarser plan tier
+// instead of shedding them — fidelity degrades before availability
+// does.
+const highWater = 0.5
 
 // New starts a scheduler over a backend. Queues and workers for each
 // model spin up lazily on its first request, so models added to the
@@ -279,53 +261,16 @@ func New(backend Backend, opts Options) *Scheduler {
 		opts:    opts.withDefaults(),
 		start:   time.Now(),
 		queues:  make(map[string]*modelQueue),
-		stop:    make(chan struct{}),
 	}
 	s.genSlots = make(chan struct{}, s.opts.MaxStreams)
-	s.wg.Add(1)
-	go s.idlePressure()
 	return s
-}
-
-// idlePressure periodically reports every known queue's depth to the
-// backend, so sustained idleness is observed (and surplus
-// replicas drained, their preload bytes reclaimed) even when no
-// traffic events arrive at all.
-func (s *Scheduler) idlePressure() {
-	defer s.wg.Done()
-	ticker := time.NewTicker(idlePressureInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C:
-		}
-		s.mu.Lock()
-		models := make([]string, 0, len(s.queues))
-		queues := make([]*modelQueue, 0, len(s.queues))
-		for m, q := range s.queues {
-			models = append(models, m)
-			queues = append(queues, q)
-		}
-		s.mu.Unlock()
-		for i := range models {
-			s.pressure(models[i], queues[i])
-		}
-	}
-}
-
-// pressure feeds one queue observation to the backend, which may
-// scale the model's replica pool in the background.
-func (s *Scheduler) pressure(model string, q *modelQueue) {
-	s.backend.Pressure(model, len(q.jobs), cap(q.jobs))
 }
 
 // congested reports whether a queue's depth is at or past the
 // high-water mark — the point where the scheduler starts trading
 // fidelity (tier downgrades) for availability.
 func (s *Scheduler) congested(q *modelQueue) bool {
-	return float64(len(q.jobs)) >= s.opts.HighWater*float64(cap(q.jobs))
+	return float64(len(q.jobs)) >= highWater*float64(cap(q.jobs))
 }
 
 // Submit admits one task-typed request for a model and blocks until it
@@ -400,13 +345,11 @@ func (s *Scheduler) Submit(ctx context.Context, model string, req pipeline.Reque
 			}
 		}
 		s.mu.Unlock()
-		// Every admission is a pressure observation: the backend scales the model's replica pool up when the queue crosses its
-		// high-water mark.
-		s.pressure(model, q)
-		// And an arrival observation: the predictive subsystem trains
-		// its per-(model, SLO-class) rate EWMAs on the admission stream
-		// (req.TargetLatency is already canonicalized above).
-		s.backend.ObserveArrival(model, req.TargetLatency, len(q.jobs), cap(q.jobs))
+		// Every admission is an arrival observation: the predictive
+		// subsystem trains its per-(model, SLO-class) rate EWMAs on the
+		// admission stream (req.TargetLatency is already canonicalized
+		// above).
+		s.backend.ObserveArrival(model, req.TargetLatency)
 	default:
 		s.mu.Unlock()
 		q.stats.shed()
@@ -434,7 +377,7 @@ func (s *Scheduler) queueLocked(model string) *modelQueue {
 	q := &modelQueue{
 		jobs:  make(chan *job, s.opts.QueueDepth),
 		seats: make(chan struct{}, min(s.opts.Workers, runtime.GOMAXPROCS(0))),
-		stats: newModelStats(model, s.opts.Window, s.opts.Obs.Registry()),
+		stats: newModelStats(model, latencyWindow, s.opts.Obs.Registry()),
 	}
 	if reg := s.opts.Obs.Registry(); reg != nil {
 		jobs := q.jobs
@@ -530,10 +473,6 @@ func (s *Scheduler) worker(model string, q *modelQueue) {
 		for _, g := range generate {
 			s.dispatchGenerate(model, q, g)
 		}
-		// Every drain is a pressure observation too: it is how the
-		// backend sees the queue go (and stay) idle and drains surplus
-		// replicas, reclaiming their preload bytes.
-		s.pressure(model, q)
 	}
 }
 
@@ -589,9 +528,6 @@ func (s *Scheduler) dispatchGenerate(model string, q *modelQueue, j *job) {
 		if s.admit(model, q, j, time.Now()) {
 			s.execGenerate(model, q, j)
 		}
-		// A finished stream is capacity coming back; let the backend
-		// observe the queue it can now drain into.
-		s.pressure(model, q)
 	}()
 }
 
@@ -833,6 +769,5 @@ func (s *Scheduler) Close() {
 		close(q.jobs)
 	}
 	s.mu.Unlock()
-	close(s.stop)
 	s.wg.Wait()
 }

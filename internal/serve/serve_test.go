@@ -160,8 +160,7 @@ func (b *stubBackend) ServeBatch(ctx context.Context, name string, reqs []pipeli
 
 // The stub has no replica pools, step loops or predictors: the
 // scheduler's signals go nowhere and every stats query reports none.
-func (b *stubBackend) Pressure(string, int, int)                      {}
-func (b *stubBackend) ObserveArrival(string, time.Duration, int, int) {}
+func (b *stubBackend) ObserveArrival(string, time.Duration) {}
 func (b *stubBackend) ReplicaStats(string) (replica.PoolStats, bool) {
 	return replica.PoolStats{}, false
 }

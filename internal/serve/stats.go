@@ -13,7 +13,7 @@ import (
 )
 
 // ModelStats is one model's serving counters and latency distribution
-// at snapshot time. Latency percentiles cover the last Options.Window
+// at snapshot time. Latency percentiles cover the last latencyWindow
 // completed requests, measured admission → completion.
 //
 // Batches counts backend executions (a batch of size 1 is one
@@ -53,10 +53,10 @@ type ModelStats struct {
 
 	// Replicas is the model's live replica count and ReplicaServed the
 	// completed-request counter of each replica (pool order), when the
-	// backend serves the model from an elastic replica pool.
+	// backend serves the model from a replica pool.
 	Replicas      int      `json:"replicas,omitempty"`
 	ReplicaServed []uint64 `json:"replica_served,omitempty"`
-	// ScaleUps/ScaleDowns count the pool's elastic scaling actions.
+	// ScaleUps/ScaleDowns count the pool's resizes.
 	ScaleUps   uint64 `json:"scale_ups,omitempty"`
 	ScaleDowns uint64 `json:"scale_downs,omitempty"`
 	// SingleflightHits counts shard reads the model's shared payload

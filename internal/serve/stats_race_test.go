@@ -14,14 +14,14 @@ import (
 // recorders from many goroutines while Snapshot runs concurrently —
 // the percentile sort must run on a private copy outside the stats
 // lock, and every instrument read must be race-free (CI runs this
-// under -race). A tiny window forces constant ring wraps.
+// under -race). The storm's 640 completions wrap the latency window.
 func TestSnapshotRaceHammer(t *testing.T) {
 	b := &stubBackend{targets: map[string]time.Duration{"m": 50 * time.Millisecond}}
-	s := New(b, Options{QueueDepth: 256, Workers: 4, Slack: 1000, Window: 8, Obs: obs.NewHub(4)})
+	s := New(b, Options{QueueDepth: 256, Workers: 4, Slack: 1000, Obs: obs.NewHub(4)})
 	defer s.Close()
 
 	const submitters = 8
-	const perSubmitter = 50
+	const perSubmitter = 80 // submitters × 80 > latencyWindow
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 

@@ -250,7 +250,7 @@ type genGateBackend struct {
 	arrivals atomic.Int64 // admissions observed, i.e. jobs enqueued
 }
 
-func (b *genGateBackend) ObserveArrival(string, time.Duration, int, int) { b.arrivals.Add(1) }
+func (b *genGateBackend) ObserveArrival(string, time.Duration) { b.arrivals.Add(1) }
 
 func (b *genGateBackend) Serve(ctx context.Context, name string, req pipeline.Request) (*pipeline.Response, error) {
 	if req.Task == pipeline.TaskGenerate {

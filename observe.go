@@ -69,9 +69,9 @@ func (f *Fleet) SetObservability(h *obs.Hub) {
 		pool(func(s replica.PoolStats) float64 { return float64(s.Replicas) }))
 	reg.NewGaugeFunc("sti_replicas_draining", "Replicas draining toward removal.", nil,
 		pool(func(s replica.PoolStats) float64 { return float64(s.Draining) }))
-	reg.NewCounterFunc("sti_replica_scale_ups_total", "Replica pool scale-up events.", nil,
+	reg.NewCounterFunc("sti_replica_scale_ups_total", "Replica pool resizes that added replicas.", nil,
 		pool(func(s replica.PoolStats) float64 { return float64(s.ScaleUps) }))
-	reg.NewCounterFunc("sti_replica_scale_downs_total", "Replica pool scale-down events.", nil,
+	reg.NewCounterFunc("sti_replica_scale_downs_total", "Replica pool resizes that retired replicas.", nil,
 		pool(func(s replica.PoolStats) float64 { return float64(s.ScaleDowns) }))
 	reg.NewGaugeFunc("sti_preload_cache_bytes", "Preload buffer bytes held across replicas.", nil,
 		pool(func(s replica.PoolStats) float64 { return float64(s.CacheBytes) }))

@@ -19,8 +19,8 @@ var errFleetBusy = errors.New("sti: fleet busy; speculative actuation skipped")
 // scheduler via ObserveArrival, shard-access observations from every
 // replica engine via per-layer taps installed here (and on replicas
 // spawned later), and the predictor's actuators prefetch shards into
-// each model's shared cache, speculatively warm downgrade rungs, and
-// feed pre-emptive scale advice into Pressure. All actuation is
+// each model's shared cache and speculatively warm downgrade rungs.
+// All actuation is
 // budget-subordinate and off the serving path. Returns an error if
 // prediction is already enabled.
 func (f *Fleet) EnablePrediction(opts PredictOptions) error {
@@ -57,13 +57,12 @@ func (f *Fleet) StopPrediction() {
 	}
 }
 
-// ObserveArrival feeds one admission (model, SLO class, and the
-// admission queue's depth/capacity at that moment) into the predictive
-// subsystem. A lock-free no-op while prediction is disabled — safe on
-// every enqueue.
-func (f *Fleet) ObserveArrival(model string, class time.Duration, depth, capacity int) {
+// ObserveArrival feeds one admission (model and SLO class) into the
+// predictive subsystem. A lock-free no-op while prediction is disabled
+// — safe on every enqueue.
+func (f *Fleet) ObserveArrival(model string, class time.Duration) {
 	if p := f.predictor.Load(); p != nil {
-		p.ObserveArrival(model, class, depth, capacity)
+		p.ObserveArrival(model, class)
 	}
 }
 
@@ -179,12 +178,4 @@ func (a *fleetActuator) SpeculateWarm(model string) error {
 		return e.pool.Warm(e.cache.Plans())
 	}
 	return nil
-}
-
-// AdvisePressure feeds a projected queue depth into the pool's scale
-// governor — the same advisory path the scheduler's reactive pressure
-// signal uses, so high-water marks, cooldowns, and ceilings all apply
-// to speculative scale-ups too.
-func (a *fleetActuator) AdvisePressure(model string, depth, capacity int) {
-	a.f.Pressure(model, depth, capacity)
 }

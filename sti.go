@@ -103,10 +103,6 @@ type (
 	// TrainOptions configures fine-tuning.
 	TrainOptions = train.Options
 
-	// ReplicaOptions tunes a model's elastic replica pool: count
-	// bounds, drain wait, and the queue-pressure thresholds that drive
-	// scale-up and idle scale-down.
-	ReplicaOptions = replica.Options
 	// ReplicaPoolStats is a point-in-time snapshot of one model's
 	// replica pool: live/draining counts, per-replica served and
 	// in-flight counters, and the per-replica budget split.
@@ -114,9 +110,8 @@ type (
 	// ShardCacheStats reports a model's single-flight payload cache:
 	// flash reads vs deduplicated hits and the bytes they saved.
 	ShardCacheStats = store.CacheStats
-	// PredictOptions tunes the predictive subsystem (prefetch,
-	// speculative warming, pre-emptive scale advice); see
-	// Fleet.EnablePrediction.
+	// PredictOptions tunes the predictive subsystem (prefetch and
+	// speculative warming); see Fleet.EnablePrediction.
 	PredictOptions = predict.Options
 	// PredictStats snapshots one model's predictors: arrival-rate
 	// EWMAs, sequence-predictor accuracy, and actuation counters.
