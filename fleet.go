@@ -47,9 +47,8 @@ type Fleet struct {
 	// predictor, when non-nil, is the fleet's predictive subsystem
 	// (internal/predict): arrival and shard-access observations train
 	// it and its actuators prefetch and speculatively warm. An atomic
-	// pointer so the serving-path taps
-	// (ObserveArrival, the per-engine access observers) load it
-	// lock-free. See EnablePrediction.
+	// pointer so the serving-path taps (ObserveArrival, the per-engine
+	// access observers) load it lock-free. See EnablePrediction.
 	predictor atomic.Pointer[predict.Predictor]
 }
 
