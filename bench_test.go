@@ -519,129 +519,6 @@ func BenchmarkContinuousGenerate(b *testing.B) {
 	}
 }
 
-// BenchmarkColdTierFirstToken measures the first token of a generate
-// request landing on a cold plan tier — the rung below the default,
-// where congestion downgrades land — with prediction off vs on. Each
-// iteration cold-starts the shared cache, serves a ramping burst at the
-// default tier (the warmable arrival pattern), and idles briefly; with
-// prediction on, the burst trends the arrival predictor upward and the
-// speculative warmer stages the downgrade rung's streamed shards into
-// the cache's second-class segment during the gap, so the timed
-// request's materialization finds its payloads resident instead of
-// paying cold flash reads on the first-token path.
-func BenchmarkColdTierFirstToken(b *testing.B) {
-	dir := b.TempDir()
-	w := sti.NewRandomModel(sti.TinyConfig(), 77)
-	if _, err := sti.Preprocess(dir, w, nil); err != nil {
-		b.Fatal(err)
-	}
-	const retain = 1 << 20
-	for _, predictOn := range []bool{false, true} {
-		b.Run(fmt.Sprintf("predict=%v", predictOn), func(b *testing.B) {
-			sys, err := sti.Load(dir, sti.Odroid(), 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fleet := sti.NewFleet(96 << 10)
-			if err := fleet.Add("m", sys, 100*time.Millisecond, 1); err != nil {
-				b.Fatal(err)
-			}
-			if err := fleet.Replan(); err != nil {
-				b.Fatal(err)
-			}
-			if err := fleet.SetSharedCacheRetain("m", retain); err != nil {
-				b.Fatal(err)
-			}
-			if predictOn {
-				err := fleet.EnablePrediction(sti.PredictOptions{
-					Prefetch:     true,
-					Speculate:    true,
-					Interval:     time.Millisecond,
-					WarmTrend:    0.05,
-					WarmCooldown: 5 * time.Millisecond,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer fleet.StopPrediction()
-			}
-
-			ctx := context.Background()
-			var ttft time.Duration
-			measured := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				// Displace the measured tier's batcher group (idle
-				// groups are evicted when another plan arrives), so
-				// every iteration pays a full cold materialization on
-				// the first-token path, not just the first.
-				if _, err := fleet.Serve(ctx, "m", sti.Request{
-					Task: sti.TaskGenerate, Tokens: []int{2, 7}, MaxNewTokens: 1,
-					TargetLatency: 200 * time.Millisecond,
-				}); err != nil {
-					b.Fatal(err)
-				}
-				// Cold-start: drop every retained payload (the trained
-				// predictor survives).
-				if err := fleet.SetSharedCacheRetain("m", 0); err != nil {
-					b.Fatal(err)
-				}
-				if err := fleet.SetSharedCacheRetain("m", retain); err != nil {
-					b.Fatal(err)
-				}
-				// Ramping arrival burst at the default tier, no
-				// requests admitted yet (the moment before a downgrade
-				// burst lands). No demand reads
-				// happen here, so the tier's payloads stay cold unless
-				// the speculative warmer stages them.
-				for k := 0; k < 6; k++ {
-					fleet.ObserveArrival("m", 100*time.Millisecond)
-				}
-				// Idle gap before the burst's requests arrive — the
-				// window the predictor has to stage the rung below.
-				// Slept on both sides of the comparison.
-				time.Sleep(15 * time.Millisecond)
-
-				start := time.Now()
-				b.StartTimer()
-				var first time.Duration
-				_, err := fleet.Serve(ctx, "m", sti.Request{
-					Task:          sti.TaskGenerate,
-					Tokens:        []int{3, 1, 4},
-					MaxNewTokens:  1,
-					TargetLatency: 50 * time.Millisecond,
-					OnToken: func(step, token int) {
-						if step == 0 {
-							first = time.Since(start)
-						}
-					},
-				})
-				b.StopTimer()
-				if err != nil {
-					b.Fatal(err)
-				}
-				ttft += first
-				measured++
-				b.StartTimer()
-			}
-			b.StopTimer()
-
-			if measured > 0 {
-				b.ReportMetric(float64(ttft.Nanoseconds())/float64(measured)/1e6, "first_token_ms")
-			}
-			if cs, ok := fleet.SharedCacheStats("m"); ok && predictOn {
-				b.ReportMetric(float64(cs.Prefetches)/float64(b.N), "prefetches/op")
-				b.ReportMetric(float64(cs.PrefetchHits)/float64(b.N), "prefetch_hits/op")
-			}
-			if ps, ok := fleet.PredictStats("m"); ok && predictOn {
-				b.ReportMetric(float64(ps.SpeculativeWarms)/float64(b.N), "warms/op")
-				b.ReportMetric(float64(ps.PrefetchIssued)/float64(b.N), "issued/op")
-			}
-		})
-	}
-}
-
 // §7.2 energy overhead and the §2.1-2.2 lifetime simulation.
 func BenchmarkEnergyOverhead(b *testing.B)     { benchExperiment(b, "energy") }
 func BenchmarkLifetimeSimulation(b *testing.B) { benchExperiment(b, "lifetime") }

@@ -590,7 +590,7 @@ func TestClusterStitchedTrace(t *testing.T) {
 			t.Errorf("stitched trace is missing a %q span (have %v)", want, seen)
 		}
 	}
-	valid := map[string]bool{obs.OriginFlash: true, obs.OriginCache: true, obs.OriginPeer: true, obs.OriginPrefetch: true}
+	valid := map[string]bool{obs.OriginFlash: true, obs.OriginCache: true, obs.OriginPeer: true}
 	if len(origins) == 0 {
 		t.Error("no shard-IO span carries an origin tag")
 	}

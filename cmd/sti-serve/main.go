@@ -29,6 +29,11 @@
 // traces; a router assumes a 200 ms SLO for a request without
 // target_ms.
 //
+// Shards are read when a request's layer stream needs them, or ahead
+// of it only as the planned preload buffer; a model's replicas read
+// through one single-flight cache that keeps the last -sharedcache
+// bytes of payloads.
+//
 // Multiple -model flags serve multiple models from one budget; a spec
 // may override the default target and weight per model:
 //
@@ -95,9 +100,7 @@ func newFlagSet(c *httpserve.Config) *flag.FlagSet {
 	fs.Int64Var(&c.Budget, "budget", 256<<10, "fleet-wide preload budget in bytes")
 	fs.IntVar(&c.Replicas, "replicas", 1, "pipeline-engine replicas per model: each gets its own preload-buffer slice, all share one single-flight shard cache; the count is fixed for the process's life. Each model gets 2 scheduler workers per replica")
 	fs.Float64Var(&c.Slack, "slack", 4, "request deadline = slack x model target")
-	fs.BoolVar(&c.Prefetch, "prefetch", false, "enable predictive shard prefetch: a sequence predictor trained on each model's shard-access order pulls predicted payloads into the shared cache ahead of the compute front (requires -sharedcache > 0)")
-	fs.BoolVar(&c.Speculate, "speculate", false, "enable speculative tier warming driven by each model's arrival-rate trend")
-	fs.Int64Var(&c.SharedCache, "sharedcache", 1<<20, "per-model shared shard-cache retention in bytes (single-flight dedup window + prefetch staging area; 0 keeps pure coalescing only)")
+	fs.Int64Var(&c.SharedCache, "sharedcache", 1<<20, "per-model shared shard-cache retention in bytes: the single-flight dedup window its replicas read through (0 keeps pure coalescing only)")
 	fs.StringVar(&c.Mode, "mode", "standalone", "serving mode: standalone (default), node (cluster member; needs -node and -peers), or router (cluster frontend; needs -peers, takes no -model)")
 	fs.StringVar(&c.Peers, "peers", "", "static cluster membership: comma-separated name=url pairs, identical on every router and node")
 	fs.StringVar(&c.Node, "node", "", "this process's name in -peers (node mode)")

@@ -19,7 +19,7 @@ func TestParseFlags(t *testing.T) {
 	var names []string
 	newFlagSet(new(httpserve.Config)).VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
 	wantNames := []string{"addr", "budget", "device", "draingrace", "mode", "model", "node",
-		"peers", "pprof", "prefetch", "replicas", "sharedcache", "slack", "speculate"}
+		"peers", "pprof", "replicas", "sharedcache", "slack"}
 	if !slices.Equal(names, wantNames) {
 		t.Errorf("flags %q, want %q", names, wantNames)
 	}
@@ -33,7 +33,7 @@ func TestParseFlags(t *testing.T) {
 			{Name: "b", Dir: "/s/b", Target: 200 * time.Millisecond, Weight: 1},
 		},
 		Addr: "127.0.0.1:9", Device: "jetson", Budget: 4096, Replicas: 4, Slack: 1.5,
-		Prefetch: true, Speculate: true, SharedCache: 123, Mode: "node",
+		SharedCache: 123, Mode: "node",
 		Peers: "a=http://h:1", Node: "a", DrainGrace: 3 * time.Second, Pprof: true,
 	}
 	for _, tc := range []struct {
@@ -45,7 +45,7 @@ func TestParseFlags(t *testing.T) {
 		{"every flag", []string{
 			"-model", "a=/s/a,target=150ms,weight=2", "-model", "b=/s/b",
 			"-addr", "127.0.0.1:9", "-device", "jetson", "-budget", "4096",
-			"-replicas", "4", "-slack", "1.5", "-prefetch", "-speculate",
+			"-replicas", "4", "-slack", "1.5",
 			"-sharedcache", "123", "-mode", "node", "-peers", "a=http://h:1", "-node", "a",
 			"-draingrace", "3s", "-pprof",
 		}, every},
@@ -63,7 +63,7 @@ func TestParseFlags(t *testing.T) {
 	}
 	for _, args := range [][]string{{"-queue", "64"}, {"-workers", "2"}, {"-maxbatch", "8"},
 		{"-batchwindow", "2ms"}, {"-maxstreams", "64"}, {"-tracering", "8"}, {"-notrace"},
-		{"-target", "200ms"}} {
+		{"-target", "200ms"}, {"-prefetch"}, {"-speculate"}} {
 		fs := newFlagSet(new(httpserve.Config))
 		fs.SetOutput(io.Discard)
 		if err := fs.Parse(args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
@@ -98,35 +98,6 @@ func TestConcurrencyForValidation(t *testing.T) {
 		_, err := flagsValidate(t, c.args...)
 		if (err != nil) != c.wantErr {
 			t.Errorf("%q: err=%v, want error %v", c.args, err, c.wantErr)
-		}
-	}
-}
-
-// TestPredictConfigFor covers the prediction flag matrix: off by
-// default, on when either actuator flag is set, and -prefetch with a
-// zero-byte or negative shared cache rejected with an explanation.
-func TestPredictConfigFor(t *testing.T) {
-	for _, c := range []struct {
-		args                []string
-		prefetch, speculate bool
-	}{
-		{nil, false, false},
-		{[]string{"-prefetch"}, true, false},
-		{[]string{"-speculate", "-sharedcache", "0"}, false, true}, // valid: no staging
-		{[]string{"-prefetch", "-speculate", "-sharedcache", "4096"}, true, true},
-	} {
-		cfg, err := flagsValidate(t, c.args...)
-		if err != nil || cfg.Prefetch != c.prefetch || cfg.Speculate != c.speculate {
-			t.Errorf("%q: prefetch=%v speculate=%v err=%v, want prefetch=%v speculate=%v",
-				c.args, cfg.Prefetch, cfg.Speculate, err, c.prefetch, c.speculate)
-		}
-	}
-	for _, bytes := range []string{"0", "-1"} {
-		_, err := flagsValidate(t, "-prefetch", "-sharedcache", bytes)
-		if err == nil {
-			t.Errorf("-prefetch with -sharedcache=%s valid, want rejection", bytes)
-		} else if !strings.Contains(err.Error(), "-sharedcache") {
-			t.Errorf("rejection should name -sharedcache: %v", err)
 		}
 	}
 }

@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sti/internal/pipeline"
 	"sti/internal/planner"
-	"sti/internal/predict"
 	"sti/internal/replica"
 	"sti/internal/store"
 )
@@ -43,13 +41,6 @@ type Fleet struct {
 	mu      sync.RWMutex
 	budget  int64
 	entries map[string]*FleetEntry
-
-	// predictor, when non-nil, is the fleet's predictive subsystem
-	// (internal/predict): arrival and shard-access observations train
-	// it and its actuators prefetch and speculatively warm. An atomic
-	// pointer so the serving-path taps (ObserveArrival, the per-engine
-	// access observers) load it lock-free. See EnablePrediction.
-	predictor atomic.Pointer[predict.Predictor]
 }
 
 // PlanTier is one rung of a model's plan ladder: an executable plan at
@@ -128,19 +119,12 @@ func (f *Fleet) Add(name string, sys *System, target time.Duration, weight float
 	sys.Engine.SetPayloadSource(shared)
 	pool, err := replica.New(func(id int) (*pipeline.Engine, error) {
 		if id == 0 {
-			if f.predictor.Load() != nil {
-				sys.Engine.SetAccessObserver(f.accessObserver(name))
-			}
 			return sys.Engine, nil
 		}
 		// Later replicas share the loaded resident weights (read-only
 		// during execution) and the single-flight cache; each owns its
 		// own preload buffer, granted by the next replan.
-		eng := pipeline.NewReplicaEngine(sys.Store, sys.Engine.Resident, shared, 0)
-		if f.predictor.Load() != nil {
-			eng.SetAccessObserver(f.accessObserver(name))
-		}
-		return eng, nil
+		return pipeline.NewReplicaEngine(sys.Store, sys.Engine.Resident, shared, 0), nil
 	}, 1)
 	if err != nil {
 		return fmt.Errorf("sti: building replica pool for %q: %w", name, err)

@@ -43,16 +43,6 @@ var hotFuncNames = map[string]bool{
 	"forwardLayer": true,
 	"project":      true,
 	"finish":       true,
-	// Predictor observe/lookup paths: the serving-side taps run on
-	// every request and every streamed layer, and the training/lookup
-	// loop runs per observation at tick rate — allocations here leak
-	// into first-token latency just like decode-loop ones.
-	"ObserveArrival": true,
-	"ObserveAccess":  true,
-	"ingest":         true,
-	"observe":        true,
-	"seqLookup":      true,
-	"predictAhead":   true,
 	// Observability record/span paths: instruments fire on every
 	// request and every decode step, and span recording sits inside
 	// the same loops hotalloc guards. The whole point of the fixed

@@ -2,15 +2,13 @@
 // surface: a consistent-hash Ring places models on nodes, a Router
 // terminates /v2/infer (classify and SSE generate alike) and forwards
 // each request to a node holding its model, and a Node exposes the
-// donor side of the cluster's two-level shard cache plus the arrival
-// observations the owning node's predictor trains on.
+// donor side of the cluster's two-level shard cache.
 //
 // The design extends the paper's elastic-pipelining discipline across
-// machines: every cross-node interaction — peer cache fetches, health
-// polls, arrival forwarding — is asynchronous with respect to serving
-// locks. No network IO ever runs under a mutex; a slow peer can stall
-// at most the single request (or single shard flight) that asked for
-// it.
+// machines: every cross-node interaction — peer cache fetches and
+// health polls — is asynchronous with respect to serving locks. No
+// network IO ever runs under a mutex; a slow peer can stall at most
+// the single request (or single shard flight) that asked for it.
 package cluster
 
 import (

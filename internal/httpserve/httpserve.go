@@ -31,8 +31,6 @@ type Config struct {
 	Budget      int64
 	Replicas    int
 	Slack       float64
-	Prefetch    bool
-	Speculate   bool
 	SharedCache int64
 	Mode        string
 	Peers       string
@@ -100,9 +98,7 @@ func (m *ModelSpecs) Set(v string) error {
 var devices = map[string]func() *sti.Device{"odroid": sti.Odroid, "jetson": sti.Jetson}
 
 // Validate reports every startup error in c at once. A router serves no
-// models, so it checks only the cluster flags. The prefetcher stages
-// payloads in the per-model shared cache, so -prefetch with a
-// zero-byte cache would discard every prefetch.
+// models, so it checks only the cluster flags.
 func (c Config) Validate() error {
 	var errs []error
 	fail := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
@@ -142,11 +138,8 @@ func (c Config) Validate() error {
 	if !(c.Slack > 0) {
 		fail("-slack %v: the deadline multiplier must be positive", c.Slack)
 	}
-	switch {
-	case c.SharedCache < 0:
+	if c.SharedCache < 0 {
 		fail("-sharedcache %d: the shared-cache retention cannot be negative", c.SharedCache)
-	case c.Prefetch && c.SharedCache == 0:
-		fail("-prefetch requires a non-zero -sharedcache: prefetched shard payloads are staged in the per-model shared cache, and a zero-byte cache discards every one")
 	}
 	if devices[c.Device] == nil {
 		fail("unknown -device %q (odroid or jetson)", c.Device)
@@ -201,17 +194,6 @@ func (s *Server) serveFleet(cfg Config, mux *http.ServeMux) error {
 	fleet, err := newFleet(cfg)
 	if err != nil {
 		return err
-	}
-	if cfg.Prefetch || cfg.Speculate {
-		popts := sti.PredictOptions{Prefetch: cfg.Prefetch, Speculate: cfg.Speculate}
-		if err := fleet.EnablePrediction(popts); err != nil {
-			return err
-		}
-		r := popts.WithDefaults()
-		log.Printf("prediction enabled: prefetch=%v speculate=%v interval=%v lookahead=%d minconf=%d warmtrend=%.2f rps cooldown=%v sharedcache=%d KB/model",
-			r.Prefetch, r.Speculate, r.Interval, r.Lookahead, r.MinConfidence, r.WarmTrend, r.WarmCooldown, cfg.SharedCache>>10)
-	} else {
-		log.Printf("prediction disabled (enable with -prefetch and/or -speculate)")
 	}
 	fleet.SetObservability(s.hub)
 	s.fleet = fleet

@@ -35,8 +35,6 @@ func TestConfigValidate(t *testing.T) {
 			c.Mode, c.Models, c.Peers, c.Replicas, c.Device = "router", nil, "a=http://h:1", 0, "x"
 			c.Budget, c.Slack, c.SharedCache = -1, 0, -1
 		}, nil},
-		{"speculate without a shared cache", func(c *Config) { c.Speculate, c.SharedCache = true, 0 }, nil},
-		{"prefetch with a shared cache", func(c *Config) { c.Prefetch, c.Speculate = true, true }, nil},
 		{"unknown mode", func(c *Config) { c.Mode = "mesh" }, []string{`unknown -mode "mesh"`}},
 		{"node without -node", func(c *Config) { c.Mode, c.Peers = "node", "a=http://h:1" }, []string{"requires -node and -peers"}},
 		{"node without -peers", func(c *Config) { c.Mode, c.Node = "node", "a" }, []string{"requires -node and -peers"}},
@@ -50,12 +48,10 @@ func TestConfigValidate(t *testing.T) {
 		{"negative budget", func(c *Config) { c.Budget = -1 }, []string{"-budget -1"}},
 		{"negative slack", func(c *Config) { c.Slack = -5 }, []string{"-slack -5"}},
 		{"negative shared cache", func(c *Config) { c.SharedCache = -7 }, []string{"-sharedcache -7"}},
-		{"prefetch without a shared cache", func(c *Config) { c.Prefetch, c.SharedCache = true, 0 }, []string{"-prefetch requires a non-zero -sharedcache"}},
-		{"prefetch with a negative shared cache", func(c *Config) { c.Prefetch, c.SharedCache = true, -1 }, []string{"-sharedcache"}},
 		{"unknown device", func(c *Config) { c.Device = "pixel" }, []string{`unknown -device "pixel"`}},
 		{"every fault at once", func(c *Config) {
-			c.Node, c.Models, c.Replicas, c.Prefetch, c.SharedCache, c.Device = "a", nil, 0, true, 0, "pixel"
-		}, []string{"need -mode node", "at least one -model", "-replicas 0", "-prefetch", "unknown -device"}},
+			c.Node, c.Models, c.Replicas, c.SharedCache, c.Device = "a", nil, 0, -1, "pixel"
+		}, []string{"need -mode node", "at least one -model", "-replicas 0", "-sharedcache -1", "unknown -device"}},
 	} {
 		cfg := base
 		tc.edit(&cfg)
@@ -101,8 +97,6 @@ func (quickConfig) Generate(r *rand.Rand, _ int) reflect.Value {
 		Budget:      pick[int64](r, -1, 0, 4096),
 		Replicas:    r.Intn(5) - 1,
 		Slack:       pick(r, -5, 0, 1.5, 4, math.NaN()),
-		Prefetch:    r.Intn(2) == 0,
-		Speculate:   r.Intn(2) == 0,
 		SharedCache: pick[int64](r, -7, 0, 1<<20),
 		Mode:        pick(r, "standalone", "node", "router", "mesh"),
 		Peers:       p.s,
@@ -149,7 +143,6 @@ func (q quickConfig) violations() []string {
 		{c.Replicas < 1, "-replicas"},
 		{!(c.Slack > 0), "-slack"},
 		{c.SharedCache < 0, "-sharedcache"},
-		{c.Prefetch && c.SharedCache == 0, "-prefetch"},
 		{c.Device != "odroid" && c.Device != "jetson", "-device"},
 	} {
 		if rule.broken {

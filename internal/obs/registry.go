@@ -150,7 +150,7 @@ func (r *Registry) NewGauge(name, help string, labels Labels) *Gauge {
 
 // NewCounterFunc registers a counter whose value is read from fn at
 // scrape time — the bridge for subsystems that already keep
-// authoritative atomic counters (shard cache, replica pool, predictor)
+// authoritative atomic counters (shard cache, replica pool, step loops)
 // without double-counting.
 func (r *Registry) NewCounterFunc(name, help string, labels Labels, fn func() float64) {
 	r.register(&instrument{name: name, help: help, kind: "counter", labels: renderLabels(labels), read: fn})

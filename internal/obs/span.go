@@ -29,10 +29,9 @@ const (
 // Shard IO origins recorded as SpanShardIO details and counted by the
 // shard-read metrics.
 const (
-	OriginFlash    = "flash"
-	OriginCache    = "cache"
-	OriginPeer     = "peer"
-	OriginPrefetch = "prefetch"
+	OriginFlash = "flash"
+	OriginCache = "cache"
+	OriginPeer  = "peer"
 )
 
 // slabSpans bounds the spans one trace can hold. Past the cap new

@@ -33,7 +33,7 @@ type Engine struct {
 	// model dedupe their flash reads through a single-flight cache.
 	// osrc is src's origin-tagged surface when it has one — the IO
 	// worker reads through it so shard-IO trace spans carry a
-	// flash/cache/peer/prefetch origin.
+	// flash/cache/peer origin.
 	src  store.PayloadReader
 	osrc store.OriginReader
 	// verified reports that src checks payload checksums itself (a
@@ -59,14 +59,6 @@ type Engine struct {
 	// job — before the cancellation check — so tests can cancel a
 	// context at an exact layer and assert the stream stops there.
 	ioHook func(layer int)
-
-	// obs, when non-nil, observes the shard-access sequence: one
-	// (plan target, layer) event as each layer's IO job starts, on
-	// every execution path (classify, materialize, warm refills are
-	// excluded — they are not demand accesses). It feeds the
-	// internal/predict sequence predictor and must be cheap and
-	// non-blocking; it is invoked with no engine lock held.
-	obs func(target time.Duration, layer int)
 }
 
 // NewEngine opens the resident parameters of a preprocessed store.
@@ -145,33 +137,6 @@ func (e *Engine) release(ws *model.SubLayer) {
 	case e.free <- ws:
 	default:
 	}
-}
-
-// SetAccessObserver installs (or, with nil, removes) the engine's
-// shard-access observer: fn is called with the executing plan's latency
-// target and the layer index as each layer's IO job starts. fn must be
-// cheap and non-blocking — it runs on the IO goroutine of every
-// execution. Installation is synchronized (unlike SetPayloadSource, an
-// observer may be attached while streams are in flight: in-flight
-// executions pick it up on their next layer boundary or execution).
-func (e *Engine) SetAccessObserver(fn func(target time.Duration, layer int)) {
-	e.mu.Lock()
-	e.obs = fn
-	e.mu.Unlock()
-}
-
-// observer snapshots the access observer for one execution's stream.
-func (e *Engine) observer() func(target time.Duration, layer int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.obs
-}
-
-// HasAccessObserver reports whether an access observer is currently
-// attached — the lifecycle hook fleets assert on when attaching taps
-// at EnablePrediction and detaching them at StopPrediction.
-func (e *Engine) HasAccessObserver() bool {
-	return e.observer() != nil
 }
 
 // CacheBytes returns the bytes currently held in the preload buffer.
@@ -509,7 +474,6 @@ func (e *Engine) streamLayers(ctx context.Context, p *planner.Plan, stats *ExecS
 // cancellation is checked at every layer boundary so flash IO stops
 // within one layer of ctx being cancelled.
 func (e *Engine) ioWorker(ctx context.Context, p *planner.Plan, out chan<- layerDelivery) {
-	observe := e.observer()
 	tr := obs.FromContext(ctx)
 	for l := 0; l < p.Depth; l++ {
 		if e.ioHook != nil {
@@ -518,13 +482,6 @@ func (e *Engine) ioWorker(ctx context.Context, p *planner.Plan, out chan<- layer
 		if err := ctx.Err(); err != nil {
 			out <- layerDelivery{layer: l, err: err}
 			return
-		}
-		if observe != nil {
-			// The access event fires as the layer's IO starts — the
-			// earliest point the (tier, layer) coordinate is certain —
-			// so a prefetcher trained on these events runs ahead of the
-			// compute front, not behind it.
-			observe(p.Target, l)
 		}
 		d := layerDelivery{layer: l, payloads: make([][]byte, p.Width)}
 		origin := ""
@@ -563,10 +520,8 @@ func (e *Engine) ioWorker(ctx context.Context, p *planner.Plan, out chan<- layer
 func originRank(o string) int {
 	switch o {
 	case store.OriginFlash:
-		return 4
-	case store.OriginPeer:
 		return 3
-	case store.OriginPrefetch:
+	case store.OriginPeer:
 		return 2
 	case store.OriginCache:
 		return 1

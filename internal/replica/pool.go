@@ -137,21 +137,6 @@ func (p *Pool) Size() int {
 	return p.liveLocked()
 }
 
-// Engines snapshots the engines of all live replicas — used to attach
-// observers (e.g. the predictive subsystem's access taps) to replicas
-// that already existed when the observer was installed.
-func (p *Pool) Engines() []*pipeline.Engine {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	engines := make([]*pipeline.Engine, 0, len(p.replicas))
-	for _, r := range p.replicas {
-		if !r.draining {
-			engines = append(engines, r.Engine)
-		}
-	}
-	return engines
-}
-
 func (p *Pool) liveLocked() int {
 	n := 0
 	for _, r := range p.replicas {

@@ -45,7 +45,6 @@ import (
 	"sti/internal/obs"
 	"sti/internal/pipeline"
 	"sti/internal/planner"
-	"sti/internal/predict"
 	"sti/internal/replica"
 	"sti/internal/store"
 )
@@ -71,10 +70,8 @@ var (
 )
 
 // Backend is the fleet surface the scheduler drives. *sti.Fleet
-// implements it; tests substitute stubs. ObserveArrival is called on
-// the serving path and must be cheap and non-blocking;
-// the stats methods report ok=false for a model (or a backend) with
-// nothing to report.
+// implements it; tests substitute stubs. The stats methods report
+// ok=false for a model (or a backend) with nothing to report.
 type Backend interface {
 	// Names lists managed models in a stable order.
 	Names() []string
@@ -89,19 +86,13 @@ type Backend interface {
 	// be safe for concurrent use and honor ctx cancellation.
 	ServeBatch(ctx context.Context, name string, reqs []pipeline.Request) ([]*pipeline.Response, *pipeline.BatchStats, error)
 
-	// ObserveArrival receives one observation per successful admission:
-	// the request's canonicalized SLO class — the predictive
-	// subsystem's arrival stream.
-	ObserveArrival(model string, class time.Duration)
-
 	// ReplicaStats and SharedCacheStats report a model's replica pool
 	// and its shared shard-cache counters; GenerateStats its aggregated
-	// continuous-batching step loops; PredictStats its predictors. All
-	// surface through Snapshot into ModelStats.
+	// continuous-batching step loops. All surface through Snapshot into
+	// ModelStats.
 	ReplicaStats(model string) (replica.PoolStats, bool)
 	SharedCacheStats(model string) (store.CacheStats, bool)
 	GenerateStats(model string) (pipeline.StepLoopStats, bool)
-	PredictStats(model string) (predict.ModelStats, bool)
 }
 
 // Options tunes the scheduler.
@@ -345,11 +336,6 @@ func (s *Scheduler) Submit(ctx context.Context, model string, req pipeline.Reque
 			}
 		}
 		s.mu.Unlock()
-		// Every admission is an arrival observation: the predictive
-		// subsystem trains its per-(model, SLO-class) rate EWMAs on the
-		// admission stream (req.TargetLatency is already canonicalized
-		// above).
-		s.backend.ObserveArrival(model, req.TargetLatency)
 	default:
 		s.mu.Unlock()
 		q.stats.shed()

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"sti/internal/pipeline"
-	"sti/internal/predict"
 	"sti/internal/replica"
 	"sti/internal/store"
 )
@@ -158,9 +157,8 @@ func (b *stubBackend) ServeBatch(ctx context.Context, name string, reqs []pipeli
 	return out, bs, nil
 }
 
-// The stub has no replica pools, step loops or predictors: the
-// scheduler's signals go nowhere and every stats query reports none.
-func (b *stubBackend) ObserveArrival(string, time.Duration) {}
+// The stub has no replica pools or step loops: every stats query
+// reports none.
 func (b *stubBackend) ReplicaStats(string) (replica.PoolStats, bool) {
 	return replica.PoolStats{}, false
 }
@@ -169,9 +167,6 @@ func (b *stubBackend) SharedCacheStats(string) (store.CacheStats, bool) {
 }
 func (b *stubBackend) GenerateStats(string) (pipeline.StepLoopStats, bool) {
 	return pipeline.StepLoopStats{}, false
-}
-func (b *stubBackend) PredictStats(string) (predict.ModelStats, bool) {
-	return predict.ModelStats{}, false
 }
 
 // batchCalls returns the size of every ServeBatch call so far, in order.

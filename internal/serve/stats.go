@@ -9,7 +9,6 @@ import (
 
 	"sti/internal/obs"
 	"sti/internal/pipeline"
-	"sti/internal/predict"
 )
 
 // ModelStats is one model's serving counters and latency distribution
@@ -67,25 +66,12 @@ type ModelStats struct {
 	SingleflightHits       uint64 `json:"singleflight_hits"`
 	FlashReads             uint64 `json:"flash_reads,omitempty"`
 	SingleflightBytesSaved int64  `json:"singleflight_bytes_saved,omitempty"`
-	// PrefetchHits counts demand reads the predictive prefetcher had
-	// already staged in the shared cache's second-class segment;
-	// PrefetchWasted counts prefetched payloads evicted (or rejected)
-	// without ever serving a demand read, and PrefetchedBytes is the
-	// segment's current residency.
-	PrefetchHits    uint64 `json:"prefetch_hits,omitempty"`
-	PrefetchWasted  uint64 `json:"prefetch_wasted,omitempty"`
-	PrefetchedBytes int64  `json:"prefetched_bytes,omitempty"`
 	// PeerHits counts demand misses a cluster peer's retained copy
 	// satisfied instead of local flash (PeerBytes the bytes so served);
 	// PeerServed counts retained payloads this node donated to peers.
 	PeerHits   uint64 `json:"peer_hits,omitempty"`
 	PeerBytes  int64  `json:"peer_bytes,omitempty"`
 	PeerServed uint64 `json:"peer_served,omitempty"`
-
-	// Predict snapshots the model's predictive subsystem (arrival-rate
-	// EWMAs, sequence-predictor accuracy, actuation counters). Nil when
-	// prediction is disabled.
-	Predict *predict.ModelStats `json:"predict,omitempty"`
 
 	// Gen snapshots the model's continuous-batching step loops (one
 	// per replica, aggregated): batched decode steps, in-flight and
@@ -122,14 +108,11 @@ type Stats struct {
 	// absorbed across models.
 	Replicas         int    `json:"replicas,omitempty"`
 	SingleflightHits uint64 `json:"singleflight_hits"`
-	// PrefetchHits/PrefetchWasted sum the predictive prefetcher's
-	// outcomes across every model's shared cache; PeerHits/PeerServed
-	// sum the cluster peer-cache level's traffic (misses peers served
-	// for this node, and payloads this node donated).
-	PrefetchHits   uint64 `json:"prefetch_hits,omitempty"`
-	PrefetchWasted uint64 `json:"prefetch_wasted,omitempty"`
-	PeerHits       uint64 `json:"peer_hits,omitempty"`
-	PeerServed     uint64 `json:"peer_served,omitempty"`
+	// PeerHits/PeerServed sum the cluster peer-cache level's traffic
+	// (misses peers served for this node, and payloads this node
+	// donated).
+	PeerHits   uint64 `json:"peer_hits,omitempty"`
+	PeerServed uint64 `json:"peer_served,omitempty"`
 	// GenSteps/GenStreams/GenKVBytes sum the continuous-batching step
 	// loops across models: batched decode forwards executed, streams
 	// decoding right now, and live paged KV bytes.
@@ -366,15 +349,9 @@ func (s *Scheduler) Snapshot() Stats {
 			ms.SingleflightHits = cs.Hits()
 			ms.FlashReads = cs.FlashReads
 			ms.SingleflightBytesSaved = cs.BytesSaved
-			ms.PrefetchHits = cs.PrefetchHits
-			ms.PrefetchWasted = cs.PrefetchWasted
-			ms.PrefetchedBytes = cs.PrefetchedBytes
 			ms.PeerHits = cs.PeerHits
 			ms.PeerBytes = cs.PeerBytes
 			ms.PeerServed = cs.PeerServed
-		}
-		if ps, ok := s.backend.PredictStats(ms.Model); ok {
-			ms.Predict = &ps
 		}
 		if gs, ok := s.backend.GenerateStats(ms.Model); ok {
 			ms.Gen = &gs
@@ -384,8 +361,6 @@ func (s *Scheduler) Snapshot() Stats {
 		}
 		st.Replicas += ms.Replicas
 		st.SingleflightHits += ms.SingleflightHits
-		st.PrefetchHits += ms.PrefetchHits
-		st.PrefetchWasted += ms.PrefetchWasted
 		st.PeerHits += ms.PeerHits
 		st.PeerServed += ms.PeerServed
 		st.Completed += ms.Completed

@@ -244,13 +244,23 @@ func TestSchedulerGenerateDeadlineStopsDecode(t *testing.T) {
 // stream slot.
 type genGateBackend struct {
 	*stubBackend
-	genGate  chan struct{}
-	entered  chan struct{}
-	once     sync.Once
-	arrivals atomic.Int64 // admissions observed, i.e. jobs enqueued
+	genGate chan struct{}
+	entered chan struct{}
+	once    sync.Once
 }
 
-func (b *genGateBackend) ObserveArrival(string, time.Duration) { b.arrivals.Add(1) }
+// doneCounter counts Done calls: a queued generate's context is asked
+// for Done once by Submit, waiting for its outcome, and once by the
+// worker that parks the job on the stream cap.
+type doneCounter struct {
+	context.Context
+	calls atomic.Int64
+}
+
+func (c *doneCounter) Done() <-chan struct{} {
+	c.calls.Add(1)
+	return c.Context.Done()
+}
 
 func (b *genGateBackend) Serve(ctx context.Context, name string, req pipeline.Request) (*pipeline.Response, error) {
 	if req.Task == pipeline.TaskGenerate {
@@ -342,9 +352,9 @@ func TestSchedulerStreamCapDoesNotHoldGatherSeat(t *testing.T) {
 	defer s.Close()
 	defer releaseGen() // a failed check must not leave Close waiting on a parked stream
 
-	generate := func(tok int, errs chan<- error) {
+	generate := func(ctx context.Context, tok int, errs chan<- error) {
 		go func() {
-			_, err := s.Submit(context.Background(), "m", pipeline.Request{
+			_, err := s.Submit(ctx, "m", pipeline.Request{
 				Task: pipeline.TaskGenerate, Tokens: []int{tok}, MaxNewTokens: 2,
 			})
 			errs <- err
@@ -353,14 +363,15 @@ func TestSchedulerStreamCapDoesNotHoldGatherSeat(t *testing.T) {
 	// The first generate holds the only stream slot, parked in the
 	// backend until the gate opens.
 	genErrs := make(chan error, 2)
-	generate(1, genErrs)
+	generate(context.Background(), 1, genErrs)
 	recvWithin(t, "live generate in backend", b.entered)
 
 	// The second is dequeued by a worker that then parks on the full
 	// stream semaphore.
-	generate(2, genErrs)
-	waitUntil(t, "second generate dequeued", func() bool {
-		return b.arrivals.Load() == 2 && queueDepth(s, "m") == 0
+	parked := &doneCounter{Context: context.Background()}
+	generate(parked, 2, genErrs)
+	waitUntil(t, "second generate parked on the stream cap", func() bool {
+		return parked.calls.Load() == 2 && queueDepth(s, "m") == 0
 	})
 
 	classified := make(chan error, 1)

@@ -60,15 +60,6 @@ func (f *flight) verify() {
 // CacheStats is a point-in-time snapshot of a SharedCache's
 // deduplication counters. BytesRead is actual flash IO; BytesSaved is
 // IO the cache absorbed (coalesced or retained hits).
-//
-// The Prefetch* counters account the speculative second-class segment
-// separately from demand retention, so wasted prefetch is measurable:
-// Prefetches is speculative flash reads issued, PrefetchHits is
-// prefetched payloads a demand read later consumed (promoted to the
-// demand segment), PrefetchWasted is prefetched payloads evicted or
-// dropped without ever being demanded, and PrefetchedBytes is the
-// segment's current residency (within RetainedBytes' budget, never in
-// addition to it).
 type CacheStats struct {
 	Requests         uint64 `json:"requests"`
 	FlashReads       uint64 `json:"flash_reads"`
@@ -76,13 +67,8 @@ type CacheStats struct {
 	RetainedHits     uint64 `json:"retained_hits"`     // served from the retained-payload LRU
 	BytesRead        int64  `json:"bytes_read"`
 	BytesSaved       int64  `json:"bytes_saved"`
-	RetainedBytes    int64  `json:"retained_bytes"` // current residency, both segments
+	RetainedBytes    int64  `json:"retained_bytes"` // current residency
 	Evictions        uint64 `json:"evictions"`
-
-	Prefetches      uint64 `json:"prefetches"`       // speculative flash reads issued
-	PrefetchHits    uint64 `json:"prefetch_hits"`    // prefetched payloads demand later consumed
-	PrefetchWasted  uint64 `json:"prefetch_wasted"`  // prefetched payloads never demanded
-	PrefetchedBytes int64  `json:"prefetched_bytes"` // current second-class segment residency
 
 	PeerFetches     uint64 `json:"peer_fetches"`      // peer-level lookups attempted on demand misses
 	PeerHits        uint64 `json:"peer_hits"`         // demand misses a peer's retained copy satisfied
@@ -94,7 +80,7 @@ type CacheStats struct {
 // Hits is the total number of reads the cache absorbed without
 // touching local flash.
 func (s CacheStats) Hits() uint64 {
-	return s.SingleflightHits + s.RetainedHits + s.PrefetchHits + s.PeerHits
+	return s.SingleflightHits + s.RetainedHits + s.PeerHits
 }
 
 // SharedCache is a read-through, content-addressed payload cache that
@@ -124,36 +110,23 @@ func (s CacheStats) Hits() uint64 {
 // it serves and retains are verified. Failed reads — checksum
 // mismatches included — are never cached: every waiter of a failed
 // flight observes the error and the next call retries.
-//
-// Retention is segmented in two classes sharing the one retain budget.
-// Demand-retained payloads (completed ReadShardPayload results) live on
-// the primary LRU. Speculatively prefetched payloads
-// (PrefetchShardPayload) live on a second-class LRU: they are always
-// evicted before any demand entry, a prefetch insert never displaces a
-// demand entry (it is refused instead), and a demand read that finds a
-// prefetched payload promotes it into the demand segment (counting a
-// PrefetchHit). Mispredicted prefetch therefore costs only its own
-// flash read and the budget slack demand was not using.
 type SharedCache struct {
 	src PayloadReader
 
-	mu        sync.Mutex
-	peer      PeerFetch // optional second level, consulted on demand miss before src
-	retain    int64
-	flights   map[payloadKey]*flight
-	cache     map[payloadKey]*list.Element
-	lru       *list.List // of *cacheEntry, demand segment; front = least recently used
-	pref      *list.List // of *cacheEntry, second-class prefetch segment; front = LRU
-	bytes     int64      // demand-segment residency
-	prefBytes int64      // prefetch-segment residency
-	stats     CacheStats
+	mu      sync.Mutex
+	peer    PeerFetch // optional second level, consulted on miss before src
+	retain  int64
+	flights map[payloadKey]*flight
+	cache   map[payloadKey]*list.Element
+	lru     *list.List // of *cacheEntry; front = least recently used
+	bytes   int64      // retained residency
+	stats   CacheStats
 }
 
-// cacheEntry is one retained payload on either LRU list.
+// cacheEntry is one retained payload on the LRU list.
 type cacheEntry struct {
-	key        payloadKey
-	payload    []byte
-	prefetched bool // lives on the second-class prefetch list
+	key     payloadKey
+	payload []byte
 }
 
 // NewSharedCache fronts src with a single-flight payload cache
@@ -169,7 +142,6 @@ func NewSharedCache(src PayloadReader, retainBytes int64) *SharedCache {
 		flights: make(map[payloadKey]*flight),
 		cache:   make(map[payloadKey]*list.Element),
 		lru:     list.New(),
-		pref:    list.New(),
 	}
 }
 
@@ -194,39 +166,19 @@ func (c *SharedCache) Drop() {
 	c.evictToLocked(0)
 }
 
-// evictToLocked evicts retained payloads until at most limit bytes
-// remain across both segments. The second-class prefetch segment is
-// drained first (LRU order); demand entries are touched only once no
-// prefetched payload remains — speculation never outlives demand.
+// evictToLocked evicts least recently used payloads until at most
+// limit bytes remain retained.
 func (c *SharedCache) evictToLocked(limit int64) {
-	for c.bytes+c.prefBytes > limit {
-		el := c.pref.Front()
-		if el == nil {
-			break
-		}
-		c.removeLocked(el)
-	}
 	for c.bytes > limit {
 		el := c.lru.Front()
 		if el == nil {
 			return
 		}
-		c.removeLocked(el)
-	}
-}
-
-func (c *SharedCache) removeLocked(el *list.Element) {
-	e := el.Value.(*cacheEntry)
-	if e.prefetched {
-		c.pref.Remove(el)
-		c.prefBytes -= int64(len(e.payload))
-		c.stats.PrefetchWasted++ // evicted without ever being demanded
-	} else {
-		c.lru.Remove(el)
+		e := c.lru.Remove(el).(*cacheEntry)
 		c.bytes -= int64(len(e.payload))
+		delete(c.cache, e.key)
+		c.stats.Evictions++
 	}
-	delete(c.cache, e.key)
-	c.stats.Evictions++
 }
 
 // PeerFetch is the optional second cache level: given a shard's
@@ -248,7 +200,7 @@ func (c *SharedCache) SetPeerFetch(fn PeerFetch) {
 }
 
 // Peek reports a retained payload without any IO or retention churn:
-// no flash fallthrough, no LRU reordering, no prefetch promotion. It
+// no flash fallthrough, no LRU reordering. It
 // is the donor side of the peer level — a peer's miss must not
 // reshuffle this node's eviction order or trigger flash reads on the
 // peer's behalf.
@@ -276,8 +228,7 @@ func (c *SharedCache) ReadShardPayload(layer, slice, bits int) ([]byte, error) {
 }
 
 // ReadShardPayloadOrigin is ReadShardPayload plus where the bytes came
-// from (OriginCache for retained or coalesced hits, OriginPrefetch for
-// a speculatively prefetched payload consumed by demand, OriginPeer,
+// from (OriginCache for retained or coalesced hits, OriginPeer,
 // OriginFlash) — the tag execution engines stamp on shard-IO trace
 // spans. Implements OriginReader.
 func (c *SharedCache) ReadShardPayloadOrigin(layer, slice, bits int) ([]byte, string, error) {
@@ -285,27 +236,12 @@ func (c *SharedCache) ReadShardPayloadOrigin(layer, slice, bits int) ([]byte, st
 	c.mu.Lock()
 	c.stats.Requests++
 	if el, ok := c.cache[k]; ok {
-		e := el.Value.(*cacheEntry)
-		p := e.payload
-		origin := OriginCache
-		if e.prefetched {
-			// A demanded prefetch graduates to the demand segment: the
-			// speculation paid off, so the payload is no longer
-			// first-to-evict.
-			c.pref.Remove(el)
-			e.prefetched = false
-			c.cache[k] = c.lru.PushBack(e)
-			c.prefBytes -= int64(len(p))
-			c.bytes += int64(len(p))
-			c.stats.PrefetchHits++
-			origin = OriginPrefetch
-		} else {
-			c.lru.MoveToBack(el)
-			c.stats.RetainedHits++
-		}
+		p := el.Value.(*cacheEntry).payload
+		c.lru.MoveToBack(el)
+		c.stats.RetainedHits++
 		c.stats.BytesSaved += int64(len(p))
 		c.mu.Unlock()
-		return p, origin, nil
+		return p, OriginCache, nil
 	}
 	if f, ok := c.flights[k]; ok {
 		c.mu.Unlock()
@@ -354,9 +290,8 @@ func (c *SharedCache) ReadShardPayloadOrigin(layer, slice, bits int) ([]byte, st
 			c.stats.FlashReads++
 			c.stats.BytesRead += int64(len(f.payload))
 		}
-		// Either way the payload was demanded: retain it in the demand
-		// segment under the same byte budget (peer-fetched bytes never
-		// overshoot it — exactly as subordinate as prefetch).
+		// Either way retain it under the same byte budget: peer-fetched
+		// bytes never overshoot it.
 		c.insertLocked(k, f.payload)
 	}
 	if peer != nil {
@@ -370,27 +305,12 @@ func (c *SharedCache) ReadShardPayloadOrigin(layer, slice, bits int) ([]byte, st
 	return f.payload, origin, f.err
 }
 
-// insertLocked retains one completed payload in the demand segment,
-// evicting least recently used entries (prefetched first) until it
-// fits. Payloads larger than the whole retention budget are not
-// retained (they would evict everything for one entry).
+// insertLocked retains one completed payload, evicting least recently
+// used entries until it fits. Payloads larger than the whole retention
+// budget are not retained (they would evict everything for one entry).
 func (c *SharedCache) insertLocked(k payloadKey, p []byte) {
 	need := int64(len(p))
 	if need == 0 || need > c.retain {
-		return
-	}
-	if el, ok := c.cache[k]; ok {
-		// A racing flight or prefetch of the same key already retained
-		// it; if speculation got there first, the demand completion
-		// promotes it out of the second-class segment.
-		if e := el.Value.(*cacheEntry); e.prefetched {
-			c.pref.Remove(el)
-			e.prefetched = false
-			c.cache[k] = c.lru.PushBack(e)
-			c.prefBytes -= int64(len(e.payload))
-			c.bytes += int64(len(e.payload))
-			c.stats.PrefetchHits++
-		}
 		return
 	}
 	c.evictToLocked(c.retain - need)
@@ -398,81 +318,11 @@ func (c *SharedCache) insertLocked(k payloadKey, p []byte) {
 	c.bytes += need
 }
 
-// PrefetchShardPayload speculatively pulls one shard payload into the
-// cache's second-class segment ahead of demand. It is strictly budget-
-// subordinate: the payload is retained only if it fits the retain
-// budget after evicting other *prefetched* entries — demand-retained
-// payloads are never displaced, and an oversized or unfittable payload
-// is simply dropped (its read still primed nothing, counted
-// PrefetchWasted). Already-retained and already-in-flight keys are
-// no-ops, so a prefetcher racing the compute front never duplicates
-// IO; a concurrent demand read coalesces onto the prefetch's flight
-// exactly like any other reader. It reports whether the payload is
-// retained on return.
-func (c *SharedCache) PrefetchShardPayload(layer, slice, bits int) (bool, error) {
-	k := payloadKey{Layer: layer, Slice: slice, Bits: bits}
-	c.mu.Lock()
-	if c.retain == 0 {
-		c.mu.Unlock()
-		return false, nil // nothing can be retained; don't touch flash
-	}
-	if _, ok := c.cache[k]; ok {
-		c.mu.Unlock()
-		return true, nil // already retained (either segment)
-	}
-	if _, ok := c.flights[k]; ok {
-		c.mu.Unlock()
-		return false, nil // demand is already reading it
-	}
-	f := &flight{done: make(chan struct{})}
-	c.flights[k] = f
-	c.mu.Unlock()
-
-	f.payload, f.err = c.src.ReadShardPayload(layer, slice, bits)
-	f.verify()
-	close(f.done)
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.flights, k)
-	if f.err != nil {
-		return false, f.err
-	}
-	c.stats.FlashReads++
-	c.stats.BytesRead += int64(len(f.payload))
-	c.stats.Prefetches++
-	need := int64(len(f.payload))
-	if need == 0 || need > c.retain {
-		c.stats.PrefetchWasted++
-		return false, nil
-	}
-	if _, ok := c.cache[k]; ok {
-		return true, nil // a racing demand flight retained it meanwhile
-	}
-	// Make room with other prefetched payloads only; if demand retention
-	// alone already fills the budget, the speculation loses.
-	for c.bytes+c.prefBytes+need > c.retain {
-		el := c.pref.Front()
-		if el == nil {
-			break
-		}
-		c.removeLocked(el)
-	}
-	if c.bytes+c.prefBytes+need > c.retain {
-		c.stats.PrefetchWasted++
-		return false, nil
-	}
-	c.cache[k] = c.pref.PushBack(&cacheEntry{key: k, payload: f.payload, prefetched: true})
-	c.prefBytes += need
-	return true, nil
-}
-
 // Stats snapshots the cache's counters.
 func (c *SharedCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	s.RetainedBytes = c.bytes + c.prefBytes
-	s.PrefetchedBytes = c.prefBytes
+	s.RetainedBytes = c.bytes
 	return s
 }

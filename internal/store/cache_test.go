@@ -152,8 +152,8 @@ func TestSharedCacheLRUTouchOnHit(t *testing.T) {
 }
 
 // TestSharedCacheSetRetainAndDrop: the retention window is resizable
-// downward (evicting to fit) and Drop releases every retained byte
-// while coalescing keeps working.
+// downward (evicting least recently used payloads to fit) and Drop
+// releases every retained byte while coalescing keeps working.
 func TestSharedCacheSetRetainAndDrop(t *testing.T) {
 	src := &countingReader{}
 	c := NewSharedCache(src, 1<<10)
@@ -168,6 +168,15 @@ func TestSharedCacheSetRetainAndDrop(t *testing.T) {
 	c.SetRetain(2 * fakeLen)
 	if st := c.Stats(); st.RetainedBytes > 2*fakeLen {
 		t.Fatalf("retained %d bytes after SetRetain(%d)", st.RetainedBytes, 2*fakeLen)
+	}
+	before := src.reads.Load()
+	for l := 2; l < 4; l++ { // the two most recently used survive the shrink
+		if _, err := c.ReadShardPayload(l, 0, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if src.reads.Load() != before {
+		t.Fatal("SetRetain evicted a recently used payload before the least recently used ones")
 	}
 	c.Drop()
 	if st := c.Stats(); st.RetainedBytes != 0 {
@@ -237,5 +246,54 @@ func TestSharedCacheServesRealStore(t *testing.T) {
 	shards := uint64(st.Man.Config.Layers * st.Man.Config.Heads)
 	if stats.FlashReads != shards || stats.RetainedHits != shards {
 		t.Fatalf("stats %+v: want %d flash reads and %d retained hits", stats, shards, shards)
+	}
+}
+
+// TestSharedCacheStatsRace hammers Stats against concurrent demand
+// reads, Drop and SetRetain — the serve-layer snapshot
+// path races all of these in production (run under -race).
+func TestSharedCacheStatsRace(t *testing.T) {
+	src := &countingReader{}
+	c := NewSharedCache(src, 64)
+
+	const iters = 2000
+	var wg sync.WaitGroup
+	wg.Add(4)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			st := c.Stats()
+			if st.RetainedBytes < 0 {
+				t.Error("negative residency")
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			if _, err := c.ReadShardPayload(i%8, 0, 4); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters/10; i++ {
+			c.Drop()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters/10; i++ {
+			c.SetRetain(int64(16 + (i%4)*16))
+		}
+	}()
+	wg.Wait()
+
+	st := c.Stats()
+	if st.RetainedBytes > 64 {
+		t.Fatalf("RetainedBytes=%d exceeded the largest budget 64", st.RetainedBytes)
 	}
 }

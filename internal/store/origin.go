@@ -5,10 +5,9 @@ package store
 // shard-IO trace spans so a request timeline shows which reads hit
 // flash and which the cache hierarchy absorbed.
 const (
-	OriginFlash    = "flash"    // read from the local backing store
-	OriginCache    = "cache"    // retained or coalesced SharedCache hit
-	OriginPeer     = "peer"     // served by a peer node's retained copy
-	OriginPrefetch = "prefetch" // speculative prefetch consumed by demand
+	OriginFlash = "flash" // read from the local backing store
+	OriginCache = "cache" // retained or coalesced SharedCache hit
+	OriginPeer  = "peer"  // served by a peer node's retained copy
 )
 
 // OriginReader is the optional tagged read surface: ReadShardPayload

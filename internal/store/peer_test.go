@@ -141,14 +141,16 @@ func TestSharedCachePeerLevelBudgetSubordinate(t *testing.T) {
 	}
 }
 
-// TestSharedCachePeekIsInert: the donor-side Peek neither promotes
-// prefetched entries nor reorders the demand LRU nor falls through to
-// flash — a peer's traffic cannot reshape this node's cache.
+// TestSharedCachePeekIsInert: the donor-side Peek neither reorders the
+// LRU nor falls through to flash — a peer's traffic cannot reshape
+// this node's cache.
 func TestSharedCachePeekIsInert(t *testing.T) {
 	src := &countingReader{}
-	c := NewSharedCache(src, 1<<20)
-	if kept, err := c.PrefetchShardPayload(5, 0, 4); err != nil || !kept {
-		t.Fatalf("prefetch kept=%v err=%v", kept, err)
+	c := NewSharedCache(src, 2*fakeLen)
+	for l := 5; l <= 6; l++ {
+		if _, err := c.ReadShardPayload(l, 0, 4); err != nil {
+			t.Fatal(err)
+		}
 	}
 	reads := src.reads.Load()
 
@@ -159,9 +161,13 @@ func TestSharedCachePeekIsInert(t *testing.T) {
 	if src.reads.Load() != reads {
 		t.Fatal("Peek touched flash")
 	}
-	st := c.Stats()
-	if st.PrefetchHits != 0 || st.PrefetchedBytes == 0 {
-		t.Fatalf("stats %+v: Peek must not promote a prefetched entry", st)
+	// A third payload evicts the least recently used one, which is still
+	// layer 5: the Peek did not touch it.
+	if _, err := c.ReadShardPayload(7, 0, 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Peek(5, 0, 4); ok {
+		t.Fatal("Peek moved the payload it served up the LRU")
 	}
 	if _, ok := c.Peek(8, 8, 8); ok {
 		t.Fatal("Peek invented a payload it does not retain")

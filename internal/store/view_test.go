@@ -103,7 +103,7 @@ func TestParsePayloadRejectsUnsafeSections(t *testing.T) {
 }
 
 // TestSharedCacheRejectsCorruptFill: a flight filled with corrupt bytes
-// — from flash, a prefetch or a peer — fails with the checksum error,
+// — from flash or a peer — fails with the checksum error,
 // is retained nowhere, and the next read retries.
 func TestSharedCacheRejectsCorruptFill(t *testing.T) {
 	bad := fake(1, 2, 4)
@@ -112,9 +112,6 @@ func TestSharedCacheRejectsCorruptFill(t *testing.T) {
 	c := NewSharedCache(src, 1<<10)
 	if _, err := c.ReadShardPayload(1, 2, 4); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("corrupt flash read: err %v, want the checksum error", err)
-	}
-	if kept, err := c.PrefetchShardPayload(1, 2, 4); kept || !errors.Is(err, ErrChecksum) {
-		t.Fatalf("corrupt prefetch: kept=%v err=%v", kept, err)
 	}
 	if st := c.Stats(); st.RetainedBytes != 0 || st.FlashReads != 0 {
 		t.Fatalf("stats %+v: corrupt bytes retained or counted as reads", st)

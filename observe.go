@@ -3,13 +3,12 @@ package sti
 import (
 	"sti/internal/obs"
 	"sti/internal/pipeline"
-	"sti/internal/predict"
 	"sti/internal/replica"
 	"sti/internal/store"
 )
 
 // SetObservability bridges the fleet's authoritative counters — shard
-// cache, replica pools, generation step loops, predictor — into the
+// cache, replica pools, generation step loops — into the
 // hub's metrics registry as scrape-time collector functions. Nothing
 // is double-counted and no instrument is recorded on a serving path:
 // every value is read from the existing stats surfaces when /metrics
@@ -46,7 +45,7 @@ func (f *Fleet) SetObservability(h *obs.Hub) {
 
 	reg.NewCounterFunc("sti_shard_cache_requests_total", "Shard payload reads through the single-flight caches.", nil,
 		cache(func(s store.CacheStats) float64 { return float64(s.Requests) }))
-	reg.NewCounterFunc("sti_shard_cache_hits_total", "Reads absorbed without local flash IO (retained, coalesced, prefetched, peer).", nil,
+	reg.NewCounterFunc("sti_shard_cache_hits_total", "Reads absorbed without local flash IO (retained, coalesced, peer).", nil,
 		cache(func(s store.CacheStats) float64 { return float64(s.Hits()) }))
 	reg.NewCounterFunc("sti_shard_cache_flash_reads_total", "Reads that reached local flash.", nil,
 		cache(func(s store.CacheStats) float64 { return float64(s.FlashReads) }))
@@ -56,10 +55,6 @@ func (f *Fleet) SetObservability(h *obs.Hub) {
 		cache(func(s store.CacheStats) float64 { return float64(s.BytesSaved) }))
 	reg.NewGaugeFunc("sti_shard_cache_retained_bytes", "Payload bytes currently retained across caches.", nil,
 		cache(func(s store.CacheStats) float64 { return float64(s.RetainedBytes) }))
-	reg.NewCounterFunc("sti_shard_cache_prefetches_total", "Speculative prefetch flash reads issued.", nil,
-		cache(func(s store.CacheStats) float64 { return float64(s.Prefetches) }))
-	reg.NewCounterFunc("sti_shard_cache_prefetch_hits_total", "Prefetched payloads later consumed by demand.", nil,
-		cache(func(s store.CacheStats) float64 { return float64(s.PrefetchHits) }))
 	reg.NewCounterFunc("sti_shard_cache_peer_hits_total", "Demand misses served by a peer node's retained copy.", nil,
 		cache(func(s store.CacheStats) float64 { return float64(s.PeerHits) }))
 	reg.NewCounterFunc("sti_shard_cache_peer_served_total", "Retained payloads this node served to peers.", nil,
@@ -90,15 +85,6 @@ func (f *Fleet) SetObservability(h *obs.Hub) {
 		gen(func(s pipeline.StepLoopStats) float64 { return float64(s.Preempted) }))
 	reg.NewCounterFunc("sti_gen_recomputed_tokens_total", "Tokens replayed to restore evicted KV.", nil,
 		gen(func(s pipeline.StepLoopStats) float64 { return float64(s.RecomputedTokens) }))
-
-	reg.NewCounterFunc("sti_predict_prefetch_issued_total", "Prefetches issued by the predictive subsystem.", nil,
-		f.sumPredict(func(s predict.ModelStats) float64 { return float64(s.PrefetchIssued) }))
-	reg.NewCounterFunc("sti_predict_seq_hits_total", "Sequence-predictor hits.", nil,
-		f.sumPredict(func(s predict.ModelStats) float64 { return float64(s.SeqHits) }))
-	reg.NewCounterFunc("sti_predict_seq_predictions_total", "Sequence-predictor predictions issued.", nil,
-		f.sumPredict(func(s predict.ModelStats) float64 { return float64(s.SeqPredictions) }))
-	reg.NewCounterFunc("sti_predict_warms_total", "Speculative tier warms performed.", nil,
-		f.sumPredict(func(s predict.ModelStats) float64 { return float64(s.SpeculativeWarms) }))
 }
 
 // sumEntries builds a scrape-time reader that folds one per-entry
@@ -110,20 +96,6 @@ func (f *Fleet) sumEntries(pick func(e *FleetEntry) float64) func() float64 {
 		var total float64
 		for _, e := range f.entries {
 			total += pick(e)
-		}
-		return total
-	}
-}
-
-// sumPredict folds one predictor stat across the fleet's models; zero
-// when prediction is disabled.
-func (f *Fleet) sumPredict(pick func(predict.ModelStats) float64) func() float64 {
-	return func() float64 {
-		var total float64
-		for _, name := range f.Names() {
-			if s, ok := f.PredictStats(name); ok {
-				total += pick(s)
-			}
 		}
 		return total
 	}

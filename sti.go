@@ -43,7 +43,6 @@ import (
 	"sti/internal/obs"
 	"sti/internal/pipeline"
 	"sti/internal/planner"
-	"sti/internal/predict"
 	"sti/internal/profiler"
 	"sti/internal/replica"
 	"sti/internal/serve"
@@ -110,12 +109,6 @@ type (
 	// ShardCacheStats reports a model's single-flight payload cache:
 	// flash reads vs deduplicated hits and the bytes they saved.
 	ShardCacheStats = store.CacheStats
-	// PredictOptions tunes the predictive subsystem (prefetch and
-	// speculative warming); see Fleet.EnablePrediction.
-	PredictOptions = predict.Options
-	// PredictStats snapshots one model's predictors: arrival-rate
-	// EWMAs, sequence-predictor accuracy, and actuation counters.
-	PredictStats = predict.ModelStats
 
 	// Scheduler multiplexes concurrent inference requests across a
 	// Fleet with per-model bounded queues, deadlines and worker pools.
