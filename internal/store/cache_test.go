@@ -152,8 +152,8 @@ func TestSharedCacheLRUTouchOnHit(t *testing.T) {
 }
 
 // TestSharedCacheSetRetainAndDrop: the retention window is resizable
-// downward (evicting least recently used payloads to fit) and Drop
-// releases every retained byte while coalescing keeps working.
+// downward (evicting to fit) and Drop releases every retained byte
+// while coalescing keeps working.
 func TestSharedCacheSetRetainAndDrop(t *testing.T) {
 	src := &countingReader{}
 	c := NewSharedCache(src, 1<<10)
@@ -169,15 +169,6 @@ func TestSharedCacheSetRetainAndDrop(t *testing.T) {
 	if st := c.Stats(); st.RetainedBytes > 2*fakeLen {
 		t.Fatalf("retained %d bytes after SetRetain(%d)", st.RetainedBytes, 2*fakeLen)
 	}
-	before := src.reads.Load()
-	for l := 2; l < 4; l++ { // the two most recently used survive the shrink
-		if _, err := c.ReadShardPayload(l, 0, 4); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if src.reads.Load() != before {
-		t.Fatal("SetRetain evicted a recently used payload before the least recently used ones")
-	}
 	c.Drop()
 	if st := c.Stats(); st.RetainedBytes != 0 {
 		t.Fatalf("retained %d bytes after Drop, want 0", st.RetainedBytes)
@@ -188,6 +179,38 @@ func TestSharedCacheSetRetainAndDrop(t *testing.T) {
 	}
 	if st := c.Stats(); st.RetainedBytes != fakeLen {
 		t.Fatalf("retained %d bytes after post-Drop read, want %d", st.RetainedBytes, fakeLen)
+	}
+}
+
+// TestSharedCacheSetRetainEvictsLeastRecent: a SetRetain shrink evicts
+// the least recently used payloads first, so the most recently used
+// ones are still served without another flash read.
+func TestSharedCacheSetRetainEvictsLeastRecent(t *testing.T) {
+	src := &countingReader{}
+	c := NewSharedCache(src, 4*fakeLen) // four payloads
+	for l := 0; l < 4; l++ {
+		if _, err := c.ReadShardPayload(l, 0, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.SetRetain(2 * fakeLen)
+	if st := c.Stats(); st.RetainedBytes != 2*fakeLen {
+		t.Fatalf("retained %d bytes after SetRetain(%d), want %d", st.RetainedBytes, 2*fakeLen, 2*fakeLen)
+	}
+	before := src.reads.Load()
+	for l := 2; l < 4; l++ { // the two most recently used survive the shrink
+		if _, err := c.ReadShardPayload(l, 0, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if src.reads.Load() != before {
+		t.Fatal("SetRetain evicted a recently used payload before the least recently used ones")
+	}
+	if _, err := c.ReadShardPayload(0, 0, 4); err != nil { // evicted: read again
+		t.Fatal(err)
+	}
+	if src.reads.Load() != before+1 {
+		t.Fatalf("flash reads %d after re-reading an evicted payload, want %d", src.reads.Load(), before+1)
 	}
 }
 
