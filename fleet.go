@@ -25,7 +25,8 @@ import (
 // replanning).
 //
 // Each managed model is served by a pool of N replica engines
-// (internal/replica), N set by SetReplicas (default 1): each replica
+// (internal/replica), N set by SetReplicas before the model's first
+// plan (default 1) and fixed from then on: each replica
 // has its own preload buffer carved from the model's grant, and
 // requests dispatch least-loaded. Every tier is planned against, and
 // warmed under, one slice (Budget/N), so a request's output never
@@ -67,7 +68,7 @@ type FleetEntry struct {
 	// plus any tiers planned on demand for off-ladder SLOs), ascending
 	// by target. Populated on Entry snapshots only.
 	Tiers []PlanTier
-	// Replicas is the model's live replica count. Populated on Entry
+	// Replicas is the model's replica count. Populated on Entry
 	// snapshots only.
 	Replicas int
 
@@ -78,6 +79,8 @@ type FleetEntry struct {
 	// pool is the model's replica set: SetReplicas' count of pipeline
 	// engines, each holding a per-replica slice (Budget/n) of the model
 	// grant, with least-loaded dispatch. Replica 0 is System.Engine.
+	// SetReplicas replaces it until the first plan; from then on it is
+	// never reassigned.
 	pool *replica.Pool
 	// shared is the model's single-flight payload cache — every replica
 	// streams shards through it, so K replicas executing the same plan
@@ -117,15 +120,7 @@ func (f *Fleet) Add(name string, sys *System, target time.Duration, weight float
 	}
 	shared := store.NewSharedCache(sys.Store, sharedRetainBytes)
 	sys.Engine.SetPayloadSource(shared)
-	pool, err := replica.New(func(id int) (*pipeline.Engine, error) {
-		if id == 0 {
-			return sys.Engine, nil
-		}
-		// Later replicas share the loaded resident weights (read-only
-		// during execution) and the single-flight cache; each owns its
-		// own preload buffer, granted by the next replan.
-		return pipeline.NewReplicaEngine(sys.Store, sys.Engine.Resident, shared, 0), nil
-	}, 1)
+	pool, err := newPool(sys, shared, 1)
 	if err != nil {
 		return fmt.Errorf("sti: building replica pool for %q: %w", name, err)
 	}
@@ -138,50 +133,43 @@ func (f *Fleet) Add(name string, sys *System, target time.Duration, weight float
 	return nil
 }
 
+// newPool builds a model's pool of n replicas. Replica 0 is the
+// system's own engine; later replicas share its loaded resident
+// weights (read-only during execution) and the single-flight cache,
+// and each owns its own preload buffer, granted by the next replan.
+func newPool(sys *System, shared *store.SharedCache, n int) (*replica.Pool, error) {
+	return replica.New(func(id int) *pipeline.Engine {
+		if id == 0 {
+			return sys.Engine
+		}
+		return pipeline.NewReplicaEngine(sys.Store, sys.Engine.Resident, shared, 0)
+	}, n)
+}
+
 // SetReplicas sets a model's replica count: n engines serve the model,
-// and every tier is planned against, and warmed under, Budget/n. Call
-// before Replan for a fresh model, or any time after: a new count on a
-// planned model replans the fleet.
-//
-// The members change first, then the plans. A scale-down whose drain
-// times out (a generate stream outliving the pool's drain wait) fails
-// before any plan or buffer moved, and a failed replan scales the pool
-// back, so a failed resize leaves the count, the plans and the buffers
-// as they were. The write lock admits no new work, so a scale-down's
-// drain only waits out already-running generate streams (their
-// acquisitions are held to the terminal token; classify work never
-// outlives the read lock).
+// and every tier is planned against, and warmed under, Budget/n. The
+// count is a setting of a model that has not been planned yet: call
+// it between Add and the first Replan. On a planned model it returns
+// an error and changes nothing.
 func (f *Fleet) SetReplicas(name string, n int) error {
-	if n < 1 {
-		return fmt.Errorf("sti: SetReplicas(%q, %d): need at least one replica", name, n)
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	e, ok := f.entries[name]
 	if !ok {
 		return fmt.Errorf("sti: fleet has no model %q", name)
 	}
-	prev := e.pool.Size()
-	if n == prev {
-		return nil
+	if e.Plan != nil {
+		return fmt.Errorf("sti: SetReplicas(%q, %d): the model is planned; its replica count is fixed", name, n)
 	}
-	//sti:lockok quiesce-and-swap: a resize holds the write lock across replica teardown and warm so no reader sees a half-resized pool; only SetReplicas resizes
-	if err := e.pool.ScaleTo(n); err != nil {
-		return fmt.Errorf("sti: scaling %q: %w", name, err)
+	pool, err := newPool(e.System, e.shared, n)
+	if err != nil {
+		return fmt.Errorf("sti: SetReplicas(%q, %d): %w", name, n, err)
 	}
-	if e.Plan == nil {
-		return nil
-	}
-	//sti:lockok quiesce-and-swap: a new count re-slices every tier's grant; the fleet replans under the write lock exactly as SetBudget does
-	if err := f.replanLocked(); err != nil {
-		// replanLocked left every pool on its committed plans; the old
-		// count re-warms them under the old slice. The replicas a
-		// shrink-back retires were spawned under this write lock, so
-		// nothing holds them and the drain returns at once.
-		//sti:lockok quiesce-and-swap: the rollback of a failed replan resizes under the same write lock as the resize it undoes
-		_ = e.pool.ScaleTo(prev)
-		return err
-	}
+	// entryForServe refuses every request to an unplanned model, so no
+	// acquisition holds the old pool and its step loops stop at once.
+	//sti:lockok quiesce-and-swap: both pools share System.Engine as replica 0, so the old pool must release it before a replan can warm it for the new one
+	e.pool.Retire()
+	e.pool = pool
 	return nil
 }
 
@@ -232,22 +220,11 @@ func (f *Fleet) PeekShardPayload(name string, layer, slice, bits int) ([]byte, b
 	return e.shared.Peek(layer, slice, bits)
 }
 
-// Replicas returns a model's live replica count.
-func (f *Fleet) Replicas(name string) (int, bool) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	e, ok := f.entries[name]
-	if !ok {
-		return 0, false
-	}
-	return e.pool.Size(), true
-}
-
 // ReplicaStats snapshots a model's replica pool.
 func (f *Fleet) ReplicaStats(name string) (replica.PoolStats, bool) {
 	f.mu.RLock()
+	defer f.mu.RUnlock()
 	e, ok := f.entries[name]
-	f.mu.RUnlock()
 	if !ok {
 		return replica.PoolStats{}, false
 	}
@@ -607,25 +584,14 @@ func (f *Fleet) Serve(ctx context.Context, name string, req Request) (*Response,
 	// across every in-flight sequence), so the read lock is released
 	// the moment the stream is queued. The replica acquisition, by
 	// contrast, is held until the stream's terminal result: it is what
-	// makes least-loaded dispatch count live decodes and what a
-	// scale-down's drain waits on, so a draining replica never has its
-	// batcher closed under an active stream.
-	var rep *replica.Replica
+	// makes least-loaded dispatch count live decodes.
+	rep := r.entry.pool.Acquire()
 	ch, err := func() (<-chan pipeline.StreamResult, error) {
 		defer f.mu.RUnlock()
-		var err error
-		rep, err = r.entry.pool.Acquire()
-		if err != nil {
-			return nil, err
-		}
-		ch, err := rep.Batcher.Submit(ctx, r.plan, req)
-		if err != nil {
-			r.entry.pool.Release(rep, 0)
-			return nil, err
-		}
-		return ch, nil
+		return rep.Batcher.Submit(ctx, r.plan, req)
 	}()
 	if err != nil {
+		r.entry.pool.Release(rep, 0)
 		return nil, err
 	}
 	out := <-ch
@@ -644,8 +610,8 @@ func (f *Fleet) Serve(ctx context.Context, name string, req Request) (*Response,
 // (one per replica) into a single snapshot.
 func (f *Fleet) GenerateStats(name string) (pipeline.StepLoopStats, bool) {
 	f.mu.RLock()
+	defer f.mu.RUnlock()
 	e, ok := f.entries[name]
-	f.mu.RUnlock()
 	if !ok {
 		return pipeline.StepLoopStats{}, false
 	}
@@ -704,10 +670,7 @@ func (f *Fleet) ServeBatch(ctx context.Context, name string, reqs []Request) ([]
 	// batch rides one replica — its single shared IO/decompress stream
 	// is the point — released before the read lock (defer order).
 	defer f.mu.RUnlock()
-	rep, err := r.entry.pool.Acquire()
-	if err != nil {
-		return nil, nil, err
-	}
+	rep := r.entry.pool.Acquire()
 	served := 0
 	defer func() { r.entry.pool.Release(rep, served) }()
 	logits, bs, err := rep.Engine.ExecuteBatch(ctx, r.plan, inputs)

@@ -27,9 +27,8 @@ func prefixOf(got, want []int) bool {
 // TestFleetGenerateStress hammers the continuous batcher through the
 // full fleet path under -race: more concurrent admissions than two
 // replicas' step loops admit at once (so streams queue for admission),
-// mid-stream cancellations (which must free KV blocks and surface
-// partial responses), and replica scale-downs draining while step
-// loops run.
+// and mid-stream cancellations (which must free KV blocks and surface
+// partial responses).
 // Greedy decode is deterministic, so every response — complete or
 // cancelled partial — must be a byte prefix of its single-stream
 // reference: no lost and no invented tokens. Afterwards no KV bytes
@@ -62,32 +61,6 @@ func TestFleetGenerateStress(t *testing.T) {
 		}
 		refs[i] = resp.GeneratedTokens
 	}
-
-	// Resizer: scale-downs drain replicas (and close their batchers)
-	// while clients are mid-stream; scale-ups race admissions.
-	stop := make(chan struct{})
-	var resizerWG sync.WaitGroup
-	resizerWG.Add(1)
-	go func() {
-		defer resizerWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := f.SetReplicas("m", 1); err != nil {
-				t.Error(err)
-				return
-			}
-			time.Sleep(time.Millisecond)
-			if err := f.SetReplicas("m", 2); err != nil {
-				t.Error(err)
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
 
 	const workers = 2*pipeline.DefaultMaxStreams + 16
 	const perWorker = 3
@@ -138,8 +111,6 @@ func TestFleetGenerateStress(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	close(stop)
-	resizerWG.Wait()
 
 	// Quiesce: no stream live anywhere, no KV byte still charged
 	// against any engine grant, and the step loops actually batched.

@@ -41,8 +41,8 @@ func TestFleetReplicatedServeIdenticalLogits(t *testing.T) {
 	if err := f.Replan(); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := f.Replicas("m"); n != 3 {
-		t.Fatalf("replicas = %d, want 3", n)
+	if e, _ := f.Entry("m"); e.Replicas != 3 {
+		t.Fatalf("replicas = %d, want 3", e.Replicas)
 	}
 
 	// Concurrent requests spread across replicas; every logit vector
@@ -187,64 +187,46 @@ func TestFleetSingleflightDedupesReplicaIO(t *testing.T) {
 }
 
 // TestFleetScaleKeepsPlan: a model's ladder is a function of its grant
-// and its replica count only, so SetReplicas steps that return to a
-// count return to the same plans and every output is byte-identical to
-// what that count served before. At this budget the one-replica grant
-// plans a larger ladder than the two-replica one, so each step must
-// replan against its own slice.
+// and its replica count only, so fleets built with the same count plan
+// against the same slice (Budget/n) and serve byte-identical outputs.
+// At this budget the one-replica grant plans a larger ladder than the
+// two-replica one, so each count must plan against its own slice.
 func TestFleetScaleKeepsPlan(t *testing.T) {
 	const budget = 96 << 10
-	sys := fleetSystem(t, 9)
-	f := sti.NewFleet(budget)
-	if err := f.Add("m", sys, 200*time.Millisecond, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.SetReplicas("m", 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Replan(); err != nil {
-		t.Fatal(err)
-	}
-	before, _ := f.Entry("m")
-	cfg := sys.Store.Man.Config
-	whole, err := sys.Plan(before.Target, before.Budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if whole.Fidelity(cfg.Layers, cfg.Heads) == before.Plan.Fidelity(cfg.Layers, cfg.Heads) {
-		t.Fatal("the one- and two-replica grants plan the same ladder; the test cannot tell a replan")
-	}
-
 	inputs := [][]int{{2, 7, 1, 8}, {1, 9, 8, 7, 2}, {3, 1, 4}}
-	serveAll := func() []*sti.Response {
-		resps := make([]*sti.Response, len(inputs))
-		for i, tokens := range inputs {
-			resp, err := f.Serve(context.Background(), "m", sti.Request{Task: sti.TaskClassify, Tokens: tokens})
-			if err != nil {
-				t.Fatal(err)
-			}
-			resps[i] = resp
+	want := map[int][]*sti.Response{}
+	fidelity := map[int]float64{}
+	for _, n := range []int{2, 1, 2, 1} {
+		sys := fleetSystem(t, 9)
+		f := sti.NewFleet(budget)
+		if err := f.Add("m", sys, 200*time.Millisecond, 1); err != nil {
+			t.Fatal(err)
 		}
-		return resps
-	}
-	want := map[int][]*sti.Response{2: serveAll()}
-
-	for _, n := range []int{1, 2, 1} {
 		if err := f.SetReplicas("m", n); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Replan(); err != nil {
 			t.Fatal(err)
 		}
 		e, _ := f.Entry("m")
 		if e.Replicas != n {
 			t.Fatalf("SetReplicas(%d) left %d replicas", n, e.Replicas)
 		}
+		cfg := sys.Store.Man.Config
 		ref, err := sys.Plan(e.Target, e.Budget/int64(n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, wantF := e.Plan.Fidelity(cfg.Layers, cfg.Heads), ref.Fidelity(cfg.Layers, cfg.Heads); got != wantF {
-			t.Fatalf("at %d replicas: default tier fidelity %v, want %v planned under Budget/%d", n, got, wantF, n)
+		fidelity[n] = e.Plan.Fidelity(cfg.Layers, cfg.Heads)
+		if wantF := ref.Fidelity(cfg.Layers, cfg.Heads); fidelity[n] != wantF {
+			t.Fatalf("at %d replicas: default tier fidelity %v, want %v planned under Budget/%d", n, fidelity[n], wantF, n)
 		}
-		got := serveAll()
+		got := make([]*sti.Response, len(inputs))
+		for i, tokens := range inputs {
+			if got[i], err = f.Serve(context.Background(), "m", sti.Request{Task: sti.TaskClassify, Tokens: tokens}); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if _, ok := want[n]; !ok {
 			want[n] = got
 		}
@@ -264,66 +246,68 @@ func TestFleetScaleKeepsPlan(t *testing.T) {
 			t.Fatalf("at %d replicas: fleet holds %d preload bytes over budget %d", n, got, budget)
 		}
 	}
+	if fidelity[1] == fidelity[2] {
+		t.Fatal("the one- and two-replica grants plan the same ladder; the test cannot tell a replan")
+	}
 }
 
-// TestFleetCeilingChangeReplans: a new replica count on a planned model
-// replans it against the new slice, so every pinned tier's preload set
-// fits the buffer each replica owns.
-func TestFleetCeilingChangeReplans(t *testing.T) {
+// TestFleetSetReplicasRebuildsBeforePlan: before the first plan the
+// last SetReplicas wins: the pool of the earlier count is retired and
+// exactly the new count of replicas serves after Replan. Stats readers
+// running alongside see one pool or the other, never a torn one.
+func TestFleetSetReplicasRebuildsBeforePlan(t *testing.T) {
 	f := sti.NewFleet(96 << 10)
 	if err := f.Add("m", fleetSystem(t, 12), 200*time.Millisecond, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.SetReplicas("m", 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Replan(); err != nil {
-		t.Fatal(err)
-	}
-	before, _ := f.Entry("m")
-	if err := f.SetReplicas("m", 3); err != nil {
-		t.Fatal(err)
-	}
-	after, _ := f.Entry("m")
-	if after.Plan == before.Plan {
-		t.Fatal("a new replica count on a planned model kept the old ladder")
-	}
-	if after.Replicas != 3 {
-		t.Fatalf("SetReplicas(3) left %d replicas", after.Replicas)
-	}
-	per := after.Budget / 3
-	for _, tier := range after.Tiers {
-		if tier.Plan.PreloadUsed > per {
-			t.Fatalf("tier %v preloads %d bytes, over the per-replica slice %d", tier.Target, tier.Plan.PreloadUsed, per)
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ps, _ := f.ReplicaStats("m")
+			if len(ps.Served) != ps.Replicas {
+				t.Errorf("pool stats %+v: %d served counters for %d replicas", ps, len(ps.Served), ps.Replicas)
+				return
+			}
+			f.GenerateStats("m")
+			f.Entry("m")
+		}
+	}()
+	for _, n := range []int{2, 3} {
+		if err := f.SetReplicas("m", n); err != nil {
+			t.Error(err)
 		}
 	}
-}
-
-// TestFleetSetReplicasFailedDrainRollsBack: a scale-down whose drain
-// times out — a generate stream outlives the pool's drain wait — fails
-// without moving anything: the count, every tier's plan and every
-// replica's buffer stay as they were, so no live replica runs a plan
-// sliced for a smaller pool than it is in.
-func TestFleetSetReplicasFailedDrainRollsBack(t *testing.T) {
-	f := sti.NewFleet(96 << 10)
-	if err := f.Add("m", fleetSystem(t, 9), 200*time.Millisecond, 1); err != nil {
-		t.Fatal(err)
+	close(stop)
+	<-readerDone
+	if t.Failed() {
+		t.FailNow()
 	}
-	if err := f.SetReplicas("m", 2); err != nil {
-		t.Fatal(err)
+	if err := f.SetReplicas("m", 0); err == nil {
+		t.Fatal("SetReplicas(0) succeeded")
 	}
 	if err := f.Replan(); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := f.Entry("m")
+	e, _ := f.Entry("m")
+	ps, _ := f.ReplicaStats("m")
+	if e.Replicas != 3 || ps.Replicas != 3 || ps.PerReplica != e.Budget/3 {
+		t.Fatalf("entry %d replicas, pool %+v; want 3 replicas under slices of %d", e.Replicas, ps, e.Budget/3)
+	}
 
-	// Two streams park in OnToken. Least-loaded dispatch puts one on
-	// each replica, and each holds its acquisition until its terminal
-	// result, which waits behind the parked token.
+	// Three streams park in OnToken, each holding its acquisition until
+	// its terminal result: least-loaded dispatch puts one on each of
+	// the three replicas.
 	release := make(chan struct{})
-	parked := make(chan struct{}, 2)
+	parked := make(chan struct{}, 3)
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -338,44 +322,50 @@ func TestFleetSetReplicasFailedDrainRollsBack(t *testing.T) {
 			}
 		}()
 	}
-	<-parked
-	<-parked
-	// The streams' KV pages have already claimed their share of the
-	// buffers, so the preload residency is the baseline from here.
-	psBefore, _ := f.ReplicaStats("m")
-	if psBefore.Inflight[0] != 1 || psBefore.Inflight[1] != 1 {
-		t.Fatalf("in flight per replica %v, want one stream on each", psBefore.Inflight)
+	for i := 0; i < 3; i++ {
+		<-parked
 	}
-
-	err := f.SetReplicas("m", 1)
+	ps, _ = f.ReplicaStats("m")
 	close(release)
 	wg.Wait()
-	if err == nil {
-		t.Fatal("SetReplicas(1) succeeded while the retiring replica still streamed")
+	if len(ps.Inflight) != 3 || ps.Inflight[0] != 1 || ps.Inflight[1] != 1 || ps.Inflight[2] != 1 {
+		t.Fatalf("in flight per replica %v, want one stream on each of 3", ps.Inflight)
 	}
+	if got := f.PreloadBytes(); got > e.Budget {
+		t.Fatalf("fleet holds %d preload bytes over the model grant %d", got, e.Budget)
+	}
+}
 
-	after, _ := f.Entry("m")
-	if after.Replicas != 2 {
-		t.Fatalf("failed scale-down left %d replicas, want 2", after.Replicas)
+// TestFleetSetReplicasAfterPlanRefused: a planned model's replica count
+// is fixed: SetReplicas returns an error and leaves the count, the
+// plans and the preload residency as they were.
+func TestFleetSetReplicasAfterPlanRefused(t *testing.T) {
+	f := sti.NewFleet(96 << 10)
+	if err := f.Add("m", fleetSystem(t, 12), 200*time.Millisecond, 1); err != nil {
+		t.Fatal(err)
 	}
-	if after.Plan != before.Plan || len(after.Tiers) != len(before.Tiers) {
-		t.Fatal("failed scale-down replanned the ladder")
+	if err := f.SetReplicas("m", 2); err != nil {
+		t.Fatal(err)
 	}
-	ps, _ := f.ReplicaStats("m")
-	for i, tier := range after.Tiers {
-		if tier.Plan != before.Tiers[i].Plan {
-			t.Fatalf("failed scale-down swapped tier %v", tier.Target)
+	if err := f.Replan(); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := f.Entry("m")
+	preload := f.PreloadBytes()
+	for _, n := range []int{3, 1, 2} {
+		if err := f.SetReplicas("m", n); err == nil {
+			t.Fatalf("SetReplicas(%d) on a planned model succeeded", n)
 		}
-		if tier.Plan.PreloadUsed > ps.PerReplica {
-			t.Fatalf("tier %v preloads %d bytes into a %d-byte replica buffer", tier.Target, tier.Plan.PreloadUsed, ps.PerReplica)
+		after, _ := f.Entry("m")
+		if after.Replicas != 2 || after.Plan != before.Plan {
+			t.Fatalf("refused SetReplicas(%d) left %d replicas (plan kept: %v)", n, after.Replicas, after.Plan == before.Plan)
+		}
+		if got := f.PreloadBytes(); got != preload {
+			t.Fatalf("refused SetReplicas(%d) moved preload residency %d -> %d", n, preload, got)
 		}
 	}
-	if ps.PerReplica != psBefore.PerReplica || ps.CacheBytes != psBefore.CacheBytes {
-		t.Fatalf("failed scale-down moved the buffers: slice %d holding %d, want %d holding %d",
-			ps.PerReplica, ps.CacheBytes, psBefore.PerReplica, psBefore.CacheBytes)
-	}
-	if ps.ScaleDowns != 0 {
-		t.Fatalf("failed scale-down counted as %d scale-downs", ps.ScaleDowns)
+	if _, err := classify(f, "m", []int{1, 9, 8, 7, 2}); err != nil {
+		t.Fatalf("serving after a refused SetReplicas: %v", err)
 	}
 }
 
@@ -408,8 +398,8 @@ func TestFleetFixedPoolSurvivesIdle(t *testing.T) {
 	if len(st.Models) != 1 {
 		t.Fatalf("%d models in snapshot, want 1", len(st.Models))
 	}
-	if ms := st.Models[0]; ms.Replicas != 2 || ms.ScaleDowns != 0 {
-		t.Fatalf("after an idle stretch: %d replicas, %d scale-downs; want 2 and 0", ms.Replicas, ms.ScaleDowns)
+	if ms := st.Models[0]; ms.Replicas != 2 {
+		t.Fatalf("after an idle stretch: %d replicas, want 2", ms.Replicas)
 	}
 }
 

@@ -387,8 +387,7 @@ func (b *Batcher) deliver(s *stream, r StreamResult) {
 // with ErrBatcherClosed (in-flight ones deliver their partial
 // Response), KV blocks are freed, in-flight materializations are
 // cancelled, and the loop goroutine exits before Close returns.
-// Callers drain in-flight work first (replica pools already do, via
-// their drain protocol).
+// A replica pool closes its batchers only when it is retired.
 func (b *Batcher) Close() {
 	b.mu.Lock()
 	if b.closed {

@@ -37,7 +37,7 @@ func (b *replicaStub) SharedCacheStats(model string) (store.CacheStats, bool) {
 // aggregate stats.
 func TestSchedulerSnapshotSurfacesReplicaStats(t *testing.T) {
 	b := &replicaStub{stubBackend: stubBackend{targets: twoModels()}}
-	b.pool = replica.PoolStats{Replicas: 3, Served: []uint64{4, 2, 1}, ScaleUps: 2, ScaleDowns: 1}
+	b.pool = replica.PoolStats{Replicas: 3, Served: []uint64{4, 2, 1}}
 	b.cache = store.CacheStats{
 		Requests: 40, FlashReads: 10,
 		SingleflightHits: 18, RetainedHits: 12,
@@ -57,9 +57,6 @@ func TestSchedulerSnapshotSurfacesReplicaStats(t *testing.T) {
 	ms := st.Models[0]
 	if ms.Replicas != 3 || len(ms.ReplicaServed) != 3 || ms.ReplicaServed[0] != 4 {
 		t.Fatalf("replica stats %+v not surfaced", ms)
-	}
-	if ms.ScaleUps != 2 || ms.ScaleDowns != 1 {
-		t.Fatalf("scale counters %d/%d, want 2/1", ms.ScaleUps, ms.ScaleDowns)
 	}
 	if ms.SingleflightHits != 30 || ms.FlashReads != 10 || ms.SingleflightBytesSaved != 9000 {
 		t.Fatalf("singleflight stats %+v, want 30 hits / 10 flash reads / 9000 saved", ms)

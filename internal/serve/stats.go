@@ -50,12 +50,14 @@ type ModelStats struct {
 	// (key: the tier's latency target, e.g. "200ms").
 	ServedByTier map[string]uint64 `json:"served_by_tier,omitempty"`
 
-	// Replicas is the model's live replica count and ReplicaServed the
+	// Replicas is the model's replica count and ReplicaServed the
 	// completed-request counter of each replica (pool order), when the
 	// backend serves the model from a replica pool.
 	Replicas      int      `json:"replicas,omitempty"`
 	ReplicaServed []uint64 `json:"replica_served,omitempty"`
-	// ScaleUps/ScaleDowns count the pool's resizes.
+	// ScaleUps and ScaleDowns are always zero: a pool is never resized.
+	// They are kept only because the benchmark driver still compiles
+	// against them (its server_scalings diagnostic sums them).
 	ScaleUps   uint64 `json:"scale_ups,omitempty"`
 	ScaleDowns uint64 `json:"scale_downs,omitempty"`
 	// SingleflightHits counts shard reads the model's shared payload
@@ -343,7 +345,6 @@ func (s *Scheduler) Snapshot() Stats {
 		if ps, ok := s.backend.ReplicaStats(ms.Model); ok {
 			ms.Replicas = ps.Replicas
 			ms.ReplicaServed = ps.Served
-			ms.ScaleUps, ms.ScaleDowns = ps.ScaleUps, ps.ScaleDowns
 		}
 		if cs, ok := s.backend.SharedCacheStats(ms.Model); ok {
 			ms.SingleflightHits = cs.Hits()

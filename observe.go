@@ -60,14 +60,8 @@ func (f *Fleet) SetObservability(h *obs.Hub) {
 	reg.NewCounterFunc("sti_shard_cache_peer_served_total", "Retained payloads this node served to peers.", nil,
 		cache(func(s store.CacheStats) float64 { return float64(s.PeerServed) }))
 
-	reg.NewGaugeFunc("sti_replicas", "Live replica engines across models.", nil,
+	reg.NewGaugeFunc("sti_replicas", "Replica engines across models.", nil,
 		pool(func(s replica.PoolStats) float64 { return float64(s.Replicas) }))
-	reg.NewGaugeFunc("sti_replicas_draining", "Replicas draining toward removal.", nil,
-		pool(func(s replica.PoolStats) float64 { return float64(s.Draining) }))
-	reg.NewCounterFunc("sti_replica_scale_ups_total", "Replica pool resizes that added replicas.", nil,
-		pool(func(s replica.PoolStats) float64 { return float64(s.ScaleUps) }))
-	reg.NewCounterFunc("sti_replica_scale_downs_total", "Replica pool resizes that retired replicas.", nil,
-		pool(func(s replica.PoolStats) float64 { return float64(s.ScaleDowns) }))
 	reg.NewGaugeFunc("sti_preload_cache_bytes", "Preload buffer bytes held across replicas.", nil,
 		pool(func(s replica.PoolStats) float64 { return float64(s.CacheBytes) }))
 	reg.NewGaugeFunc("sti_kv_bytes", "Paged decode KV bytes held live.", nil,
