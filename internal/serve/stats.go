@@ -105,7 +105,7 @@ type Stats struct {
 	PlanCacheHits   uint64  `json:"plan_cache_hits"`
 	PlanCacheMisses uint64  `json:"plan_cache_misses"`
 	Downgraded      uint64  `json:"downgraded"`
-	// Replicas sums every model's live replica count;
+	// Replicas sums every model's replica count;
 	// SingleflightHits sums the shard reads the shared payload caches
 	// absorbed across models.
 	Replicas         int    `json:"replicas,omitempty"`
