@@ -98,7 +98,7 @@ func newFlagSet(c *httpserve.Config) *flag.FlagSet {
 	fs.StringVar(&c.Addr, "addr", ":8080", "listen address")
 	fs.StringVar(&c.Device, "device", "odroid", "device profile: odroid or jetson")
 	fs.Int64Var(&c.Budget, "budget", 256<<10, "fleet-wide preload budget in bytes")
-	fs.IntVar(&c.Replicas, "replicas", 1, "pipeline-engine replicas per model: each gets its own preload-buffer slice, all share one single-flight shard cache; the count is fixed for the process's life. Each model gets 2 scheduler workers per replica")
+	fs.IntVar(&c.Replicas, "replicas", 1, "pipeline-engine replicas per model: they share the model's one preload buffer under its grant, plan against grant/N and read through one single-flight shard cache; the count is fixed for the process's life. Each model gets 2 scheduler workers per replica")
 	fs.Float64Var(&c.Slack, "slack", 4, "request deadline = slack x model target")
 	fs.Int64Var(&c.SharedCache, "sharedcache", 1<<20, "per-model shared shard-cache retention in bytes: the single-flight dedup window its replicas read through (0 keeps pure coalescing only)")
 	fs.StringVar(&c.Mode, "mode", "standalone", "serving mode: standalone (default), node (cluster member; needs -node and -peers), or router (cluster frontend; needs -peers, takes no -model)")

@@ -15,20 +15,24 @@ import (
 func TestStatsExposeReplicas(t *testing.T) {
 	ts := startFleet(t, "-replicas", "2")
 
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			status, body := postJSON(t, ts.url+"/v2/infer", map[string]any{
-				"model": "sentiment", "text": fmt.Sprintf("request %d", 0),
-			})
-			if status != http.StatusOK {
-				t.Errorf("infer status %d: %s", status, body)
-			}
-		}()
+	// Two waves of four concurrent requests: a wave may ride one batch,
+	// so the second wave is what repeats the first one's shard stream.
+	for wave := 0; wave < 2; wave++ {
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				status, body := postJSON(t, ts.url+"/v2/infer", map[string]any{
+					"model": "sentiment", "text": fmt.Sprintf("request %d", 0),
+				})
+				if status != http.StatusOK {
+					t.Errorf("infer status %d: %s", status, body)
+				}
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 
 	resp, err := http.Get(ts.url + "/v1/stats")
 	if err != nil {
@@ -84,7 +88,9 @@ func TestStatsExposeReplicas(t *testing.T) {
 	}
 	// Zero preload budget per store in this fixture is impossible (the
 	// fleet grants bytes), but repeated identical plans re-stream any
-	// non-preloaded shards: the shared cache must absorb repeats.
+	// non-preloaded shards: the shared cache must absorb the second
+	// wave's repeats. (The model's one buffer is warmed once, so the
+	// warm itself reads each payload once and hits nothing.)
 	if sentiment.SingleflightHits == 0 {
 		t.Fatalf("no single-flight hits after 8 streamed requests: %s", raw)
 	}

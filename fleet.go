@@ -26,13 +26,14 @@ import (
 //
 // Each managed model is served by a pool of N replica engines
 // (internal/replica), N set by SetReplicas before the model's first
-// plan (default 1) and fixed from then on: each replica
-// has its own preload buffer carved from the model's grant, and
-// requests dispatch least-loaded. Every tier is planned against, and
-// warmed under, one slice (Budget/N), so a request's output never
-// depends on which replica serves it. All replicas of a model stream
-// shard payloads through one single-flight cache (store.SharedCache),
-// so concurrent replicas executing the same plan cost ~1× flash IO.
+// plan (default 1) and fixed from then on, with least-loaded dispatch.
+// The replicas share the model's one preload buffer, held under the
+// model's whole grant and warmed once per replan, so each payload is
+// charged once. Every tier is planned against one slice (Budget/N), so
+// a request's output never depends on which replica serves it. All
+// replicas of a model stream shard payloads through one single-flight
+// cache (store.SharedCache), so concurrent replicas executing the same
+// plan cost ~1× flash IO.
 //
 // A Fleet is safe for concurrent use: Serve calls run in parallel
 // (including on the same model), while Add, Remove, SetBudget and
@@ -77,10 +78,11 @@ type FleetEntry struct {
 	cache *planner.PlanCache
 
 	// pool is the model's replica set: SetReplicas' count of pipeline
-	// engines, each holding a per-replica slice (Budget/n) of the model
-	// grant, with least-loaded dispatch. Replica 0 is System.Engine.
-	// SetReplicas replaces it until the first plan; from then on it is
-	// never reassigned.
+	// engines with least-loaded dispatch. Replica 0 is System.Engine;
+	// the others are its replicas and share its preload buffer, which
+	// the fleet budgets and warms through System.Engine alone.
+	// SetReplicas replaces the pool until the first plan; from then on
+	// it is never reassigned.
 	pool *replica.Pool
 	// shared is the model's single-flight payload cache — every replica
 	// streams shards through it, so K replicas executing the same plan
@@ -120,7 +122,7 @@ func (f *Fleet) Add(name string, sys *System, target time.Duration, weight float
 	}
 	shared := store.NewSharedCache(sys.Store, sharedRetainBytes)
 	sys.Engine.SetPayloadSource(shared)
-	pool, err := newPool(sys, shared, 1)
+	pool, err := newPool(sys, 1)
 	if err != nil {
 		return fmt.Errorf("sti: building replica pool for %q: %w", name, err)
 	}
@@ -134,23 +136,22 @@ func (f *Fleet) Add(name string, sys *System, target time.Duration, weight float
 }
 
 // newPool builds a model's pool of n replicas. Replica 0 is the
-// system's own engine; later replicas share its loaded resident
-// weights (read-only during execution) and the single-flight cache,
-// and each owns its own preload buffer, granted by the next replan.
-func newPool(sys *System, shared *store.SharedCache, n int) (*replica.Pool, error) {
+// system's own engine; later replicas share its resident weights, its
+// payload source (the single-flight cache) and its preload buffer.
+func newPool(sys *System, n int) (*replica.Pool, error) {
 	return replica.New(func(id int) *pipeline.Engine {
 		if id == 0 {
 			return sys.Engine
 		}
-		return pipeline.NewReplicaEngine(sys.Store, sys.Engine.Resident, shared, 0)
+		return pipeline.NewReplica(sys.Engine)
 	}, n)
 }
 
-// SetReplicas sets a model's replica count: n engines serve the model,
-// and every tier is planned against, and warmed under, Budget/n. The
-// count is a setting of a model that has not been planned yet: call
-// it between Add and the first Replan. On a planned model it returns
-// an error and changes nothing.
+// SetReplicas sets a model's replica count: n engines serve the model
+// from its one preload buffer, and every tier is planned against
+// Budget/n. The count is a setting of a model that has not been
+// planned yet: call it between Add and the first Replan. On a planned
+// model it returns an error and changes nothing.
 func (f *Fleet) SetReplicas(name string, n int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -161,13 +162,13 @@ func (f *Fleet) SetReplicas(name string, n int) error {
 	if e.Plan != nil {
 		return fmt.Errorf("sti: SetReplicas(%q, %d): the model is planned; its replica count is fixed", name, n)
 	}
-	pool, err := newPool(e.System, e.shared, n)
+	pool, err := newPool(e.System, n)
 	if err != nil {
 		return fmt.Errorf("sti: SetReplicas(%q, %d): %w", name, n, err)
 	}
 	// entryForServe refuses every request to an unplanned model, so no
 	// acquisition holds the old pool and its step loops stop at once.
-	//sti:lockok quiesce-and-swap: both pools share System.Engine as replica 0, so the old pool must release it before a replan can warm it for the new one
+	//sti:lockok quiesce-and-swap: both pools drive System.Engine as replica 0, so the old pool's step loops must exit before the new pool's batchers serve it; an unplanned model has no streams, so they exit at once
 	e.pool.Retire()
 	e.pool = pool
 	return nil
@@ -243,8 +244,8 @@ func (f *Fleet) SharedCacheStats(name string) (store.CacheStats, bool) {
 }
 
 // Remove drops a model and immediately rebalances the fleet: the
-// removed model's engine releases every preloaded byte it held (its
-// budget drops to zero, evicting the cache), and the survivors are
+// removed model's preload buffer, shared by all its replicas, releases
+// every byte it held (its budget drops to zero), and the survivors are
 // replanned under their regrown shares — so PreloadBytes reflects the
 // new grants the moment Remove returns, instead of leaving sibling
 // grants stale and the removed engine's shards warm until someone
@@ -259,6 +260,7 @@ func (f *Fleet) Remove(name string) error {
 	delete(f.entries, name)
 	//sti:lockok quiesce-and-swap: the removed pool must finish draining before survivors are replanned under regrown grants
 	e.pool.Retire()
+	e.System.Engine.SetCacheBudget(0)
 	e.shared.Drop() // retained dedup payloads go with the model
 	//sti:lockok quiesce-and-swap: rebalancing warms survivor engines under the write lock so PreloadBytes is consistent the moment Remove returns
 	if err := f.replanLocked(); err != nil {
@@ -337,9 +339,9 @@ func (f *Fleet) Budget() int64 {
 }
 
 // Replan splits the budget across models proportionally to their
-// weights, plans each model's pipeline, resizes each engine's buffer,
-// and warms it. In-flight requests finish first; requests admitted
-// afterwards see the new plans.
+// weights, plans each model's pipeline, resizes each model's preload
+// buffer, and warms it. In-flight requests finish first; requests
+// admitted afterwards see the new plans.
 func (f *Fleet) Replan() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -353,9 +355,9 @@ func (f *Fleet) Replan() error {
 // engine is touched, so a planning failure for one model leaves every
 // entry on its previous consistent ladder and budget (no partial
 // commit whose grants no longer sum to f.budget). A warming failure
-// rolls already-warmed engines back to their previous ladders
-// (best-effort — the caches are a performance artifact, the entries
-// stay untouched either way).
+// rolls already-warmed buffers back to their previous grants and
+// ladders (best-effort — the buffers are a performance artifact, the
+// entries stay untouched either way).
 func (f *Fleet) replanLocked() error {
 	var totalWeight float64
 	for _, e := range f.entries {
@@ -364,9 +366,9 @@ func (f *Fleet) replanLocked() error {
 	names := f.namesLocked()
 
 	// Stage: compute all grants and tier ladders without side effects.
-	// Each model's plans are built against its *per-replica* slice —
-	// the grant arbitration of §3.2 extended one level down — which is
-	// exactly the buffer each replica warms them into.
+	// Each model's plans are built against its *per-replica* slice, so
+	// replicated output matches one engine planned under that slice;
+	// the shared buffer that holds them has the whole grant.
 	grants := make([]int64, len(names))
 	targets := make([][]time.Duration, len(names))
 	ladders := make([][]*Plan, len(names))
@@ -384,16 +386,18 @@ func (f *Fleet) replanLocked() error {
 		}
 	}
 
-	// Warm every model's replica pool under its new grant — each
-	// replica gets its slice of the grant and warms the bottom-up union
-	// of the ladder's preload sets. On failure, restore the pools
-	// already touched to their committed ladders.
+	// Warm every model's preload buffer, once, under its new grant:
+	// the bottom-up union of the ladder's preload sets that fits the
+	// whole grant, shared by every replica. On failure, restore the
+	// buffers already touched to their committed ladders.
 	for i, name := range names {
-		e := f.entries[name]
-		if err := e.pool.Apply(grants[i], ladders[i]); err != nil {
+		eng := f.entries[name].System.Engine
+		eng.SetCacheBudget(grants[i])
+		if err := eng.WarmSet(ladders[i]); err != nil {
 			for k := i; k >= 0; k-- {
 				prev := f.entries[names[k]]
-				_ = prev.pool.Apply(prev.Budget, prev.cache.Plans())
+				prev.System.Engine.SetCacheBudget(prev.Budget)
+				_ = prev.System.Engine.WarmSet(prev.cache.Plans())
 			}
 			return fmt.Errorf("sti: warming %q: %w", name, err)
 		}
@@ -434,9 +438,9 @@ func (f *Fleet) planTierLocked(name string, want time.Duration) error {
 	}
 	// Warm first, cache second (the same stage-then-commit rule as
 	// replanLocked): a tier whose warm failed must not sit in the
-	// cache masquerading as served-and-warmed. Every replica's buffer
+	// cache masquerading as served-and-warmed. The model's one buffer
 	// absorbs the new tier's preload set.
-	if err := e.pool.Warm(append(e.cache.Plans(), plan)); err != nil {
+	if err := e.System.Engine.WarmSet(append(e.cache.Plans(), plan)); err != nil {
 		return fmt.Errorf("sti: warming tier %v for %q: %w", want, name, err)
 	}
 	e.cache.Put(want, plan)
@@ -687,13 +691,14 @@ func (f *Fleet) ServeBatch(ctx context.Context, name string, reqs []Request) ([]
 }
 
 // PreloadBytes reports the total preload memory currently held across
-// all managed engines — every replica of every model.
+// all managed models: each model's one buffer, whatever its replica
+// count.
 func (f *Fleet) PreloadBytes() int64 {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	var total int64
 	for _, e := range f.entries {
-		total += e.pool.CacheBytes()
+		total += e.System.Engine.CacheBytes()
 	}
 	return total
 }

@@ -134,11 +134,11 @@ func TestFleetGenerateStress(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	ps, ok := f.ReplicaStats("m")
+	e, ok := f.Entry("m")
 	if !ok {
-		t.Fatal("no replica stats")
+		t.Fatal("no entry")
 	}
-	if ps.KVBytes != 0 {
-		t.Fatalf("replica pool still charges %d KV bytes after drain", ps.KVBytes)
+	if kv := e.System.Engine.KVBytes(); kv != 0 {
+		t.Fatalf("the model's buffer still charges %d KV bytes after drain", kv)
 	}
 }

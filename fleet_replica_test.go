@@ -94,8 +94,9 @@ func TestFleetReplicatedServeIdenticalLogits(t *testing.T) {
 }
 
 // TestFleetReplicaBudgetArbitration: the fleet-wide byte budget still
-// bounds total preload residency when a model's grant is split across
-// replicas, and each replica's buffer runs under its own slice.
+// bounds total preload residency when a model has replicas: its plans
+// are made against one replica's slice, and its one buffer runs under
+// the whole grant.
 func TestFleetReplicaBudgetArbitration(t *testing.T) {
 	const budget = 120 << 10
 	f := sti.NewFleet(budget)
@@ -119,12 +120,14 @@ func TestFleetReplicaBudgetArbitration(t *testing.T) {
 	if a.Replicas != 4 {
 		t.Fatalf("a has %d replicas, want 4", a.Replicas)
 	}
-	ps, _ := f.ReplicaStats("a")
-	if ps.PerReplica != a.Budget/4 {
-		t.Fatalf("per-replica slice %d, want %d", ps.PerReplica, a.Budget/4)
+	if a.Plan.PreloadUsed > a.Budget/4 {
+		t.Fatalf("default plan preloads %d bytes, past the %d-byte slice it was planned against", a.Plan.PreloadUsed, a.Budget/4)
 	}
-	if a.Plan.PreloadUsed > ps.PerReplica {
-		t.Fatalf("default plan preloads %d bytes into a %d-byte replica buffer", a.Plan.PreloadUsed, ps.PerReplica)
+	if got := a.System.Engine.Budget(); got != a.Budget {
+		t.Fatalf("a's buffer budget %d, want its whole grant %d", got, a.Budget)
+	}
+	if got := a.System.Engine.CacheBytes(); got < a.Plan.PreloadUsed || got > a.Budget {
+		t.Fatalf("a's buffer holds %d bytes; want the default tier's %d at least, within the grant %d", got, a.Plan.PreloadUsed, a.Budget)
 	}
 	if got := f.PreloadBytes(); got == 0 || got > budget {
 		t.Fatalf("fleet holds %d preload bytes, want within (0, %d]", got, budget)
@@ -297,8 +300,9 @@ func TestFleetSetReplicasRebuildsBeforePlan(t *testing.T) {
 	}
 	e, _ := f.Entry("m")
 	ps, _ := f.ReplicaStats("m")
-	if e.Replicas != 3 || ps.Replicas != 3 || ps.PerReplica != e.Budget/3 {
-		t.Fatalf("entry %d replicas, pool %+v; want 3 replicas under slices of %d", e.Replicas, ps, e.Budget/3)
+	if e.Replicas != 3 || ps.Replicas != 3 || e.System.Engine.Budget() != e.Budget {
+		t.Fatalf("entry %d replicas, pool %+v, buffer budget %d; want 3 replicas over one buffer under the grant %d",
+			e.Replicas, ps, e.System.Engine.Budget(), e.Budget)
 	}
 
 	// Three streams park in OnToken, each holding its acquisition until
@@ -370,7 +374,7 @@ func TestFleetSetReplicasAfterPlanRefused(t *testing.T) {
 }
 
 // TestFleetFixedPoolSurvivesIdle: a pool holds its SetReplicas count
-// under a real scheduler through an idle stretch — nothing drains a
+// under a real scheduler after its traffic stops — nothing drains a
 // replica the operator asked for.
 func TestFleetFixedPoolSurvivesIdle(t *testing.T) {
 	f := sti.NewFleet(96 << 10)
@@ -390,10 +394,6 @@ func TestFleetFixedPoolSurvivesIdle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Longer than an idle stretch that once drained a replica (2 s)
-	// plus one period of the ticker that observed it (250 ms).
-	time.Sleep(2500 * time.Millisecond)
-
 	st := s.Snapshot()
 	if len(st.Models) != 1 {
 		t.Fatalf("%d models in snapshot, want 1", len(st.Models))
@@ -403,8 +403,8 @@ func TestFleetFixedPoolSurvivesIdle(t *testing.T) {
 	}
 }
 
-// TestFleetRemoveRetiresReplicas: removing a replicated model releases
-// every replica's preload bytes, not just replica zero's.
+// TestFleetRemoveRetiresReplicas: removing a replicated model empties
+// the one preload buffer all its replicas read.
 func TestFleetRemoveRetiresReplicas(t *testing.T) {
 	f := sti.NewFleet(128 << 10)
 	drop := fleetSystem(t, 10)
@@ -420,15 +420,14 @@ func TestFleetRemoveRetiresReplicas(t *testing.T) {
 	if err := f.Replan(); err != nil {
 		t.Fatal(err)
 	}
-	ps, _ := f.ReplicaStats("drop")
-	if ps.CacheBytes == 0 {
+	if drop.Engine.CacheBytes() == 0 {
 		t.Fatal("replicated model warmed nothing")
 	}
 	if err := f.Remove("drop"); err != nil {
 		t.Fatal(err)
 	}
 	if got := drop.Engine.CacheBytes(); got != 0 {
-		t.Fatalf("removed model's replica 0 still holds %d bytes", got)
+		t.Fatalf("removed model's buffer still holds %d bytes", got)
 	}
 	keep, _ := f.Entry("keep")
 	if got := f.PreloadBytes(); got > keep.Budget {

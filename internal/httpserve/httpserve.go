@@ -19,6 +19,7 @@ import (
 	"sti/internal/cluster"
 	"sti/internal/obs"
 	"sti/internal/obs/obshttp"
+	"sti/internal/replica"
 	"sti/internal/tokenizer"
 )
 
@@ -259,9 +260,8 @@ func newFleet(cfg Config) (*sti.Fleet, error) {
 	}
 	for _, name := range fleet.Names() {
 		e, _ := fleet.Entry(name)
-		ps, _ := fleet.ReplicaStats(name)
-		log.Printf("planned %q: %s (budget %d KB across %d replica(s) = %d KB each, preload %d KB)",
-			name, e.Plan, e.Budget>>10, e.Replicas, ps.PerReplica>>10, e.Plan.PreloadUsed>>10)
+		log.Printf("planned %q: %s (one preload buffer under its %d KB grant, shared by %d replica(s); planned against %d KB, preload %d KB)",
+			name, e.Plan, e.Budget>>10, e.Replicas, replica.PerReplica(e.Budget, e.Replicas)>>10, e.Plan.PreloadUsed>>10)
 		for _, tier := range e.Tiers {
 			mc := e.System.Store.Man.Config
 			log.Printf("  tier %v: %dx%d fidelity %.2f",

@@ -280,6 +280,7 @@ type Batcher struct {
 	groups       map[*planner.Plan]*planGroup
 	active       int
 	starvedPolls int
+	seenSteps    uint64 // the budget's step count at the last poll
 	// inStep is stepOnce's per-group reservation scratch, reused across
 	// steps so the hot loop does not allocate a map per plan group.
 	inStep map[*stream]bool
@@ -478,8 +479,17 @@ func (b *Batcher) loop() {
 		runtime.Gosched()
 
 		progress, starved := b.stepOnce(b.starvedPolls >= kvStarvePreemptPolls)
+		steps := b.eng.steps.Load()
+		if progress {
+			steps = b.eng.steps.Add(1)
+		}
 		switch {
 		case progress:
+			b.starvedPolls = 0
+		case len(starved) > 0 && steps != b.seenSteps:
+			// A replica's loop on the same KV budget moved since the
+			// last poll: its streams free their pages as they finish,
+			// so this loop is waiting, not starved.
 			b.starvedPolls = 0
 		case len(starved) > 0:
 			// Every reservation failed and nothing was preemptable:
@@ -501,6 +511,7 @@ func (b *Batcher) loop() {
 		default:
 			b.starvedPolls = 0
 		}
+		b.seenSteps = steps
 		if !progress && b.liveStreams() > 0 {
 			// Nothing could step this round: streams are KV-starved
 			// (budget held elsewhere) or waiting on slow token
@@ -801,11 +812,13 @@ func (b *Batcher) stepOnce(desperate bool) (bool, []starvedStream) {
 				preStart := time.Now()
 				if !b.preemptFor(s, inStep, desperate) {
 					// Starved. A stream holding nothing, with no KV
-					// anywhere to wait on, can never start — fail it;
-					// otherwise record the starvation and retry after the
-					// poll (the loop preempts same-class holders, then
-					// sheds, if this persists).
-					if s.dec.KVBytes() == 0 && b.alloc.LiveBytes() == 0 {
+					// anywhere on the engine's budget to wait on (its
+					// replicas' step loops charge the same buffer), can
+					// never start — fail it; otherwise record the
+					// starvation and retry after the poll (the loop
+					// preempts same-class holders, then sheds, if this
+					// persists).
+					if s.dec.KVBytes() == 0 && b.eng.KVBytes() == 0 {
 						b.retire(g, s, nil, ErrKVBudget, false)
 						progress = true
 					} else {

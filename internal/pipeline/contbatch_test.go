@@ -450,20 +450,6 @@ func TestBatcherSameClassStarvation(t *testing.T) {
 	}
 	want := refGenerate(t, reqs)
 
-	pageOf := func(t *testing.T, eng *Engine, p *planner.Plan) int64 {
-		t.Helper()
-		sm, _, err := eng.Materialize(ctxbg, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		probe := model.NewPagedDecoder(sm, model.NewBlockAllocator(nil, 0))
-		if !probe.Reserve() {
-			t.Fatal("probe reserve failed")
-		}
-		defer probe.Release()
-		return probe.KVBytes()
-	}
-
 	t.Run("tiered cohort preempts itself", func(t *testing.T) {
 		eng, _, st := buildTinyEngine(t, 1<<20)
 		p, _ := tinyPlan(t, st, 100*time.Millisecond, 0)
@@ -521,6 +507,70 @@ func TestBatcherSameClassStarvation(t *testing.T) {
 			t.Fatalf("leaked KV: engine %d, allocator %d", eng.KVBytes(), b.KVBytes())
 		}
 	})
+}
+
+// pageOf measures one KV page of the plan's submodel.
+func pageOf(t *testing.T, eng *Engine, p *planner.Plan) int64 {
+	t.Helper()
+	sm, _, err := eng.Materialize(ctxbg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := model.NewPagedDecoder(sm, model.NewBlockAllocator(nil, 0))
+	if !probe.Reserve() {
+		t.Fatal("probe reserve failed")
+	}
+	defer probe.Release()
+	return probe.KVBytes()
+}
+
+// TestBatcherReplicaWaitsOnSharedKV: the step loops of a model's
+// replicas charge one KV budget. A stream on one replica that cannot
+// get a page while another replica's stream holds it and keeps
+// decoding waits for the page; it is not shed as starved.
+func TestBatcherReplicaWaitsOnSharedKV(t *testing.T) {
+	reqs := []Request{
+		{Task: TaskGenerate, Tokens: []int{5, 11, 2, 9}, MaxNewTokens: 10}, // 14 positions: one page
+		{Task: TaskGenerate, Tokens: []int{7, 3, 14}, MaxNewTokens: 5},
+	}
+	want := refGenerate(t, reqs)
+
+	eng, _, st := buildTinyEngine(t, 1<<20)
+	p, _ := tinyPlan(t, st, 100*time.Millisecond, 0)
+	eng.SetCacheBudget(pageOf(t, eng, p)) // one stream's page fits, two do not
+	a := NewBatcher(eng, BatcherOptions{MaxStreams: 4, TokenBuffer: 1})
+	defer a.Close()
+	b := NewBatcher(NewReplica(eng), BatcherOptions{MaxStreams: 4})
+	defer b.Close()
+
+	// The holder's consumer takes 30 ms a token, so it keeps the only
+	// page for about 300 ms while it decodes: past kvStarveFailPolls
+	// polls of the waiting loop.
+	holding := make(chan struct{})
+	var once sync.Once
+	slow := reqs[0]
+	slow.OnToken = func(step, token int) {
+		once.Do(func() { close(holding) })
+		time.Sleep(30 * time.Millisecond)
+	}
+	chA, err := a.Submit(ctxbg, p, slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-holding
+	chB, err := b.Submit(ctxbg, p, reqs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	outA, outB := <-chA, <-chB
+	if outA.Err != nil || outB.Err != nil {
+		t.Fatalf("streams failed: holder %v, waiter %v", outA.Err, outB.Err)
+	}
+	sameTokens(t, "holder", outA.Resp.GeneratedTokens, want[0].GeneratedTokens)
+	sameTokens(t, "waiter", outB.Resp.GeneratedTokens, want[1].GeneratedTokens)
+	if eng.KVBytes() != 0 || a.KVBytes() != 0 || b.KVBytes() != 0 {
+		t.Fatalf("leaked KV: engine %d, allocators %d and %d", eng.KVBytes(), a.KVBytes(), b.KVBytes())
+	}
 }
 
 // gatedReader wraps a PayloadReader; while held, the first read parks

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sti/internal/model"
@@ -20,10 +21,11 @@ import (
 // goroutine decompresses (in parallel across a layer's shards, like the
 // paper's OpenMP decompressor) and computes the previous layers.
 //
-// The engine owns the preload buffer (§3.1): a byte-budgeted cache of
+// The engine holds the preload buffer (§3.1): a byte-budgeted cache of
 // compressed shard payloads that survives across executions. Warm fills
 // it per a plan before user engagement; Retain implements §5.5's
 // eviction (keep bottom layers, evict from the top) after an execution.
+// A model's replica engines (NewReplica) share one buffer.
 type Engine struct {
 	Store    *store.Store
 	Resident *model.Weights
@@ -46,14 +48,7 @@ type Engine struct {
 	// GOMAXPROCS, caps the bytes it retains outside the budget.
 	free chan *model.SubLayer
 
-	mu          sync.Mutex
-	cache       map[shard.Version][]byte
-	cacheBytes  int64
-	cacheBudget int64
-	// kvBytes is decode KV-cache memory charged against the same §3.2
-	// grant as the preload buffer: preload shards and KV blocks
-	// arbitrate for one budget (cacheBytes + kvBytes ≤ cacheBudget).
-	kvBytes int64
+	*preload
 
 	// ioHook, when non-nil, is called at the top of every layer's IO
 	// job — before the cancellation check — so tests can cancel a
@@ -61,30 +56,52 @@ type Engine struct {
 	ioHook func(layer int)
 }
 
-// NewEngine opens the resident parameters of a preprocessed store.
+// preload is a model's preload buffer and the decode KV cache charged
+// against the same §3.2 grant: preload shards and KV blocks arbitrate
+// for one budget (cacheBytes + kvBytes ≤ cacheBudget). Every engine of
+// a model points at the same preload, so each payload is charged once.
+type preload struct {
+	mu          sync.Mutex
+	cache       map[shard.Version][]byte
+	cacheBytes  int64
+	cacheBudget int64
+	kvBytes     int64
+
+	// steps counts step-loop rounds that made progress on any engine
+	// sharing the buffer: a loop starved for KV waits, rather than
+	// sheds, while another replica's loop still moves.
+	steps atomic.Uint64
+}
+
+// NewEngine opens the resident parameters of a preprocessed store. The
+// engine owns its preload buffer, under cacheBudget bytes.
 func NewEngine(st *store.Store, cacheBudget int64) (*Engine, error) {
 	res, err := st.LoadResident()
 	if err != nil {
 		return nil, err
 	}
-	return NewReplicaEngine(st, res, st, cacheBudget), nil
-}
-
-// NewReplicaEngine builds an engine over an already-loaded resident
-// weight set, streaming shard payloads through src. This is the
-// constructor replica pools use: N engines of one model share a single
-// resident copy (it is read-only during execution) and one
-// store.SharedCache, so concurrent replicas cost ~1× flash IO instead
-// of N×. Each engine still owns its own preload buffer under its own
-// byte budget.
-func NewReplicaEngine(st *store.Store, res *model.Weights, src store.PayloadReader, cacheBudget int64) *Engine {
 	e := &Engine{
 		Store: st, Resident: res,
-		cache: make(map[shard.Version][]byte), cacheBudget: cacheBudget,
-		free: make(chan *model.SubLayer, runtime.GOMAXPROCS(0)),
+		free:    make(chan *model.SubLayer, runtime.GOMAXPROCS(0)),
+		preload: &preload{cache: make(map[shard.Version][]byte), cacheBudget: cacheBudget},
 	}
-	e.SetPayloadSource(src)
-	return e
+	e.SetPayloadSource(st)
+	return e, nil
+}
+
+// NewReplica builds a replica of e for a replica pool: an engine that
+// shares e's store, resident weights (read-only during execution),
+// payload source and preload buffer, and keeps only its own workspace
+// free list. A budget change, warm or KV reservation through any engine
+// of the model is seen by all of them, and the buffer holds each
+// payload once, under the model's whole grant.
+func NewReplica(e *Engine) *Engine {
+	return &Engine{
+		Store: e.Store, Resident: e.Resident,
+		src: e.src, osrc: e.osrc, verified: e.verified,
+		free:    make(chan *model.SubLayer, runtime.GOMAXPROCS(0)),
+		preload: e.preload,
+	}
 }
 
 // SetPayloadSource redirects the engine's shard reads (e.g. through a
@@ -153,19 +170,20 @@ func (e *Engine) Budget() int64 {
 	return e.cacheBudget
 }
 
-// KVBytes returns the decode KV-cache bytes charged to the engine.
+// KVBytes returns the decode KV-cache bytes charged to the preload
+// buffer's budget by every engine that shares it.
 func (e *Engine) KVBytes() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.kvBytes
 }
 
-// ReserveKV charges bytes of decode KV cache against the engine's
-// budget, evicting preload shards top-layers-first to make room (KV for
-// in-flight streams beats speculative preloads — the stream is live
-// now). It reports false, charging nothing, if the budget cannot fit
-// the bytes even with the preload buffer emptied. Implements
-// model.KVCharger.
+// ReserveKV charges bytes of decode KV cache against the preload
+// buffer's budget, evicting preload shards top-layers-first to make
+// room (KV for in-flight streams beats speculative preloads — the
+// stream is live now). It reports false, charging nothing, if the
+// budget cannot fit the bytes even with the preload buffer emptied.
+// Implements model.KVCharger.
 func (e *Engine) ReserveKV(bytes int64) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -3,24 +3,26 @@
 // single-engagement execution machinery.
 //
 // STI plans one IO/compute pipeline per model (§3.2); a Pool runs n
-// copies of it as replicas of one model, each with its own preload
-// buffer carved from the model's byte grant (the §3.2 budget
-// arbitration extended from per-tier to per-replica: a grant of B over
-// n replicas gives each ⌊B/n⌋). Callers plan against that same slice,
-// so every replica's buffer holds its plans' preload sets. Requests
-// dispatch to the least-loaded replica; all replicas of a model stream
-// shard payloads through one store.SharedCache, so n replicas
-// executing the same plan cost ~1× flash IO, not n×.
+// copies of it as replicas of one model. The replicas share the
+// model's one preload buffer (pipeline.NewReplica), held under the
+// model's whole grant, so a payload is read in and charged once
+// however many replicas execute it. Callers plan every tier against
+// PerReplica(grant, n), so replicated output stays byte-identical to
+// one engine planned under that slice. Requests dispatch to the
+// least-loaded replica; all replicas of a model stream shard payloads
+// through one store.SharedCache, so n replicas executing the same plan
+// cost ~1× flash IO, not n×.
 //
 // A pool's members are fixed by New: its owner picks the count once,
-// before the first plan, and a pool is never resized.
+// before the first plan, and a pool is never resized. The pool holds
+// only those members, their dispatch counts and their batchers; the
+// buffer belongs to the model's engines, and its owner warms and
+// budgets it.
 //
-// Concurrency contract: Acquire/Release/CacheBytes/Stats/GenStats are
-// safe for concurrent use at any time. The mutating operations —
-// Apply, Warm, Retire — re-split budgets and warm engines and must be
-// externally serialized with each other and with executions on the
-// pool's engines (the fleet runs them under its write lock, which
-// quiesces serving).
+// Concurrency contract: Acquire/Release/Stats/GenStats are safe for
+// concurrent use at any time. Retire must be externally serialized
+// with executions on the pool's engines (the fleet runs it under its
+// write lock, which quiesces serving).
 package replica
 
 import (
@@ -28,7 +30,6 @@ import (
 	"sync"
 
 	"sti/internal/pipeline"
-	"sti/internal/planner"
 )
 
 // Replica is one pipeline engine of a pool plus its dispatch state.
@@ -52,27 +53,15 @@ type PoolStats struct {
 	// Served[i] counts requests completed by replica i.
 	Served   []uint64 `json:"served"`
 	Inflight []int    `json:"inflight"`
-	// Budget is the model grant split across replicas; PerReplica the
-	// slice each replica's preload buffer runs under.
-	Budget     int64 `json:"budget"`
-	PerReplica int64 `json:"per_replica"`
-	CacheBytes int64 `json:"cache_bytes"`
-	// KVBytes is the paged decode KV cache held live across replicas,
-	// charged against the same per-replica grants as CacheBytes.
-	KVBytes int64 `json:"kv_bytes"`
 }
 
 // Pool is a fixed-size set of replica engines for one model.
 type Pool struct {
 	replicas []*Replica // fixed by New
-
-	mu     sync.Mutex
-	budget int64 // model grant, split across the replicas
+	mu       sync.Mutex // guards every replica's inflight and served
 }
 
-// New creates a pool of n replicas, replica i running factory(i)
-// (engines should start with a zero budget; Apply grants bytes after
-// planning).
+// New creates a pool of n replicas, replica i running factory(i).
 func New(factory func(id int) *pipeline.Engine, n int) (*Pool, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("replica: pool of %d replicas; need at least one", n)
@@ -112,32 +101,10 @@ func (p *Pool) Release(r *Replica, served int) {
 	p.mu.Unlock()
 }
 
-// Apply re-arbitrates the model grant across the replicas and
-// warms every replica's preload buffer with the given plan set: each
-// replica's budget becomes ⌊budget/n⌋ and its buffer the bottom-up
-// union of the plans' preload sets that fits it. Part of the mutating
-// API — callers serialize it with executions.
-func (p *Pool) Apply(budget int64, plans []*planner.Plan) error {
-	p.mu.Lock()
-	p.budget = budget
-	p.mu.Unlock()
-	return p.warmAll(budget, plans)
-}
-
-// Warm re-warms every replica with a new plan set under the
-// already-granted budget (e.g. after an on-demand tier joined the
-// ladder). Part of the mutating API.
-func (p *Pool) Warm(plans []*planner.Plan) error {
-	p.mu.Lock()
-	budget := p.budget
-	p.mu.Unlock()
-	return p.warmAll(budget, plans)
-}
-
-// PerReplica is the §3.2 grant arbitration extended one level down: a
-// model grant of budget over n replicas gives each ⌊budget/n⌋ (0 for
-// n < 1 — no replicas, no bytes). The pool splits over its count, and
-// the fleet plans against the same split.
+// PerReplica is the slice of a model grant of budget that each of n
+// replicas plans against: ⌊budget/n⌋ (0 for n < 1 — no replicas, no
+// bytes). The replicas share one buffer under the whole grant, so a
+// plan made against the slice always fits.
 func PerReplica(budget int64, n int) int64 {
 	if n <= 0 {
 		return 0
@@ -145,38 +112,14 @@ func PerReplica(budget int64, n int) int64 {
 	return budget / int64(n)
 }
 
-func (p *Pool) warmAll(budget int64, plans []*planner.Plan) error {
-	per := PerReplica(budget, len(p.replicas))
-	for _, r := range p.replicas {
-		r.Engine.SetCacheBudget(per)
-		if err := r.Engine.WarmSet(plans); err != nil {
-			return fmt.Errorf("replica: warming replica %d: %w", r.ID, err)
-		}
-	}
-	return nil
-}
-
-// Retire zeroes every replica's budget, releasing all preload bytes —
-// the pool's shutdown when its model leaves the fleet. Part of the
+// Retire stops every replica's step loop — the pool's shutdown when
+// its model leaves the fleet or its count is replaced before the
+// first plan. The preload buffer is left to its owner. Part of the
 // mutating API.
 func (p *Pool) Retire() {
-	p.mu.Lock()
-	p.budget = 0
-	p.mu.Unlock()
 	for _, r := range p.replicas {
 		r.Batcher.Close()
-		r.Engine.SetCacheBudget(0)
 	}
-}
-
-// CacheBytes sums the preload bytes currently held across all
-// replicas.
-func (p *Pool) CacheBytes() int64 {
-	var total int64
-	for _, r := range p.replicas {
-		total += r.Engine.CacheBytes()
-	}
-	return total
 }
 
 // Stats snapshots the pool.
@@ -187,17 +130,11 @@ func (p *Pool) Stats() PoolStats {
 		Inflight: make([]int, len(p.replicas)),
 	}
 	p.mu.Lock()
-	st.Budget = p.budget
 	for i, r := range p.replicas {
 		st.Served[i] = r.served
 		st.Inflight[i] = r.inflight
 	}
 	p.mu.Unlock()
-	st.PerReplica = PerReplica(st.Budget, st.Replicas)
-	for _, r := range p.replicas {
-		st.CacheBytes += r.Engine.CacheBytes()
-		st.KVBytes += r.Engine.KVBytes()
-	}
 	return st
 }
 

@@ -45,28 +45,37 @@ func newFixture(t *testing.T, preload int64) *poolFixture {
 	return &poolFixture{st: st, shared: store.NewSharedCache(st, 1<<20), plan: plan}
 }
 
-func (fx *poolFixture) factory(t *testing.T) func(id int) *pipeline.Engine {
-	res, err := fx.st.LoadResident()
+// factory builds replica 0 as an engine over the shared cache with a
+// zero budget, and every later replica as its pipeline.NewReplica, the
+// way the fleet builds a model's pool. It returns replica 0 too.
+func (fx *poolFixture) factory(t *testing.T) (func(id int) *pipeline.Engine, *pipeline.Engine) {
+	base, err := pipeline.NewEngine(fx.st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	base.SetPayloadSource(fx.shared)
 	return func(id int) *pipeline.Engine {
-		return pipeline.NewReplicaEngine(fx.st, res, fx.shared, 0)
-	}
+		if id == 0 {
+			return base
+		}
+		return pipeline.NewReplica(base)
+	}, base
 }
 
-func (fx *poolFixture) newPool(t *testing.T, n int) *Pool {
+func (fx *poolFixture) newPool(t *testing.T, n int) (*Pool, *pipeline.Engine) {
 	t.Helper()
-	p, err := New(fx.factory(t), n)
+	factory, base := fx.factory(t)
+	p, err := New(factory, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	t.Cleanup(p.Retire)
+	return p, base
 }
 
 func TestPoolLeastLoadedDispatch(t *testing.T) {
 	fx := newFixture(t, 8<<10)
-	p := fx.newPool(t, 3)
+	p, _ := fx.newPool(t, 3)
 
 	a, b, c := p.Acquire(), p.Acquire(), p.Acquire()
 	if a.ID == b.ID || b.ID == c.ID || a.ID == c.ID {
@@ -85,42 +94,56 @@ func TestPoolLeastLoadedDispatch(t *testing.T) {
 // TestPoolNewRejectsZeroReplicas: a pool has at least one replica.
 func TestPoolNewRejectsZeroReplicas(t *testing.T) {
 	fx := newFixture(t, 8<<10)
-	if _, err := New(fx.factory(t), 0); err == nil {
+	factory, _ := fx.factory(t)
+	if _, err := New(factory, 0); err == nil {
 		t.Fatal("New built a pool of zero replicas")
 	}
 }
 
-func TestPoolBudgetSplitAcrossReplicas(t *testing.T) {
+// TestPoolReplicasShareOneBuffer: a warm through replica 0 fills the
+// one buffer every replica reads, under the whole grant, and a KV
+// reservation through any replica is charged to that same buffer.
+func TestPoolReplicasShareOneBuffer(t *testing.T) {
 	fx := newFixture(t, 8<<10)
-	p := fx.newPool(t, 4)
+	p, base := fx.newPool(t, 4)
 
 	const grant = 32 << 10
-	if err := p.Apply(grant, []*planner.Plan{fx.plan}); err != nil {
+	base.SetCacheBudget(grant)
+	if err := base.WarmSet([]*planner.Plan{fx.plan}); err != nil {
 		t.Fatal(err)
 	}
-	st := p.Stats()
-	if st.PerReplica != grant/4 {
-		t.Fatalf("per-replica grant %d, want %d", st.PerReplica, grant/4)
-	}
-	if st.CacheBytes == 0 || st.CacheBytes > grant {
-		t.Fatalf("pool holds %d preload bytes; want within (0, %d]", st.CacheBytes, grant)
+	held := base.CacheBytes()
+	if held == 0 || held > grant {
+		t.Fatalf("buffer holds %d preload bytes; want within (0, %d]", held, grant)
 	}
 	for _, r := range p.replicas {
-		if got := r.Engine.CacheBytes(); got > grant/4 {
-			t.Fatalf("replica %d holds %d bytes over its %d slice", r.ID, got, grant/4)
+		if got := r.Engine.CacheBytes(); got != held {
+			t.Fatalf("replica %d reports %d preload bytes, want the shared %d", r.ID, got, held)
 		}
-		if got := r.Engine.Budget(); got != grant/4 {
-			t.Fatalf("replica %d budget %d, want %d", r.ID, got, grant/4)
+		if got := r.Engine.Budget(); got != grant {
+			t.Fatalf("replica %d budget %d, want the whole grant %d", r.ID, got, grant)
 		}
+	}
+
+	last := p.replicas[3].Engine
+	if !last.ReserveKV(grant / 2) {
+		t.Fatalf("replica 3 refused %d KV bytes under a %d-byte shared grant", grant/2, grant)
+	}
+	if got := base.KVBytes(); got != grant/2 {
+		t.Fatalf("replica 0 sees %d KV bytes, want replica 3's %d", got, grant/2)
+	}
+	if got := base.CacheBytes() + base.KVBytes(); got > grant {
+		t.Fatalf("buffer holds %d preload + KV bytes over its %d grant", got, grant)
+	}
+	last.ReleaseKV(grant / 2)
+	if got := base.KVBytes(); got != 0 {
+		t.Fatalf("%d KV bytes still charged after release", got)
 	}
 }
 
 func TestPoolSharedCacheDedupesAcrossReplicas(t *testing.T) {
 	fx := newFixture(t, 0) // no preload: every execution streams all shards
-	p := fx.newPool(t, 4)
-	if err := p.Apply(0, nil); err != nil {
-		t.Fatal(err)
-	}
+	p, _ := fx.newPool(t, 4)
 
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -155,17 +178,34 @@ func TestPoolSharedCacheDedupesAcrossReplicas(t *testing.T) {
 	}
 }
 
-func TestPoolRetireReleasesEverything(t *testing.T) {
+// TestPoolRetireLeavesBufferToOwner: Retire stops every replica's step
+// loop and leaves the shared buffer alone; the buffer's owner zeroes it
+// once, through any one engine, and every replica sees it empty.
+func TestPoolRetireLeavesBufferToOwner(t *testing.T) {
 	fx := newFixture(t, 8<<10)
-	p := fx.newPool(t, 2)
-	if err := p.Apply(32<<10, []*planner.Plan{fx.plan}); err != nil {
+	p, base := fx.newPool(t, 2)
+	base.SetCacheBudget(32 << 10)
+	if err := base.WarmSet([]*planner.Plan{fx.plan}); err != nil {
 		t.Fatal(err)
 	}
-	if p.CacheBytes() == 0 {
-		t.Fatal("pool warmed nothing")
+	held := base.CacheBytes()
+	if held == 0 {
+		t.Fatal("buffer warmed nothing")
 	}
 	p.Retire()
-	if got := p.CacheBytes(); got != 0 {
-		t.Fatalf("retired pool still holds %d bytes", got)
+	for _, r := range p.replicas {
+		if _, err := r.Batcher.Submit(context.Background(), fx.plan,
+			pipeline.Request{Task: pipeline.TaskGenerate, Tokens: []int{1, 2}, MaxNewTokens: 1}); err == nil {
+			t.Fatalf("replica %d's step loop accepted a stream after Retire", r.ID)
+		}
+		if got := r.Engine.CacheBytes(); got != held {
+			t.Fatalf("Retire moved replica %d's buffer %d -> %d bytes", r.ID, held, got)
+		}
+	}
+	base.SetCacheBudget(0)
+	for _, r := range p.replicas {
+		if got := r.Engine.CacheBytes(); got != 0 {
+			t.Fatalf("replica %d still holds %d bytes after its owner zeroed the buffer", r.ID, got)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package sti
 import (
 	"sti/internal/obs"
 	"sti/internal/pipeline"
-	"sti/internal/replica"
 	"sti/internal/store"
 )
 
@@ -23,8 +22,10 @@ func (f *Fleet) SetObservability(h *obs.Hub) {
 	cache := func(pick func(store.CacheStats) float64) func() float64 {
 		return f.sumEntries(func(e *FleetEntry) float64 { return pick(e.shared.Stats()) })
 	}
-	pool := func(pick func(replica.PoolStats) float64) func() float64 {
-		return f.sumEntries(func(e *FleetEntry) float64 { return pick(e.pool.Stats()) })
+	// A model's replicas share one preload buffer, so the buffer gauges
+	// read it once, through System.Engine.
+	buffer := func(pick func(*pipeline.Engine) int64) func() float64 {
+		return f.sumEntries(func(e *FleetEntry) float64 { return float64(pick(e.System.Engine)) })
 	}
 	gen := func(pick func(pipeline.StepLoopStats) float64) func() float64 {
 		return f.sumEntries(func(e *FleetEntry) float64 { return pick(e.pool.GenStats()) })
@@ -61,11 +62,11 @@ func (f *Fleet) SetObservability(h *obs.Hub) {
 		cache(func(s store.CacheStats) float64 { return float64(s.PeerServed) }))
 
 	reg.NewGaugeFunc("sti_replicas", "Replica engines across models.", nil,
-		pool(func(s replica.PoolStats) float64 { return float64(s.Replicas) }))
-	reg.NewGaugeFunc("sti_preload_cache_bytes", "Preload buffer bytes held across replicas.", nil,
-		pool(func(s replica.PoolStats) float64 { return float64(s.CacheBytes) }))
+		f.sumEntries(func(e *FleetEntry) float64 { return float64(e.pool.Size()) }))
+	reg.NewGaugeFunc("sti_preload_cache_bytes", "Preload buffer bytes held, one buffer per model.", nil,
+		buffer((*pipeline.Engine).CacheBytes))
 	reg.NewGaugeFunc("sti_kv_bytes", "Paged decode KV bytes held live.", nil,
-		pool(func(s replica.PoolStats) float64 { return float64(s.KVBytes) }))
+		buffer((*pipeline.Engine).KVBytes))
 
 	reg.NewCounterFunc("sti_gen_steps_total", "Batched decode forwards executed.", nil,
 		gen(func(s pipeline.StepLoopStats) float64 { return float64(s.Steps) }))

@@ -103,8 +103,8 @@ type (
 	TrainOptions = train.Options
 
 	// ReplicaPoolStats is a point-in-time snapshot of one model's
-	// replica pool: live/draining counts, per-replica served and
-	// in-flight counters, and the per-replica budget split.
+	// replica pool: the replica count and per-replica served and
+	// in-flight counters.
 	ReplicaPoolStats = replica.PoolStats
 	// ShardCacheStats reports a model's single-flight payload cache:
 	// flash reads vs deduplicated hits and the bytes they saved.
