@@ -48,6 +48,7 @@ type Engine struct {
 	// GOMAXPROCS, caps the bytes it retains outside the budget.
 	free chan *model.SubLayer
 
+	// preload is the model's preload buffer, shared with its replicas.
 	*preload
 
 	// ioHook, when non-nil, is called at the top of every layer's IO
